@@ -10,7 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.assess import histogram_ch_index
 from repro.core.binning import SpaceRange
+from repro.core.partitioning import find_cuts
+from repro.core.primary import GlobalClusterTable, PrimaryPartition
 from repro.kernels.engine import KernelEngine
 from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices, pack_keys
@@ -80,3 +83,32 @@ def test_interval_mapping_kernel(benchmark, bins):
     cuts = [np.array([20, 40], dtype=np.int64)] * N_RP
     iv = benchmark(lambda: intervals_for_bins(bins, cuts))
     assert iv.max() <= 2
+
+
+@pytest.fixture(scope="module")
+def histogram_stack():
+    """32 histograms of 256 bins: the kept rows of 4 projections × 8 dims
+    at the deepest in-situ depth, each a 3-mode mixture."""
+    rng = np.random.default_rng(2)
+    centres = rng.integers(20, 236, (32, 3))
+    points = centres[:, :, None] + rng.normal(0.0, 12.0, (32, 3, 2000))
+    return np.stack([
+        np.bincount(np.clip(p.ravel(), 0, 255).astype(int), minlength=256)
+        for p in points
+    ]).astype(np.float64)
+
+
+def test_find_cuts_stack_kernel(benchmark, histogram_stack):
+    cuts = benchmark(lambda: find_cuts(histogram_stack))
+    assert len(cuts) == histogram_stack.shape[0]
+
+
+def test_ch_index_kernel(benchmark, histogram_stack):
+    counts = histogram_stack[:8]
+    partition = PrimaryPartition(8, find_cuts(counts))
+    rng = np.random.default_rng(3)
+    bins = rng.integers(0, 256, (4000, 8))
+    table = GlobalClusterTable.from_points(partition.codes_for_bins(bins))
+    cells = partition.decode_cells(table.codes)
+    score = benchmark(lambda: histogram_ch_index(counts, partition.cuts, cells))
+    assert np.isfinite(score)

@@ -24,6 +24,15 @@ for two-cluster models (log2 1 = 0), which would make every 2-cluster
 partition score 0 regardless of quality. We use ``max(log2(|Q|−1), 1)`` so
 2-cluster models remain comparable; for |Q| ≥ 3 this matches the paper.
 Single-cluster models score ``-inf`` (nothing to rate).
+
+Array form and cost. Every interval of every dimension gets one global
+id, so a bin→interval id table turns the per-interval statistics into one
+``bincount`` (masses, within-dispersions) and one ``reduceat`` pair
+(modes) over the (n_dims × B) histogram: O(n_dims·B) per candidate, plus
+an O(|Q|·n_dims) gather over the occupied cells. Counts are whole
+numbers, so every sum (below 2^53) is exact in float64 and the scores are
+bit-identical to the per-interval loop this replaced (kept in the tests as
+the oracle).
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.kernels.labels import interval_id_table
 
 __all__ = ["histogram_ch_index", "marginal_percentile_bin", "interval_stats"]
 
@@ -41,11 +51,51 @@ __all__ = ["histogram_ch_index", "marginal_percentile_bin", "interval_stats"]
 def marginal_percentile_bin(counts: np.ndarray, percentile: float = 50.0) -> int:
     """Bin index of the given mass percentile of a 1-D histogram."""
     counts = np.asarray(counts, dtype=np.float64).ravel()
-    total = counts.sum()
-    if total <= 0:
-        return counts.size // 2
+    return int(_percentile_bins(counts[None, :], percentile)[0])
+
+
+def _percentile_bins(counts: np.ndarray, percentile: float) -> np.ndarray:
+    """:func:`marginal_percentile_bin` of every row of (n_dims × B) counts:
+    the first bin whose running mass reaches the target (the middle bin
+    of an empty row)."""
+    n_bins = counts.shape[1]
+    total = counts.sum(axis=1)
     target = total * percentile / 100.0
-    return int(np.searchsorted(np.cumsum(counts), target))
+    below = (np.cumsum(counts, axis=1) < target[:, None]).sum(axis=1)
+    return np.where(total > 0, below, n_bins // 2)
+
+
+def _interval_stats_rows(
+    counts: np.ndarray, cuts: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-interval (mode bin, mass, within-dispersion) of every row.
+
+    Intervals of all rows are numbered consecutively (row ``j``'s start at
+    ``offsets[j]``), so one ``bincount`` over bin→interval ids gives every
+    mass and every within-dispersion, and one ``reduceat`` pair finds every
+    mode (the first bin at the interval's maximum). Returns
+    ``(modes, masses, within, offsets)``.
+    """
+    n_dims, n_bins = counts.shape
+    ids = interval_id_table(cuts, n_bins)
+    n_intervals = ids[:, -1] + 1
+    offsets = np.concatenate([[0], np.cumsum(n_intervals)[:-1]])
+    seg = (ids + offsets[:, None]).ravel()
+    flat = counts.ravel()
+    bin_pos = np.tile(np.arange(n_bins), n_dims)
+    starts = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+    lengths = np.append(starts[1:], flat.size) - starts
+    masses = np.bincount(seg, weights=flat, minlength=starts.size)
+    peak = np.maximum.reduceat(flat, starts)
+    first_peak = np.minimum.reduceat(
+        np.where(flat == peak[seg], np.arange(flat.size), flat.size), starts
+    )
+    lo = bin_pos[starts]
+    modes = np.where(masses > 0, bin_pos[first_peak], (2 * lo + lengths - 1) // 2)
+    within = np.bincount(
+        seg, weights=(bin_pos - modes[seg]) ** 2 * flat, minlength=starts.size
+    )
+    return modes, masses, within, offsets
 
 
 def interval_stats(
@@ -58,23 +108,7 @@ def interval_stats(
     """
     counts = np.asarray(counts, dtype=np.float64).ravel()
     cuts = np.asarray(cuts, dtype=np.int64).ravel()
-    boundaries = np.concatenate([[-1], cuts, [counts.size - 1]])
-    n_intervals = boundaries.size - 1
-    modes = np.empty(n_intervals, dtype=np.int64)
-    masses = np.empty(n_intervals, dtype=np.float64)
-    within = np.empty(n_intervals, dtype=np.float64)
-    bin_ids = np.arange(counts.size, dtype=np.float64)
-    for i in range(n_intervals):
-        lo = int(boundaries[i]) + 1
-        hi = int(boundaries[i + 1]) + 1
-        seg = counts[lo:hi]
-        masses[i] = seg.sum()
-        if masses[i] > 0:
-            mode = lo + int(np.argmax(seg))
-        else:
-            mode = (lo + hi - 1) // 2
-        modes[i] = mode
-        within[i] = float(np.sum((bin_ids[lo:hi] - mode) ** 2 * seg))
+    modes, masses, within, _ = _interval_stats_rows(counts[None, :], [cuts])
     return modes, masses, within
 
 
@@ -120,16 +154,18 @@ def histogram_ch_index(
     if n_clusters < 2:
         return float("-inf")
 
-    w_q = 0.0
-    b_q = 0.0
-    for j in range(n_dims):
-        modes, masses, within = interval_stats(counts[j], np.asarray(cuts[j]))
-        centre = marginal_percentile_bin(counts[j], 50.0)
-        idx = cells[:, j]
-        if np.any(idx < 0) or np.any(idx >= modes.size):
-            raise ValidationError("cell interval index out of range")
-        w_q += float(np.sum(within[idx]))
-        b_q += float(np.sum((modes[idx] - centre) ** 2 * masses[idx]))
+    cuts = [np.asarray(c, dtype=np.int64).ravel() for c in cuts]
+    n_intervals = np.array([c.size + 1 for c in cuts])
+    if (cells < 0).any() or (cells >= n_intervals).any():
+        raise ValidationError("cell interval index out of range")
+    modes, masses, within, offsets = _interval_stats_rows(counts, cuts)
+    centre = _percentile_bins(counts, 50.0)
+    idx = cells + offsets
+    # Counts are whole numbers, so every term and partial sum is an exact
+    # integer in float64 (below 2^53): the order of summation cannot
+    # change the result.
+    w_q = float(within[idx].sum())
+    b_q = float(((modes[idx] - centre) ** 2 * masses[idx]).sum())
 
     if w_q <= 0.0:
         # Perfectly tight clusters: infinitely good separation unless the

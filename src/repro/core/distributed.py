@@ -35,7 +35,7 @@ from repro.core.binning import SpaceRange
 from repro.core.collapse import collapse_dimensions
 from repro.core.model import KeyBin2Model
 from repro.core.partitioning import find_cuts
-from repro.core.primary import GlobalClusterTable, PrimaryPartition
+from repro.core.primary import GlobalClusterTable, PrimaryPartition, cell_space_error
 from repro.core.projection import projection_matrix, target_dimension
 from repro.errors import ValidationError
 from repro.kernels.engine import KernelEngine
@@ -126,6 +126,7 @@ def keybin2_spmd(
 
     best: Optional[Dict[str, Any]] = None
     fallback: Optional[Dict[str, Any]] = None
+    overflowed: List[tuple] = []
 
     for trial, rng in enumerate(rngs):
         if projection == "none":
@@ -164,32 +165,29 @@ def keybin2_spmd(
         else:
             kept = np.ones(projected.shape[1], dtype=bool)
 
+        kept_bins = deep_bins[:, kept]
         for d in depths:
             counts_kept = global_hist[d][kept]
             if consolidation == "master":
                 # Paper topology: the master partitions, workers receive cuts.
                 if comm.rank == 0:
-                    cuts = [
-                        find_cuts(counts_kept[j], n_points=m_global,
-                                  min_prominence=min_cut_prominence,
-                                  smoother=smoother)
-                        for j in range(counts_kept.shape[0])
-                    ]
+                    cuts = find_cuts(counts_kept, n_points=m_global,
+                                     min_prominence=min_cut_prominence,
+                                     smoother=smoother)
                 else:
                     cuts = None
                 cuts = comm.bcast(cuts, root=0)
             else:
                 # Identical global histograms ⇒ identical cuts everywhere.
-                cuts = [
-                    find_cuts(counts_kept[j], n_points=m_global,
-                              min_prominence=min_cut_prominence,
-                              smoother=smoother)
-                    for j in range(counts_kept.shape[0])
-                ]
+                cuts = find_cuts(counts_kept, n_points=m_global,
+                                 min_prominence=min_cut_prominence,
+                                 smoother=smoother)
             partition = PrimaryPartition(d, cuts)
-            bins_d = deep_bins if d == deepest else prefix_bins(deep_bins, deepest, d)
-            intervals = partition.intervals_for(bins_d[:, kept])
-            codes = partition.cell_codes(intervals)
+            # Every rank holds the same cuts, so every rank skips alike.
+            if not partition.codes_fit:
+                overflowed.append((trial, kept, partition))
+                continue
+            codes = partition.codes_for_bins(kept_bins, deepest)
             local_table = GlobalClusterTable.from_points(codes)
 
             # Union of occupied cells across ranks (tiny payload).
@@ -203,7 +201,6 @@ def keybin2_spmd(
                 payload = None
             g_codes, g_sizes = comm.bcast(payload, root=0)
             table = GlobalClusterTable(g_codes, g_sizes)
-            labels = table.lookup(codes)
 
             cell_intervals = partition.decode_cells(table.codes)
             score = histogram_ch_index(counts_kept, partition.cuts, cell_intervals)
@@ -220,7 +217,7 @@ def keybin2_spmd(
                     meta={"trial": trial, "consolidation": consolidation,
                           "ranks": comm.size},
                 ),
-                "labels": labels,
+                "codes": codes,
                 "score": score,
                 "n_clusters": table.n_clusters,
             }
@@ -231,8 +228,9 @@ def keybin2_spmd(
                 fallback = candidate
 
     chosen = best if best is not None else fallback
-    assert chosen is not None
-    return chosen["labels"], chosen["model"]
+    if chosen is None:
+        raise cell_space_error(overflowed)
+    return chosen["model"].table.lookup(chosen["codes"]), chosen["model"]
 
 
 class DistributedFitResult:

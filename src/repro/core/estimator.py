@@ -29,7 +29,7 @@ from repro.core.binning import SpaceRange
 from repro.core.collapse import collapse_dimensions
 from repro.core.model import KeyBin2Model
 from repro.core.partitioning import find_cuts
-from repro.core.primary import GlobalClusterTable, PrimaryPartition
+from repro.core.primary import GlobalClusterTable, PrimaryPartition, cell_space_error
 from repro.core.projection import projection_matrix, target_dimension, PROJECTION_KINDS
 from repro.errors import NotFittedError, ValidationError
 from repro.kernels.engine import KernelEngine
@@ -186,12 +186,15 @@ class KeyBin2:
         self.trials_ = []
 
         precomputed = self._project_all_trials(x, rngs)
+        overflowed: List[tuple] = []
 
         for t, rng in enumerate(rngs):
             outcome = self._run_trial(
-                x, t, rng,
+                x, t, rng, overflowed,
                 precomputed=None if precomputed is None else precomputed[t],
             )
+            if outcome is None:  # every depth's grid overflowed int64 codes
+                continue
             self.trials_.append(
                 TrialResult(
                     trial=t,
@@ -208,9 +211,10 @@ class KeyBin2:
                 fallback = outcome
 
         chosen = best if best is not None else fallback
-        assert chosen is not None  # n_projections >= 1 guarantees a trial ran
+        if chosen is None:
+            raise cell_space_error(overflowed)
         self.model_ = chosen["model"]
-        self.labels_ = chosen["labels"]
+        self.labels_ = chosen["model"].table.lookup(chosen["codes"])
         self.score_ = chosen["score"]
         self.n_clusters_ = chosen["n_clusters"]
         return self
@@ -246,9 +250,15 @@ class KeyBin2:
         ]
 
     def _run_trial(
-        self, x: np.ndarray, trial: int, rng, precomputed=None
-    ) -> Dict[str, Any]:
-        """One bootstrap trial: project, bin, collapse, cut, score."""
+        self, x: np.ndarray, trial: int, rng, overflowed: List[tuple],
+        precomputed=None,
+    ) -> Optional[Dict[str, Any]]:
+        """One bootstrap trial: project, bin, collapse, cut, score.
+
+        Returns the trial's best candidate, or ``None`` when no depth's
+        cell grid fits int64 codes; skipped candidates are appended to
+        ``overflowed``.
+        """
         m, n = x.shape
         if precomputed is not None:
             matrix, projected = precomputed
@@ -282,22 +292,23 @@ class KeyBin2:
         else:
             kept = np.ones(projected.shape[1], dtype=bool)
 
+        kept_bins = deep_bins[:, kept]
         best_for_trial: Optional[Dict[str, Any]] = None
         for d in depths:
             counts_kept = counts_by_depth[d][kept]
-            cuts = [
+            partition = PrimaryPartition(
+                d,
                 find_cuts(
-                    counts_kept[j],
+                    counts_kept,
                     n_points=m,
                     min_prominence=self.min_cut_prominence,
                     smoother=self.smoother,
-                )
-                for j in range(counts_kept.shape[0])
-            ]
-            partition = PrimaryPartition(d, cuts)
-            bins_d = deep_bins if d == deepest else prefix_bins(deep_bins, deepest, d)
-            intervals = partition.intervals_for(bins_d[:, kept])
-            codes = partition.cell_codes(intervals)
+                ),
+            )
+            if not partition.codes_fit:
+                overflowed.append((trial, kept, partition))
+                continue
+            codes = partition.codes_for_bins(kept_bins, deepest)
             table = GlobalClusterTable.from_points(codes)
             if self.min_cluster_fraction > 0.0 and table.n_clusters > 1:
                 min_size = int(np.ceil(self.min_cluster_fraction * m))
@@ -306,7 +317,6 @@ class KeyBin2:
                     table = GlobalClusterTable(
                         table.codes[keep_cells], table.sizes[keep_cells]
                     )
-            labels = table.lookup(codes)
             cell_intervals = partition.decode_cells(table.codes)
             score = histogram_ch_index(counts_kept, partition.cuts, cell_intervals)
             candidate = {
@@ -321,7 +331,7 @@ class KeyBin2:
                     n_points_fit=m,
                     meta={"trial": trial},
                 ),
-                "labels": labels,
+                "codes": codes,
                 "score": score,
                 "depth": d,
                 "n_clusters": table.n_clusters,
@@ -332,7 +342,6 @@ class KeyBin2:
                 or _score_key(candidate) > _score_key(best_for_trial)
             ):
                 best_for_trial = candidate
-        assert best_for_trial is not None
         return best_for_trial
 
     # -- inference ------------------------------------------------------------------

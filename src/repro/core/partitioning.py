@@ -21,6 +21,17 @@ support can never belong to one cluster in the key space.
 
 A cut at position ``c`` separates bins ``<= c`` from bins ``> c``, matching
 ``searchsorted(cuts, bin, side="left")`` downstream.
+
+Array form and cost. The window depends only on the bin count B, so a fit
+cuts every kept dimension of every projection at one depth in a single
+call on an (R × B) stack: one reflect-pad and cumulative sum smooth all
+rows, one correlation over the rows laid end to end gives all slopes,
+sign crossings and prominences come from flat index arithmetic over the
+crossings, and gap cuts from the occupied bins. That is one O(R·B) pass
+per depth, whatever the number of points; only the greedy dedup of the
+few surviving cuts walks them in Python. Each row's cuts are exactly the
+ones the per-dimension loop this replaced produced (kept in the tests as
+the oracle). The ``"kde"`` smoother is still evaluated row by row.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.smoothing import local_slopes, moving_average, paper_window
+from repro.core.smoothing import local_slopes_rows, moving_average_rows, paper_window
 from repro.errors import ValidationError
 
 __all__ = ["CutDiagnostics", "find_cuts", "kde_density"]
@@ -46,42 +57,6 @@ class CutDiagnostics:
     prominences: np.ndarray = field(default_factory=lambda: np.empty(0))
     modes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     gap_cuts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-
-
-def _sign_changes(slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices where the slope crosses −→+ (valleys) and +→− (modes)."""
-    sign = np.sign(slopes)
-    # Treat exact zeros as continuing the previous sign so plateaus do not
-    # spray spurious crossings.
-    for i in range(1, sign.size):
-        if sign[i] == 0:
-            sign[i] = sign[i - 1]
-    change = np.flatnonzero(sign[1:] != sign[:-1]) + 1
-    valleys = change[sign[change] > 0]
-    modes = change[sign[change] < 0]
-    return valleys.astype(np.int64), modes.astype(np.int64)
-
-
-def _prominence(
-    smoothed: np.ndarray, valley: int, modes: np.ndarray
-) -> float:
-    """Depth of a valley below the smaller of its flanking peaks."""
-    left_modes = modes[modes < valley]
-    right_modes = modes[modes > valley]
-    left_peak = smoothed[left_modes[-1]] if left_modes.size else smoothed[:valley + 1].max()
-    right_peak = smoothed[right_modes[0]] if right_modes.size else smoothed[valley:].max()
-    return float(min(left_peak, right_peak) - smoothed[valley])
-
-
-def _gap_cuts(counts: np.ndarray, min_gap: int) -> np.ndarray:
-    """Cut inside every run of >= min_gap empty bins separating support."""
-    occupied = np.flatnonzero(counts > 0)
-    if occupied.size < 2:
-        return np.empty(0, dtype=np.int64)
-    gaps = np.diff(occupied)
-    big = np.flatnonzero(gaps > min_gap)
-    # Cut at the middle of the empty run.
-    return (occupied[big] + gaps[big] // 2).astype(np.int64)
 
 
 def kde_density(counts: np.ndarray, bandwidth: Optional[float] = None) -> np.ndarray:
@@ -121,6 +96,97 @@ def kde_density(counts: np.ndarray, bandwidth: Optional[float] = None) -> np.nda
     return density
 
 
+
+
+def _crossings(slopes: np.ndarray, live: np.ndarray):
+    """Slope sign crossings of every live row: (rows, positions, is_valley).
+
+    Exact zeros continue the previous sign, so plateaus do not spray
+    spurious crossings: a crossing sits at each nonzero slope whose sign
+    differs from the row's previous nonzero one (or, for the row's first
+    nonzero past bin 0, from the leading zeros). −→+ is a valley, +→− a
+    mode. Crossings come out in row-major order.
+    """
+    n_bins = slopes.shape[1]
+    sign = np.sign(slopes)
+    sign[~live] = 0.0
+    nonzero = np.flatnonzero(sign)
+    signs = sign.ravel()[nonzero]
+    rows, pos = np.divmod(nonzero, n_bins)
+    previous = np.zeros_like(signs)
+    previous[1:] = np.where(rows[1:] == rows[:-1], signs[:-1], 0.0)
+    cross = (signs != previous) & (pos > 0)
+    return rows[cross], pos[cross], signs[cross] > 0
+
+
+def _prominences(
+    smoothed: np.ndarray, rows: np.ndarray, pos: np.ndarray, valleys: np.ndarray
+) -> np.ndarray:
+    """Depth of each valley crossing below the smaller of its flanking
+    peaks.
+
+    After a row's first crossing the signs alternate, so the crossings
+    either side of a valley in the same row are its nearest modes. A
+    valley with no mode on one side measures against the highest point
+    toward that edge instead.
+    """
+    n_bins = smoothed.shape[1]
+    flat = np.append(smoothed.ravel(), -np.inf)  # every slice end is a valid index
+    height = flat[rows * n_bins + pos]
+    same_prev = np.zeros(rows.size, dtype=bool)
+    same_prev[1:] = rows[1:] == rows[:-1]
+    same_next = np.append(same_prev[1:], False)
+    at = rows[valleys] * n_bins + pos[valleys]
+    row_start = rows[valleys] * n_bins
+    to_left = np.maximum.reduceat(flat, np.stack([row_start, at + 1], axis=1).ravel())[::2]
+    to_right = np.maximum.reduceat(flat, np.stack([at, row_start + n_bins], axis=1).ravel())[::2]
+    left_peak = np.where(same_prev[valleys], height[valleys - 1], to_left)
+    right_peak = np.where(
+        same_next[valleys], height[np.minimum(valleys + 1, rows.size - 1)], to_right
+    )
+    return np.minimum(left_peak, right_peak) - height[valleys]
+
+
+def _gap_cuts(counts: np.ndarray, min_gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cuts): a cut inside every run of >= min_gap empty bins
+    separating support, at the middle of the run."""
+    n_bins = counts.shape[1]
+    occupied = np.flatnonzero(counts > 0)
+    rows = occupied // n_bins
+    gaps = np.diff(occupied)
+    big = (gaps > min_gap) & (rows[1:] == rows[:-1])
+    return rows[:-1][big], occupied[:-1][big] % n_bins + gaps[big] // 2
+
+
+def _dedup_rows(
+    rows: np.ndarray, cuts: np.ndarray, n_rows: int, n_bins: int, step: int
+) -> List[np.ndarray]:
+    """Sorted, deduplicated cuts of every row.
+
+    Two cuts closer than ``step`` (the window) describe the same valley
+    once smoothing noise is accounted for: walking a row left to right, a
+    cut is dropped when it lies within ``step`` of the last cut kept. That
+    greedy walk is sequential, so it runs in Python, but only over the few
+    surviving cuts and only when some row has a close pair.
+    """
+    key = np.unique(rows.astype(np.int64) * n_bins + cuts)
+    rows, cuts = np.divmod(key, n_bins)
+    if np.any((np.diff(cuts) < step) & (rows[1:] == rows[:-1])):
+        keep = np.ones(key.size, dtype=bool)
+        last_row = last = -1
+        for i, (r, c) in enumerate(zip(rows.tolist(), cuts.tolist())):
+            if r == last_row and c - last < step:
+                keep[i] = False
+            else:
+                last_row, last = r, c
+        rows, cuts = rows[keep], cuts[keep]
+    # A cut at the last bin separates nothing.
+    inside = cuts < n_bins - 1
+    rows, cuts = rows[inside], cuts[inside]
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    return [cuts[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def find_cuts(
     counts: np.ndarray,
     n_points: Optional[int] = None,
@@ -130,12 +196,15 @@ def find_cuts(
     smoother: str = "ma",
     return_diagnostics: bool = False,
 ):
-    """Find partition cuts in a single dimension's merged histogram.
+    """Find partition cuts in one histogram, or in every row of a stack.
 
     Parameters
     ----------
     counts:
-        1-D bin counts for one dimension.
+        1-D bin counts for one dimension, or an (R × B) stack of such
+        histograms (every kept dimension of every projection at one
+        depth). A stack is cut in one array pass; row ``r`` gets exactly
+        the cuts ``find_cuts(counts[r])`` would give.
     n_points:
         Total points behind the histogram; sets the paper window when
         ``window`` is not given. Defaults to ``counts.sum()``.
@@ -144,7 +213,7 @@ def find_cuts(
     min_prominence:
         Relative prominence threshold: a valley survives when its depth
         below the smaller flanking mode exceeds
-        ``min_prominence · max(smoothed)``.
+        ``min_prominence · max(smoothed)`` (the row's maximum).
     min_gap:
         Empty-bin run length that forces a cut regardless of prominence.
         Defaults to the smoothing window (shorter runs are smoothing
@@ -152,17 +221,21 @@ def find_cuts(
     smoother:
         ``"ma"`` — the paper's moving-average + local regression (default);
         ``"kde"`` — Gaussian kernel density estimation (the alternative
-        §3.2 benchmarks against; similar cuts, higher cost).
+        §3.2 benchmarks against; similar cuts, higher cost; evaluated row
+        by row).
     return_diagnostics:
-        Also return a :class:`CutDiagnostics`.
+        Also return a :class:`CutDiagnostics` (1-D ``counts`` only).
 
     Returns
     -------
-    Sorted int64 array of cut positions (possibly empty → one cluster),
-    optionally with diagnostics.
+    For 1-D ``counts``: a sorted int64 array of cut positions (possibly
+    empty → one cluster), optionally with diagnostics. For a stack: a
+    list of R such arrays.
     """
-    counts = np.asarray(counts, dtype=np.float64).ravel()
-    if counts.size < 1:
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim not in (1, 2):
+        raise ValidationError("counts must be 1-D or an (R × B) stack")
+    if counts.shape[-1] < 1:
         raise ValidationError("counts must be non-empty")
     if np.any(counts < 0):
         raise ValidationError("counts must be non-negative")
@@ -170,44 +243,46 @@ def find_cuts(
         raise ValidationError(f"min_prominence must be in [0, 1], got {min_prominence}")
     if smoother not in ("ma", "kde"):
         raise ValidationError(f"smoother must be 'ma' or 'kde', got {smoother!r}")
-    total = counts.sum()
+    one_row = counts.ndim == 1
+    if return_diagnostics and not one_row:
+        raise ValidationError("diagnostics are only returned for 1-D counts")
+    rows = counts[None, :] if one_row else counts
+    n_rows, n_bins = rows.shape
     if n_points is None:
-        n_points = int(max(total, 1))
+        n_points = int(max(rows.sum(), 1))
     if window is None:
-        window = paper_window(n_points, n_bins=counts.size)
+        window = paper_window(n_points, n_bins=n_bins)
+    if window < 1:
+        raise ValidationError(f"window must be >= 1, got {window}")
+    if n_rows == 0:
+        return []
 
     if smoother == "kde":
-        smoothed = kde_density(counts)
+        smoothed = np.array([kde_density(r) for r in rows])
     else:
-        smoothed = moving_average(counts, window)
-    slopes = local_slopes(smoothed, window)
-    diag = CutDiagnostics(smoothed=smoothed, slopes=slopes)
+        smoothed = moving_average_rows(rows, window)
+    slopes = local_slopes_rows(smoothed, window)
 
-    cuts: List[int] = []
-    if total > 0 and counts.size >= 3:
-        valleys, modes = _sign_changes(slopes)
-        diag.candidate_valleys = valleys
-        diag.modes = modes
-        peak = smoothed.max()
-        if peak > 0 and valleys.size:
-            proms = np.array([_prominence(smoothed, int(v), modes) for v in valleys])
-            diag.prominences = proms
-            keep = proms >= min_prominence * peak
-            cuts.extend(int(v) for v in valleys[keep])
-        gap = window if min_gap is None else min_gap
-        gcuts = _gap_cuts(counts, int(gap))
-        diag.gap_cuts = gcuts
-        cuts.extend(int(g) for g in gcuts)
-
-    # Deduplicate nearby cuts: two cuts closer than the window describe the
-    # same valley once smoothing noise is accounted for.
-    unique_sorted = sorted(set(cuts))
-    deduped: List[int] = []
-    for c in unique_sorted:
-        if not deduped or c - deduped[-1] >= max(1, window):
-            deduped.append(c)
-    # A cut at/after the last bin separates nothing.
-    result = np.array([c for c in deduped if 0 <= c < counts.size - 1], dtype=np.int64)
-    if return_diagnostics:
-        return result, diag
-    return result
+    cut_rows = cut_pos = np.empty(0, dtype=np.int64)
+    if n_bins >= 3:
+        live = rows.sum(axis=1) > 0
+        c_rows, c_pos, c_up = _crossings(slopes, live)
+        peak = smoothed.max(axis=1)
+        valleys = np.flatnonzero(c_up & (peak[c_rows] > 0))
+        proms = _prominences(smoothed, c_rows, c_pos, valleys)
+        keep = valleys[proms >= min_prominence * peak[c_rows[valleys]]]
+        g_rows, g_pos = _gap_cuts(rows, int(window if min_gap is None else min_gap))
+        cut_rows = np.concatenate([c_rows[keep], g_rows])
+        cut_pos = np.concatenate([c_pos[keep], g_pos])
+    cuts = _dedup_rows(cut_rows, cut_pos, n_rows, n_bins, max(1, window))
+    if not one_row:
+        return cuts
+    if not return_diagnostics:
+        return cuts[0]
+    diag = CutDiagnostics(smoothed=smoothed[0], slopes=slopes[0])
+    if n_bins >= 3 and live[0]:
+        diag.candidate_valleys = c_pos[c_up]
+        diag.modes = c_pos[~c_up]
+        diag.prominences = proms
+        diag.gap_cuts = g_pos
+    return cuts[0], diag

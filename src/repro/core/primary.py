@@ -10,15 +10,24 @@ per cluster) is all that ranks must share to label consistently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.labels import intervals_for_bins
+from repro.kernels.labels import check_cuts, interval_id_table, intervals_for_bins
 
-__all__ = ["PrimaryPartition", "GlobalClusterTable"]
+__all__ = ["PrimaryPartition", "GlobalClusterTable", "MAX_CELLS", "cell_space_error"]
+
+#: Largest interval grid whose cells all get distinct int64 codes.
+MAX_CELLS = int(np.iinfo(np.int64).max)
+#: ``from_points`` tallies codes densely while their range is at most this
+#: many values per point: the bincount array then stays a small multiple of
+#: the input, and a linear pass beats a sort.
+DENSE_CODES_PER_POINT = 4
 
 
 @dataclass(frozen=True)
@@ -39,19 +48,10 @@ class PrimaryPartition:
     def __init__(self, depth: int, cuts: Sequence[np.ndarray]):
         if depth < 1:
             raise ValidationError(f"depth must be >= 1, got {depth}")
-        n_bins = 1 << depth
-        clean: List[np.ndarray] = []
-        for j, c in enumerate(cuts):
-            arr = np.asarray(c, dtype=np.int64).ravel()
-            if arr.size and (arr.min() < 0 or arr.max() >= n_bins - 1):
-                raise ValidationError(
-                    f"dimension {j}: cuts must lie in [0, {n_bins - 2}]"
-                )
-            if arr.size and np.any(np.diff(arr) <= 0):
-                raise ValidationError(f"dimension {j}: cuts must be strictly increasing")
-            clean.append(arr)
+        clean = tuple(np.asarray(c, dtype=np.int64).ravel() for c in cuts)
+        check_cuts(clean, 1 << depth)
         object.__setattr__(self, "depth", int(depth))
-        object.__setattr__(self, "cuts", tuple(clean))
+        object.__setattr__(self, "cuts", clean)
 
     @property
     def n_dims(self) -> int:
@@ -64,8 +64,43 @@ class PrimaryPartition:
 
     @property
     def n_cells(self) -> int:
-        """Size of the full interval grid (occupied or not)."""
-        return int(np.prod(self.n_intervals))
+        """Exact size of the full interval grid (occupied or not).
+
+        A Python int, so it never wraps; compare it with :data:`MAX_CELLS`
+        (or read :attr:`codes_fit`) before packing cells into int64 codes.
+        """
+        return math.prod(c.size + 1 for c in self.cuts)
+
+    @cached_property
+    def interval_ids(self) -> np.ndarray:
+        """(n_dims × 2^depth) interval id of every bin, built on first use
+        (the fit tail), never for a partition that only predicts."""
+        return interval_id_table(self.cuts, 1 << self.depth)
+
+    @property
+    def codes_fit(self) -> bool:
+        """Whether every cell of the grid has a distinct int64 code."""
+        return self.n_cells <= MAX_CELLS
+
+    @property
+    def radix_weights(self) -> np.ndarray:
+        """Mixed-radix place value of each dimension's interval id:
+        ``code = Σ_j interval_j · weight_j`` with ``weight_j`` the product
+        of the interval counts of the dimensions after ``j``.
+
+        Raises :class:`ValidationError` when the grid has more cells than
+        int64 codes can tell apart, instead of letting codes wrap and
+        collide.
+        """
+        if not self.codes_fit:
+            raise ValidationError(
+                f"cell space of {self.n_cells} cells (interval counts "
+                f"{self.n_intervals.tolist()}) exceeds int64 cell codes"
+            )
+        weights = [1] * self.n_dims
+        for j in range(self.n_dims - 2, -1, -1):
+            weights[j] = weights[j + 1] * (self.cuts[j + 1].size + 1)
+        return np.array(weights, dtype=np.int64)
 
     def intervals_for(self, bins: np.ndarray) -> np.ndarray:
         """Map (M × n_dims) bin indices to per-dimension interval ids."""
@@ -78,22 +113,51 @@ class PrimaryPartition:
 
     def cell_codes(self, intervals: np.ndarray) -> np.ndarray:
         """Mixed-radix code of each point's grid cell."""
-        radices = self.n_intervals
-        code = np.zeros(intervals.shape[0], dtype=np.int64)
-        for j in range(self.n_dims):
-            code *= radices[j]
-            code += intervals[:, j].astype(np.int64)
-        return code
+        return np.asarray(intervals).astype(np.int64) @ self.radix_weights
 
     def decode_cells(self, codes: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`cell_codes`: (|codes| × n_dims) interval ids."""
-        radices = self.n_intervals
-        codes = np.asarray(codes, dtype=np.int64).copy()
-        out = np.empty((codes.shape[0], self.n_dims), dtype=np.int64)
-        for j in range(self.n_dims - 1, -1, -1):
-            out[:, j] = codes % radices[j]
-            codes //= radices[j]
-        return out
+        codes = np.asarray(codes, dtype=np.int64).reshape(-1, 1)
+        return codes // self.radix_weights % self.n_intervals
+
+    def code_table(self, bin_depth: Optional[int] = None) -> np.ndarray:
+        """(n_dims × 2^bin_depth) table of radix-weighted interval ids.
+
+        Entry ``[j, b]`` is ``weight_j`` times the interval holding bin
+        ``b`` of a ``bin_depth`` grid (default: this partition's depth;
+        a deeper bin maps through its depth-``depth`` prefix), so a cell
+        code is a sum of one gather per dimension.
+        """
+        bin_depth = self.depth if bin_depth is None else int(bin_depth)
+        if bin_depth < self.depth:
+            raise ValidationError(
+                f"bin_depth {bin_depth} is shallower than the partition depth {self.depth}"
+            )
+        table = self.interval_ids * self.radix_weights[:, None]
+        return np.repeat(table, 1 << (bin_depth - self.depth), axis=1)
+
+    def codes_for_bins(
+        self, bins: np.ndarray, bin_depth: Optional[int] = None
+    ) -> np.ndarray:
+        """Cell code of every row of (M × n_dims) bin indices.
+
+        ``bins`` are indices on a ``bin_depth`` grid (default: this
+        partition's depth); deeper bins are reduced to their prefix
+        through :meth:`code_table`, never shifted row by row.
+        """
+        bins = np.asarray(bins)
+        if bins.ndim != 2 or bins.shape[1] != self.n_dims:
+            raise ValidationError(
+                f"expected (M × {self.n_dims}) bins, got {bins.shape}"
+            )
+        table = self.code_table(bin_depth)
+        codes = np.zeros(bins.shape[0], dtype=np.int64)
+        # One whole-column gather per dimension: faster than one flat
+        # gather, which needs an (M × n_dims) int64 index array. A
+        # dimension without cuts adds zero to every code.
+        for j in np.flatnonzero(self.n_intervals > 1):
+            codes += table[j].take(bins[:, j])
+        return codes
 
 
 class GlobalClusterTable:
@@ -121,11 +185,32 @@ class GlobalClusterTable:
             raise ValidationError("sizes must align with codes")
 
     @classmethod
-    def from_points(cls, codes_of_points: np.ndarray) -> "GlobalClusterTable":
-        """Build the table from the per-point cell codes seen during fit."""
-        codes, sizes = np.unique(np.asarray(codes_of_points, dtype=np.int64),
-                                 return_counts=True)
-        return cls(codes, sizes)
+    def from_points(
+        cls, codes_of_points: np.ndarray, weights: Optional[np.ndarray] = None
+    ) -> "GlobalClusterTable":
+        """Build the table from the per-point cell codes seen during fit.
+
+        ``weights`` gives each code's multiplicity (a key's point count);
+        by default every code counts once. Codes spanning no more than
+        :data:`DENSE_CODES_PER_POINT` values per point are tallied with a
+        dense ``bincount``; sparser ones are sorted with ``np.unique``.
+        Either way the table is the same.
+        """
+        codes = np.asarray(codes_of_points, dtype=np.int64).ravel()
+        if codes.size and codes.min() >= 0 and codes.max() < DENSE_CODES_PER_POINT * codes.size:
+            tally = np.bincount(codes)
+            occupied = np.flatnonzero(tally)
+            if weights is None:
+                return cls(occupied, tally[occupied])
+            sums = np.bincount(codes, weights=np.asarray(weights, dtype=np.int64))
+            return cls(occupied, sums[occupied].astype(np.int64))
+        if weights is None:
+            occupied, sizes = np.unique(codes, return_counts=True)
+            return cls(occupied, sizes)
+        occupied, inverse = np.unique(codes, return_inverse=True)
+        sizes = np.zeros(occupied.size, dtype=np.int64)
+        np.add.at(sizes, inverse, np.asarray(weights, dtype=np.int64))
+        return cls(occupied, sizes)
 
     @property
     def n_clusters(self) -> int:
@@ -156,3 +241,22 @@ class GlobalClusterTable:
             return GlobalClusterTable(codes, sizes)
         codes = np.unique(all_codes)
         return GlobalClusterTable(codes)
+
+
+def cell_space_error(overflowed: Sequence[tuple]) -> ValidationError:
+    """The error a fit raises when no candidate's grid fits int64 codes.
+
+    ``overflowed`` holds one ``(trial, kept_dims, partition)`` per skipped
+    candidate; the message names each one's kept dimensions and interval
+    counts, the two things that set the grid size.
+    """
+    described = "; ".join(
+        f"projection {trial} depth {p.depth}: dims {np.flatnonzero(kept).tolist()} "
+        f"with interval counts {p.n_intervals.tolist()} ({p.n_cells} cells)"
+        for trial, kept, p in overflowed
+    )
+    return ValidationError(
+        f"every candidate's cell grid exceeds int64 cell codes ({MAX_CELLS}): "
+        f"{described}"
+    )
+

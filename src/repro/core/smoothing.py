@@ -19,7 +19,14 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["paper_window", "moving_average", "local_slopes", "second_derivative"]
+__all__ = [
+    "paper_window",
+    "moving_average",
+    "moving_average_rows",
+    "local_slopes",
+    "local_slopes_rows",
+    "second_derivative",
+]
 
 
 def paper_window(n_points: int, n_bins: Optional[int] = None) -> int:
@@ -50,6 +57,15 @@ def _check_window(y: np.ndarray, window: int) -> np.ndarray:
     return y
 
 
+def _reflect_pad(y: np.ndarray, half: int) -> np.ndarray:
+    """Rows of ``y`` padded by ``half`` mirrored bins each side (the edge
+    bin itself is not repeated): ``np.pad(..., mode="reflect")`` for
+    ``half < B``, without its per-call overhead."""
+    return np.concatenate(
+        [y[:, half:0:-1], y, y[:, -2:-half - 2:-1]], axis=1
+    )
+
+
 def moving_average(y: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average with reflected boundaries.
 
@@ -57,14 +73,25 @@ def moving_average(y: np.ndarray, window: int) -> np.ndarray:
     result is not phase-shifted). ``window == 1`` returns a copy.
     """
     y = _check_window(y, window)
+    return moving_average_rows(y[None, :], window)[0]
+
+
+def moving_average_rows(y: np.ndarray, window: int) -> np.ndarray:
+    """:func:`moving_average` of every row of an (R × B) array at once.
+
+    One reflect-pad and one cumulative sum along the rows; row ``r`` of
+    the result is bit-identical to ``moving_average(y[r], window)``.
+    """
     half = window // 2
-    if half == 0 or y.size <= 1:
+    n_bins = y.shape[1]
+    if half == 0 or n_bins <= 1:
         return y.copy()
-    half = min(half, y.size - 1)
-    padded = np.pad(y, half, mode="reflect")
+    half = min(half, n_bins - 1)
+    padded = _reflect_pad(y, half)
     kernel_size = 2 * half + 1
-    csum = np.cumsum(np.concatenate([[0.0], padded]))
-    return (csum[kernel_size:] - csum[:-kernel_size]) / kernel_size
+    csum = np.zeros((y.shape[0], padded.shape[1] + 1))
+    np.cumsum(padded, axis=1, out=csum[:, 1:])
+    return (csum[:, kernel_size:] - csum[:, :-kernel_size]) / kernel_size
 
 
 def local_slopes(y: np.ndarray, window: int) -> np.ndarray:
@@ -75,15 +102,32 @@ def local_slopes(y: np.ndarray, window: int) -> np.ndarray:
     single correlation evaluates for every bin at once.
     """
     y = _check_window(y, window)
+    return local_slopes_rows(y[None, :], window)[0]
+
+
+def local_slopes_rows(y: np.ndarray, window: int) -> np.ndarray:
+    """:func:`local_slopes` of every row of an (R × B) array at once.
+
+    The reflect-padded rows are laid end to end and correlated in one
+    call. Each output is the same length-``2h+1`` dot product a per-row
+    correlation takes, over the same values, so row ``r`` of the result
+    is bit-identical to ``local_slopes(y[r], window)``; the ``2h``
+    outputs whose window straddles two rows are dropped.
+    """
+    n_rows, n_bins = y.shape
     half = max(1, window // 2)
-    if y.size < 2:
+    if n_bins < 2:
         return np.zeros_like(y)
-    half = min(half, y.size - 1)
+    half = min(half, n_bins - 1)
     k = np.arange(-half, half + 1, dtype=np.float64)
     denom = float(np.sum(k * k))
-    padded = np.pad(y, half, mode="reflect")
+    padded = _reflect_pad(y, half)
+    width = padded.shape[1]
     # np.correlate slides the kernel without flipping, matching Σ k·y[i+k].
-    return np.correlate(padded, k, mode="valid") / denom
+    flat = np.correlate(padded.ravel(), k, mode="valid")
+    out = np.empty(n_rows * width)
+    out[: flat.size] = flat
+    return out.reshape(n_rows, width)[:, :n_bins] / denom
 
 
 def second_derivative(y: np.ndarray, window: int) -> np.ndarray:

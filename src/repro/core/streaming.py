@@ -33,7 +33,7 @@ from repro.core.drift import WindowDriftDetector
 from repro.core.collapse import collapse_dimensions
 from repro.core.model import KeyBin2Model
 from repro.core.partitioning import find_cuts
-from repro.core.primary import GlobalClusterTable, PrimaryPartition
+from repro.core.primary import GlobalClusterTable, PrimaryPartition, cell_space_error
 from repro.core.projection import projection_matrix, target_dimension
 from repro.errors import NotFittedError, ValidationError
 from repro.kernels.engine import KernelEngine
@@ -1046,65 +1046,91 @@ class StreamingKeyBin2:
         return self
 
     def _refresh_models(self):
-        """Score every (projection, depth) candidate; return (best, fallback)."""
+        """Score every (projection, depth) candidate; return (best, fallback).
+
+        Each depth is one pass: the cuts of every kept dimension of every
+        projection come from one stacked :func:`find_cuts` call, then each
+        candidate's cell table is a sum of per-dimension gathers over the
+        deep keys. Candidates are compared in (projection, depth) order.
+        """
         assert self._states is not None
-        deepest = self.candidate_depths[-1]
+        states = self._states
+        depths = self.candidate_depths
+        deepest = depths[-1]
+        with trace.span("collapse"):
+            kept = [
+                collapse_dimensions(
+                    st.hist[deepest],
+                    uniform_threshold=self.uniform_threshold,
+                    min_support_bins=self.min_support_bins,
+                )
+                if self.collapse
+                else np.ones(st.space.n_dims, dtype=bool)
+                for st in states
+            ]
+        keys = []
+        for st, k in zip(states, kept):
+            deep_keys, key_counts = st.keys.to_arrays()
+            keys.append((deep_keys[:, k] if deep_keys.size else deep_keys, key_counts))
+        bounds = np.cumsum([0] + [int(k.sum()) for k in kept])
+        candidates: Dict[tuple, KeyBin2Model] = {}
+        overflowed = []
+        for d in depths:
+            with trace.span("cuts"):
+                # The window depends only on the bin count, so one call
+                # serves every projection.
+                cuts = find_cuts(
+                    np.concatenate([st.hist[d][k] for st, k in zip(states, kept)]),
+                    n_points=max(st.n_points for st in states),
+                    min_prominence=self.min_cut_prominence,
+                )
+            with trace.span("cell_table"):
+                tables = {}
+                for trial, (kept_keys, key_counts) in enumerate(keys):
+                    partition = PrimaryPartition(d, cuts[bounds[trial]:bounds[trial + 1]])
+                    if not partition.codes_fit:
+                        overflowed.append((trial, kept[trial], partition))
+                        continue
+                    if kept_keys.size:
+                        codes = partition.codes_for_bins(kept_keys, deepest)
+                        table = GlobalClusterTable.from_points(codes, key_counts)
+                    else:  # no keys survived (pathological capacity)
+                        table = GlobalClusterTable(np.empty(0, dtype=np.int64))
+                    tables[trial] = (partition, table)
+            with trace.span("score"):
+                for trial, (partition, table) in tables.items():
+                    state = states[trial]
+                    score = histogram_ch_index(
+                        state.hist[d][kept[trial]],
+                        partition.cuts,
+                        partition.decode_cells(table.codes),
+                    )
+                    candidates[trial, d] = KeyBin2Model(
+                        projection=state.matrix,
+                        space=state.space,
+                        partition=partition,
+                        kept_dims=kept[trial],
+                        table=table,
+                        score=score,
+                        depth=d,
+                        n_points_fit=state.n_points,
+                        meta={
+                            "trial": trial,
+                            "streaming": True,
+                            "evicted_points": state.keys.evicted_points,
+                        },
+                    )
+        if not candidates:
+            raise cell_space_error(overflowed)
         best_model: Optional[KeyBin2Model] = None
         fallback: Optional[KeyBin2Model] = None
-        for trial, state in enumerate(self._states):
-            with trace.span("collapse"):
-                if self.collapse:
-                    kept = collapse_dimensions(
-                        state.hist[deepest],
-                        uniform_threshold=self.uniform_threshold,
-                        min_support_bins=self.min_support_bins,
-                    )
-                else:
-                    kept = np.ones(state.space.n_dims, dtype=bool)
-            deep_keys, key_counts = state.keys.to_arrays()
-            for d in self.candidate_depths:
-                counts_kept = state.hist[d][kept]
-                cuts = [
-                    find_cuts(
-                        counts_kept[j],
-                        n_points=state.n_points,
-                        min_prominence=self.min_cut_prominence,
-                    )
-                    for j in range(counts_kept.shape[0])
-                ]
-                partition = PrimaryPartition(d, cuts)
-                if deep_keys.size:
-                    bins_d = deep_keys[:, kept].astype(np.int32) >> (deepest - d)
-                    intervals = partition.intervals_for(bins_d)
-                    codes = partition.cell_codes(intervals)
-                    uniq_codes, inverse = np.unique(codes, return_inverse=True)
-                    sizes = np.zeros(uniq_codes.size, dtype=np.int64)
-                    np.add.at(sizes, inverse, key_counts)
-                    table = GlobalClusterTable(uniq_codes, sizes)
-                else:  # no keys survived (pathological capacity)
-                    table = GlobalClusterTable(np.empty(0, dtype=np.int64))
-                cell_intervals = partition.decode_cells(table.codes)
-                score = histogram_ch_index(counts_kept, partition.cuts, cell_intervals)
-                model = KeyBin2Model(
-                    projection=state.matrix,
-                    space=state.space,
-                    partition=partition,
-                    kept_dims=kept,
-                    table=table,
-                    score=score,
-                    depth=d,
-                    n_points_fit=state.n_points,
-                    meta={
-                        "trial": trial,
-                        "streaming": True,
-                        "evicted_points": state.keys.evicted_points,
-                    },
-                )
-                if table.n_clusters >= 2:
-                    if best_model is None or score > best_model.score:
-                        best_model = model
-                elif fallback is None:
-                    fallback = model
+        for key in sorted(candidates):
+            model = candidates[key]
+            if model.table.n_clusters >= 2:
+                if best_model is None or model.score > best_model.score:
+                    best_model = model
+            elif fallback is None:
+                fallback = model
         return best_model, fallback
 
     # -- checkpointing -------------------------------------------------------

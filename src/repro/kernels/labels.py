@@ -2,10 +2,10 @@
 
 Once the partitioning step has produced per-dimension cut locations, each
 point's bin index maps to a per-dimension *interval* id (which primary
-cluster it falls into along that dimension) via ``searchsorted``; the tuple
-of interval ids across dimensions identifies the global cluster. Interval
-tuples are packed into one integer so global assignment is a vectorized
-``unique``/table lookup, never a pairwise comparison.
+cluster it falls into along that dimension) — by ``searchsorted``, or by a
+gather from a precomputed per-bin table when many points share one cut
+set; the tuple of interval ids across dimensions identifies the global
+cluster.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.kernels.engine import KernelEngine
 
-__all__ = ["intervals_for_bins", "combine_interval_labels"]
+__all__ = ["intervals_for_bins", "check_cuts", "interval_id_table"]
 
 
 def intervals_for_bins(
@@ -55,30 +55,39 @@ def intervals_for_bins(
     return engine.map(kernel, bins, out_shape=bins.shape, out_dtype=np.int32)
 
 
-def combine_interval_labels(
-    intervals: np.ndarray,
-    n_intervals: Sequence[int],
+def check_cuts(
+    cuts: Sequence[np.ndarray], n_bins: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse per-dimension interval ids into dense global cluster labels.
+    """Validate per-dimension cut arrays against an ``n_bins`` grid.
 
-    Returns ``(labels, codes)`` where ``labels`` is an (M,) int64 array of
-    dense cluster ids (0..n_clusters-1, ordered by first occurrence of the
-    mixed-radix code) and ``codes`` is the sorted array of occupied
-    mixed-radix codes — the global cluster table that the distributed driver
-    broadcasts so every rank labels consistently.
+    Every dimension's cuts must be strictly increasing within
+    ``[0, n_bins - 2]`` (a cut at the last bin separates nothing).
+    Returns all cuts concatenated, with the dimension of each, so callers
+    can work on them as one array.
     """
-    intervals = np.asarray(intervals)
-    if intervals.ndim != 2:
-        raise ValidationError("combine_interval_labels needs a 2-D array")
-    radices = np.asarray(list(n_intervals), dtype=np.int64)
-    if radices.shape[0] != intervals.shape[1]:
-        raise ValidationError("n_intervals length must match dimensions")
-    if np.any(radices < 1):
-        raise ValidationError("every dimension needs at least one interval")
-    # Mixed-radix packing: code = ((i0 * r1 + i1) * r2 + i2) ...
-    code = np.zeros(intervals.shape[0], dtype=np.int64)
-    for j in range(intervals.shape[1]):
-        code *= radices[j]
-        code += intervals[:, j].astype(np.int64)
-    codes, labels = np.unique(code, return_inverse=True)
-    return labels.astype(np.int64), codes
+    arrays = [np.asarray(c, dtype=np.int64).ravel() for c in cuts]
+    rows = np.repeat(np.arange(len(arrays)), [c.size for c in arrays])
+    flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+    bad = (flat < 0) | (flat > n_bins - 2)
+    bad[1:] |= (flat[1:] <= flat[:-1]) & (rows[1:] == rows[:-1])
+    if bad.any():
+        raise ValidationError(
+            f"dimension {rows[bad.argmax()]}: cuts must be strictly increasing "
+            f"in [0, {n_bins - 2}]"
+        )
+    return rows, flat
+
+
+def interval_id_table(cuts: Sequence[np.ndarray], n_bins: int) -> np.ndarray:
+    """(N × n_bins) interval id of every bin: the gather form of
+    :func:`intervals_for_bins`.
+
+    Row ``j`` holds ``searchsorted(cuts[j], b, 'left')`` for every bin
+    ``b``, built as a running count of cut positions: a cut at ``c`` adds
+    one from bin ``c + 1`` on. Mapping M bins is then one gather per
+    dimension instead of a binary search per bin.
+    """
+    rows, flat = check_cuts(cuts, n_bins)
+    table = np.zeros((len(cuts), n_bins), dtype=np.int64)
+    table[rows, flat + 1] = 1
+    return np.cumsum(table, axis=1, out=table)

@@ -98,6 +98,19 @@ class TestFindCuts:
             find_cuts(np.array([-1.0, 2.0]), n_points=1)
         with pytest.raises(ValidationError):
             find_cuts(np.ones(8), min_prominence=2.0)
+        with pytest.raises(ValidationError):
+            find_cuts(np.ones((2, 2, 8)))
+        with pytest.raises(ValidationError):
+            find_cuts(np.ones((2, 8)), return_diagnostics=True)
+
+    def test_stack_cuts_each_row(self):
+        counts = bimodal_counts()
+        stack = np.stack([counts, np.zeros(64), counts[::-1]])
+        cuts = find_cuts(stack, n_points=2000)
+        assert [c.tolist() for c in cuts] == [
+            find_cuts(row, n_points=2000).tolist() for row in stack
+        ]
+        assert cuts[1].size == 0
 
     def test_explicit_window_respected(self):
         counts = bimodal_counts()

@@ -99,3 +99,81 @@ class TestGlobalClusterTable:
     def test_sizes_alignment_checked(self):
         with pytest.raises(ValidationError):
             GlobalClusterTable(np.array([1, 2]), np.array([1]))
+
+    def test_from_points_weighted_sizes(self):
+        t = GlobalClusterTable.from_points(np.array([7, 2, 7]), np.array([5, 1, 2]))
+        assert t.codes.tolist() == [2, 7]
+        assert t.sizes.tolist() == [1, 7]
+
+    def test_from_points_dense_and_sparse_agree(self, rng):
+        codes = rng.integers(0, 50, 400)
+        dense = GlobalClusterTable.from_points(codes)  # range < 4 × points
+        sparse = GlobalClusterTable.from_points(codes * 1_000_003)
+        assert dense.sizes.tolist() == sparse.sizes.tolist()
+        assert (dense.codes * 1_000_003).tolist() == sparse.codes.tolist()
+
+
+def _three_modes_per_dim(n_dims, n_points=3000, seed=0):
+    """Every dimension has three well-separated modes, so every dimension
+    gets two cuts and the grid has 3^n_dims cells."""
+    rng = np.random.default_rng(seed)
+    centres = rng.integers(0, 3, (n_points, n_dims)) * 10.0
+    return centres + rng.normal(0.0, 0.3, (n_points, n_dims))
+
+
+class TestCellCodeOverflow:
+    """48 dims × 3 intervals is 3^48 ≈ 8e22 cells: int64 codes would wrap
+    (to 2.7e18 and colliding codes), so packing must refuse instead."""
+
+    def _partition(self, n_dims=48):
+        return PrimaryPartition(4, [np.array([4, 9])] * n_dims)
+
+    def test_n_cells_is_exact(self):
+        p = self._partition()
+        assert p.n_cells == 3**48
+        assert not p.codes_fit
+        assert self._partition(39).codes_fit  # 3^39 < 2^63 - 1
+
+    def test_cell_codes_and_decode_raise(self):
+        p = self._partition()
+        with pytest.raises(ValidationError, match="interval counts"):
+            p.cell_codes(np.zeros((2, 48), dtype=np.int64))
+        with pytest.raises(ValidationError, match="exceeds int64"):
+            p.decode_cells(np.array([0, 1]))
+        with pytest.raises(ValidationError, match="exceeds int64"):
+            p.codes_for_bins(np.zeros((2, 48), dtype=np.int64))
+
+    def test_largest_fitting_grid_round_trips(self, rng):
+        p = self._partition(39)
+        iv = rng.integers(0, 3, (100, 39))
+        iv[0] = 2  # the largest code, 3^39 - 1
+        assert np.array_equal(p.decode_cells(p.cell_codes(iv)), iv)
+
+    def test_batch_fit_raises_naming_dims_and_counts(self):
+        from repro.core.estimator import KeyBin2
+
+        x = _three_modes_per_dim(48)
+        kb = KeyBin2(projection="none", collapse=False, candidate_depths=(5, 6),
+                     n_projections=1, seed=0)
+        with pytest.raises(ValidationError, match=r"interval counts \[3, 3, 3"):
+            kb.fit(x)
+
+    def test_batch_fit_skips_overflowing_depths(self):
+        from repro.core.estimator import KeyBin2
+
+        x = _three_modes_per_dim(48)
+        kb = KeyBin2(projection="none", collapse=False, candidate_depths=(1, 5),
+                     n_projections=1, seed=0).fit(x)
+        # Depth 5 overflows and is skipped; two bins per dim admit no cut.
+        assert kb.model_.depth == 1
+        assert kb.n_clusters_ == 1
+
+    def test_streaming_refresh_raises(self):
+        from repro.core.streaming import StreamingKeyBin2
+
+        skb = StreamingKeyBin2(projection="none", collapse=False,
+                               candidate_depths=(5, 6), n_projections=1,
+                               feature_range=(-2.0, 22.0), seed=0)
+        skb.partial_fit(_three_modes_per_dim(48))
+        with pytest.raises(ValidationError, match="dims \\[0, 1, 2"):
+            skb.refresh()

@@ -231,3 +231,31 @@ class TestStreamingKeyBin2:
         for st_a, st_b in zip(a._states, b._states):
             for d in st_a.depths:
                 assert np.array_equal(st_a.hist[d], st_b.hist[d])
+
+
+def test_refresh_phases_split_per_depth(small_gaussians):
+    """The refresh tail reports its cuts / cell-table / score split per
+    depth in phase_seconds_total, next to the one collapse pass."""
+    from repro.obs import MetricsRegistry, set_default_registry
+
+    x, _ = small_gaussians
+    reg = MetricsRegistry()
+    previous = set_default_registry(reg)
+    try:
+        skb = StreamingKeyBin2(seed=0, candidate_depths=(3, 4, 5))
+        skb.partial_fit(x)
+        skb.refresh()
+    finally:
+        set_default_registry(previous)
+    calls = {
+        s["labels"]["phase"]: s["value"]
+        for s in reg.get("phase_calls_total").snapshot()["samples"]
+    }
+    seconds = {
+        s["labels"]["phase"]: s["value"]
+        for s in reg.get("phase_seconds_total").snapshot()["samples"]
+    }
+    assert calls["refresh/collapse"] == 1
+    for phase in ("cuts", "cell_table", "score"):
+        assert calls[f"refresh/{phase}"] == 3
+        assert seconds[f"refresh/{phase}"] > 0.0

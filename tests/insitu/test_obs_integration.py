@@ -124,6 +124,8 @@ def test_phase_spans_attributed_per_rank(obs_run):
         assert f"insitu/rank{rank}/partial_fit/project" in phases
         assert f"insitu/rank{rank}/consolidate/hist_allreduce" in phases
         assert f"insitu/rank{rank}/refresh" in phases
+        for step in ("collapse", "cuts", "cell_table", "score"):
+            assert f"insitu/rank{rank}/refresh/{step}" in phases
         assert f"insitu/rank{rank}/label_frames" in phases
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.kernels.engine import KernelEngine
-from repro.kernels.labels import combine_interval_labels, intervals_for_bins
+from repro.kernels.labels import interval_id_table, intervals_for_bins
 
 
 class TestIntervalsForBins:
@@ -42,33 +42,15 @@ class TestIntervalsForBins:
         assert np.array_equal(a, b)
 
 
-class TestCombineIntervalLabels:
-    def test_dense_labels(self):
-        iv = np.array([[0, 0], [0, 1], [0, 0], [1, 1]], dtype=np.int32)
-        labels, codes = combine_interval_labels(iv, [2, 2])
-        assert labels.tolist() == [0, 1, 0, 2]
-        assert codes.tolist() == [0, 1, 3]
+class TestIntervalIdTable:
+    def test_gather_equals_searchsorted(self, rng):
+        cuts = [np.array([3, 10]), np.empty(0, dtype=np.int64), np.array([0, 14])]
+        table = interval_id_table(cuts, 16)
+        bins = rng.integers(0, 16, (200, 3)).astype(np.int32)
+        gathered = np.stack([table[j, bins[:, j]] for j in range(3)], axis=1)
+        assert np.array_equal(gathered, intervals_for_bins(bins, cuts))
 
-    def test_codes_sorted_unique(self, rng):
-        iv = rng.integers(0, 3, (100, 3)).astype(np.int32)
-        labels, codes = combine_interval_labels(iv, [3, 3, 3])
-        assert np.all(np.diff(codes) > 0)
-        assert labels.max() == codes.size - 1
-
-    def test_mixed_radix_injective(self, rng):
-        radices = [3, 5, 2]
-        iv = np.stack(
-            [rng.integers(0, r, 200) for r in radices], axis=1
-        ).astype(np.int32)
-        labels, codes = combine_interval_labels(iv, radices)
-        # Two rows share a label iff they are identical.
-        uniq_rows = np.unique(iv, axis=0)
-        assert codes.size == uniq_rows.shape[0]
-
-    def test_radix_mismatch(self):
-        with pytest.raises(ValidationError):
-            combine_interval_labels(np.zeros((2, 2), dtype=np.int32), [2])
-
-    def test_zero_radix_rejected(self):
-        with pytest.raises(ValidationError):
-            combine_interval_labels(np.zeros((2, 2), dtype=np.int32), [2, 0])
+    def test_rejects_cuts_outside_grid_or_unsorted(self):
+        for bad in ([np.array([15])], [np.array([-1])], [np.array([4, 4])]):
+            with pytest.raises(ValidationError):
+                interval_id_table(bad, 16)
