@@ -14,7 +14,6 @@ from repro.core.assess import histogram_ch_index
 from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
-from repro.kernels.engine import KernelEngine
 from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices, pack_keys
 from repro.kernels.labels import intervals_for_bins
@@ -53,12 +52,6 @@ def bins(projected, space):
 
 def test_projection_kernel(benchmark, points, matrix):
     out = benchmark(lambda: project_points(points, matrix))
-    assert out.shape == (M, N_RP)
-
-
-def test_projection_kernel_chunked(benchmark, points, matrix):
-    engine = KernelEngine(block_size=8192)
-    out = benchmark(lambda: project_points(points, matrix, engine=engine))
     assert out.shape == (M, N_RP)
 
 

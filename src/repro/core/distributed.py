@@ -5,18 +5,25 @@ Implements the paper's master–worker deployment on top of
 
 1. every rank builds the *same* projection matrix from the shared seed
    (no communication),
-2. per-rank projected ranges are merged with an elementwise min/max
-   allreduce (2 small vectors),
-3. per-rank histograms are consolidated — either gathered at the master,
-   merged, partitioned and broadcast (paper's topology), or allreduced so
-   every rank partitions the identical global histogram deterministically
-   (``"allreduce"``/``"ring"``),
-4. occupied-cell tables are unioned (tiny: a few ints per cluster) and the
+2. per-rank raw projected bounds are merged with an elementwise min/max
+   allreduce (2 small vectors), and the merged range is padded by
+   ``range_margin`` once — the range a single process measures over all
+   of the data,
+3. per-rank histograms are consolidated so every rank holds the global
+   histogram: reduced at the master and broadcast (paper's topology,
+   ``"master"``), or allreduced (``"allreduce"``/``"ring"``); the modes
+   differ only in this collective,
+4. every rank partitions the identical global histogram — cut finding is
+   deterministic, so no cuts travel,
+5. occupied-cell tables are unioned (tiny: a few ints per cluster) and the
    global table broadcast, so labels are consistent across ranks,
-5. the CH score is computed from the global histogram; the best-scoring
-   trial wins on every rank simultaneously (same data ⇒ same decision).
+6. the CH score is computed from the global histogram; the best-scoring
+   candidate wins on every rank simultaneously (same data ⇒ same
+   decision).
 
-The only payloads proportional to anything are the histograms —
+Steps 4–6 are the shared tail (:mod:`repro.core.tail`), so the model
+equals the one :class:`~repro.core.estimator.KeyBin2` fits on the pooled
+data. The only payloads proportional to anything are the histograms —
 O(N_rp · B) integers per rank per trial — which is the paper's
 O(2·K·N_rp·B) total communication claim; ``comm.traffic`` measures it.
 """
@@ -30,17 +37,14 @@ import numpy as np
 from repro.comm.base import Communicator, ReduceOp
 from repro.comm.ring import ring_allreduce
 from repro.comm.spmd import run_spmd
-from repro.core.assess import histogram_ch_index
 from repro.core.binning import SpaceRange
 from repro.core.collapse import collapse_dimensions
+from repro.core.estimator import check_fit_options, depth_histograms, resolve_depths
 from repro.core.model import KeyBin2Model
-from repro.core.partitioning import find_cuts
-from repro.core.primary import GlobalClusterTable, PrimaryPartition, cell_space_error
-from repro.core.projection import projection_matrix, target_dimension
+from repro.core.primary import GlobalClusterTable
+from repro.core.projection import projection_matrix, resolve_components
+from repro.core.tail import Candidate, TrialHistograms, candidate_models, select_best
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
-from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices, prefix_bins
 from repro.kernels.project import project_points
 from repro.util.rng import spawn_generators
 from repro.util.validation import check_array_2d, check_finite
@@ -82,6 +86,19 @@ def _consolidate_histograms(
     return out
 
 
+def _union_tables(comm: Communicator, local: GlobalClusterTable) -> GlobalClusterTable:
+    """Union of the occupied cells of every rank, on every rank."""
+    tables = comm.gather((local.codes, local.sizes), root=0)
+    payload = None
+    if comm.rank == 0:
+        merged = local
+        for peer_codes, peer_sizes in tables[1:]:
+            merged = merged.merge(GlobalClusterTable(peer_codes, peer_sizes))
+        payload = (merged.codes, merged.sizes)
+    codes, sizes = comm.bcast(payload, root=0)
+    return GlobalClusterTable(codes, sizes)
+
+
 def keybin2_spmd(
     comm: Communicator,
     x_local: np.ndarray,
@@ -98,19 +115,21 @@ def keybin2_spmd(
     smoother: str = "ma",
     seed: Optional[int] = 0,
     consolidation: str = "master",
-    engine: Optional[KernelEngine] = None,
 ) -> Tuple[np.ndarray, KeyBin2Model]:
     """SPMD KeyBin2: every rank calls this with its local shard.
 
     Returns ``(local_labels, model)``; the model is identical on all ranks
     and labels are globally consistent (label ``i`` means the same cluster
-    everywhere).
+    everywhere). Options mean what they mean for
+    :class:`~repro.core.estimator.KeyBin2`, ``"auto"`` depths included
+    (resolved from the global point count).
 
     ``seed`` must be a plain integer (identical across ranks) — it is the
     shared source of the projection matrices.
     """
     x_local = check_array_2d(x_local, "x_local", min_rows=1)
     check_finite(x_local, "x_local")
+    depth_spec = check_fit_options(n_projections, candidate_depths, projection, smoother)
     if consolidation not in CONSOLIDATION_MODES:
         raise ValidationError(f"consolidation must be one of {CONSOLIDATION_MODES}")
     n = x_local.shape[1]
@@ -118,119 +137,56 @@ def keybin2_spmd(
     if int(n_check[0]) != n or int(-n_check[1]) != n:
         raise ValidationError("all ranks must hold the same number of features")
 
-    depths = tuple(sorted(set(int(d) for d in candidate_depths)))
-    deepest = depths[-1]
-    rngs = spawn_generators(seed, n_projections)
-    m_local = x_local.shape[0]
-    m_global = int(comm.allreduce(m_local))
-
-    best: Optional[Dict[str, Any]] = None
-    fallback: Optional[Dict[str, Any]] = None
+    m_global = int(comm.allreduce(x_local.shape[0]))
+    depths = resolve_depths(depth_spec, m_global)
+    n_rp = resolve_components(n, n_components, projection_factor)
     overflowed: List[tuple] = []
 
-    for trial, rng in enumerate(rngs):
+    def best_of_trial(trial: int, rng) -> Optional[Candidate]:
+        """One trial's selected candidate (None when every grid overflowed);
+        its keys and the losing candidates' codes die with the call."""
         if projection == "none":
             matrix = None
             projected = x_local
         else:
-            n_rp = (
-                target_dimension(n, factor=projection_factor)
-                if n_components is None
-                else int(n_components)
-            )
-            n_rp = min(max(n_rp, 1), n)
             matrix = projection_matrix(n, n_rp, seed=rng, kind=projection)
-            projected = project_points(x_local, matrix, engine=engine)
+            projected = project_points(x_local, matrix)
 
-        # Global range: elementwise min/max allreduce of local bounds.
-        local_bounds = SpaceRange.from_data(projected, margin=range_margin).to_array()
-        global_bounds = comm.allreduce(local_bounds, op=_merge_ranges)
-        space = SpaceRange.from_array(global_bounds)
-
-        deep_bins = bin_indices(projected, space.r_min, space.r_max, deepest,
-                                engine=engine)
-        local_hist: Dict[int, np.ndarray] = {}
-        for d in depths:
-            b = deep_bins if d == deepest else prefix_bins(deep_bins, deepest, d)
-            local_hist[d] = accumulate_histogram(b, 1 << d, engine=engine)
-
+        local_bounds = np.stack([projected.min(axis=0), projected.max(axis=0)])
+        space = SpaceRange.from_data(
+            comm.allreduce(local_bounds, op=_merge_ranges), margin=range_margin
+        )
+        deep_bins, local_hist = depth_histograms(projected, space, depths)
         global_hist = _consolidate_histograms(comm, local_hist, depths, consolidation)
-
         if collapse:
             kept = collapse_dimensions(
-                global_hist[deepest],
+                global_hist[depths[-1]],
                 uniform_threshold=uniform_threshold,
                 min_support_bins=min_support_bins,
             )
         else:
             kept = np.ones(projected.shape[1], dtype=bool)
 
-        kept_bins = deep_bins[:, kept]
-        for d in depths:
-            counts_kept = global_hist[d][kept]
-            if consolidation == "master":
-                # Paper topology: the master partitions, workers receive cuts.
-                if comm.rank == 0:
-                    cuts = find_cuts(counts_kept, n_points=m_global,
-                                     min_prominence=min_cut_prominence,
-                                     smoother=smoother)
-                else:
-                    cuts = None
-                cuts = comm.bcast(cuts, root=0)
-            else:
-                # Identical global histograms ⇒ identical cuts everywhere.
-                cuts = find_cuts(counts_kept, n_points=m_global,
-                                 min_prominence=min_cut_prominence,
-                                 smoother=smoother)
-            partition = PrimaryPartition(d, cuts)
-            # Every rank holds the same cuts, so every rank skips alike.
-            if not partition.codes_fit:
-                overflowed.append((trial, kept, partition))
-                continue
-            codes = partition.codes_for_bins(kept_bins, deepest)
-            local_table = GlobalClusterTable.from_points(codes)
+        inputs = TrialHistograms(
+            hist=global_hist, kept=kept, keys=deep_bins[:, kept], key_weights=None,
+            matrix=matrix, space=space, n_points=m_global,
+            meta={"trial": trial, "consolidation": consolidation, "ranks": comm.size},
+        )
+        candidates = candidate_models(
+            [inputs], depths, overflowed,
+            min_prominence=min_cut_prominence, smoother=smoother,
+            union_table=lambda table: _union_tables(comm, table),
+        )
+        return select_best(candidates, overflowed) if candidates else None
 
-            # Union of occupied cells across ranks (tiny payload).
-            tables = comm.gather((local_table.codes, local_table.sizes), root=0)
-            if comm.rank == 0:
-                merged = local_table
-                for peer_codes, peer_sizes in tables[1:]:
-                    merged = merged.merge(GlobalClusterTable(peer_codes, peer_sizes))
-                payload = (merged.codes, merged.sizes)
-            else:
-                payload = None
-            g_codes, g_sizes = comm.bcast(payload, root=0)
-            table = GlobalClusterTable(g_codes, g_sizes)
-
-            cell_intervals = partition.decode_cells(table.codes)
-            score = histogram_ch_index(counts_kept, partition.cuts, cell_intervals)
-            candidate = {
-                "model": KeyBin2Model(
-                    projection=matrix,
-                    space=space,
-                    partition=partition,
-                    kept_dims=kept,
-                    table=table,
-                    score=score,
-                    depth=d,
-                    n_points_fit=m_global,
-                    meta={"trial": trial, "consolidation": consolidation,
-                          "ranks": comm.size},
-                ),
-                "codes": codes,
-                "score": score,
-                "n_clusters": table.n_clusters,
-            }
-            if candidate["n_clusters"] >= 2:
-                if best is None or candidate["score"] > best["score"]:
-                    best = candidate
-            elif fallback is None:
-                fallback = candidate
-
-    chosen = best if best is not None else fallback
-    if chosen is None:
-        raise cell_space_error(overflowed)
-    return chosen["model"].table.lookup(chosen["codes"]), chosen["model"]
+    finalists: List[Candidate] = []
+    for trial, rng in enumerate(spawn_generators(seed, n_projections)):
+        best = best_of_trial(trial, rng)
+        if best is not None:
+            # Only the running best keeps its per-row codes.
+            finalists = [select_best(finalists + [best], overflowed)]
+    chosen = select_best(finalists, overflowed)
+    return chosen.model.table.lookup(chosen.codes), chosen.model
 
 
 class DistributedFitResult:

@@ -20,19 +20,16 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.assess import histogram_ch_index
 from repro.core.binning import SpaceRange
 from repro.core.collapse import collapse_dimensions
 from repro.core.model import KeyBin2Model
-from repro.core.partitioning import find_cuts
-from repro.core.primary import GlobalClusterTable, PrimaryPartition, cell_space_error
-from repro.core.projection import projection_matrix, target_dimension, PROJECTION_KINDS
+from repro.core.projection import PROJECTION_KINDS, projection_matrix, resolve_components
+from repro.core.tail import Candidate, TrialHistograms, candidate_models, select_best
 from repro.errors import NotFittedError, ValidationError
-from repro.kernels.engine import KernelEngine
 from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices, prefix_bins
 from repro.kernels.project import project_points
@@ -82,11 +79,6 @@ class KeyBin2:
     min_cut_prominence:
         Relative valley prominence for a cut, see
         :func:`repro.core.partitioning.find_cuts`.
-    min_cluster_fraction:
-        Cells holding less than this fraction of points are dropped from the
-        cluster table; their points become noise (``-1``). ``0`` keeps every
-        occupied cell (the paper's behaviour — it reports extra small
-        clusters rather than hiding them).
     smoother:
         Histogram smoother for the partitioner: ``"ma"`` (paper's moving
         average + local regression) or ``"kde"`` (Gaussian KDE — the
@@ -97,14 +89,11 @@ class KeyBin2:
         Identical results, better throughput for large ``M``.
     seed:
         Seed / Generator for reproducibility.
-    engine:
-        Optional :class:`~repro.kernels.engine.KernelEngine` (chunked
-        execution); default processes each array in one launch.
 
     Attributes (after fit)
     ----------------------
     model_:            the accepted :class:`~repro.core.model.KeyBin2Model`
-    labels_:           training labels (−1 = dropped tiny cell)
+    labels_:           training labels
     n_clusters_:       cluster count of the accepted model
     score_:            its histogram-space CH score
     trials_:           per-trial :class:`TrialResult` list
@@ -123,36 +112,15 @@ class KeyBin2:
         uniform_threshold: float = 0.05,
         min_support_bins: int = 3,
         min_cut_prominence: float = 0.10,
-        min_cluster_fraction: float = 0.0,
         smoother: str = "ma",
         simultaneous_projections: bool = False,
         seed: SeedLike = None,
-        engine: Optional[KernelEngine] = None,
     ):
-        if projection not in PROJECTION_KINDS + ("none",):
-            raise ValidationError(
-                f"projection must be one of {PROJECTION_KINDS + ('none',)}"
-            )
-        if smoother not in ("ma", "kde"):
-            raise ValidationError("smoother must be 'ma' or 'kde'")
-        if n_projections < 1:
-            raise ValidationError("n_projections must be >= 1")
-        if not (0.0 <= min_cluster_fraction < 1.0):
-            raise ValidationError("min_cluster_fraction must be in [0, 1)")
+        self.candidate_depths = check_fit_options(
+            n_projections, candidate_depths, projection, smoother
+        )
         self.n_projections = int(n_projections)
         self.n_components = n_components
-        if isinstance(candidate_depths, str):
-            if candidate_depths != "auto":
-                raise ValidationError(
-                    "candidate_depths must be a depth sequence or 'auto'"
-                )
-            self.candidate_depths = "auto"
-        else:
-            if not candidate_depths:
-                raise ValidationError("candidate_depths must be non-empty")
-            self.candidate_depths = tuple(
-                sorted(set(int(d) for d in candidate_depths))
-            )
         self.projection = projection
         self.projection_factor = float(projection_factor)
         self.range_margin = float(range_margin)
@@ -160,11 +128,9 @@ class KeyBin2:
         self.uniform_threshold = float(uniform_threshold)
         self.min_support_bins = int(min_support_bins)
         self.min_cut_prominence = float(min_cut_prominence)
-        self.min_cluster_fraction = float(min_cluster_fraction)
         self.smoother = smoother
         self.simultaneous_projections = bool(simultaneous_projections)
         self.seed = seed
-        self.engine = engine
 
         self.model_: Optional[KeyBin2Model] = None
         self.labels_: Optional[np.ndarray] = None
@@ -180,52 +146,39 @@ class KeyBin2:
         self.n_features_in_ = n
         self._resolved_depths = resolve_depths(self.candidate_depths, m)
         rngs = spawn_generators(self.seed, self.n_projections)
-
-        best: Optional[Dict[str, Any]] = None
-        fallback: Optional[Dict[str, Any]] = None
-        self.trials_ = []
-
         precomputed = self._project_all_trials(x, rngs)
+        self.trials_ = []
         overflowed: List[tuple] = []
-
+        finalists: List[Candidate] = []
         for t, rng in enumerate(rngs):
-            outcome = self._run_trial(
+            best = self._best_of_trial(
                 x, t, rng, overflowed,
-                precomputed=None if precomputed is None else precomputed[t],
+                None if precomputed is None else precomputed[t],
             )
-            if outcome is None:  # every depth's grid overflowed int64 codes
+            if best is None:  # every depth's grid overflowed int64 codes
                 continue
+            model = best.model
             self.trials_.append(
                 TrialResult(
                     trial=t,
-                    depth=outcome["depth"],
-                    score=outcome["score"],
-                    n_clusters=outcome["n_clusters"],
-                    n_kept_dims=outcome["n_kept_dims"],
+                    depth=model.depth,
+                    score=model.score,
+                    n_clusters=model.n_clusters,
+                    n_kept_dims=int(model.kept_dims.sum()),
                 )
             )
-            if outcome["n_clusters"] >= 2:
-                if best is None or outcome["score"] > best["score"]:
-                    best = outcome
-            elif fallback is None:
-                fallback = outcome
-
-        chosen = best if best is not None else fallback
-        if chosen is None:
-            raise cell_space_error(overflowed)
-        self.model_ = chosen["model"]
-        self.labels_ = chosen["model"].table.lookup(chosen["codes"])
-        self.score_ = chosen["score"]
-        self.n_clusters_ = chosen["n_clusters"]
+            # Only the running best keeps its per-point codes: holding every
+            # trial's until the end would cost O(t·M) memory.
+            finalists = [select_best(finalists + [best], overflowed)]
+        chosen = select_best(finalists, overflowed)
+        self.model_ = chosen.model
+        self.labels_ = chosen.model.table.lookup(chosen.codes)
+        self.score_ = chosen.model.score
+        self.n_clusters_ = chosen.model.n_clusters
         return self
 
     def _target_components(self, n: int) -> int:
-        n_rp = (
-            target_dimension(n, factor=self.projection_factor)
-            if self.n_components is None
-            else int(self.n_components)
-        )
-        return min(max(n_rp, 1), n)
+        return resolve_components(n, self.n_components, self.projection_factor)
 
     def _project_all_trials(self, x: np.ndarray, rngs) -> Optional[list]:
         """§3.4's optimization: stack all trial matrices into one GEMM.
@@ -242,22 +195,22 @@ class KeyBin2:
             projection_matrix(n, n_rp, seed=rng, kind=self.projection)
             for rng in rngs
         ]
-        stacked = np.hstack(matrices)
-        projected_all = project_points(x, stacked, engine=self.engine)
+        projected_all = project_points(x, np.hstack(matrices))
         return [
             (matrices[t], projected_all[:, t * n_rp : (t + 1) * n_rp])
             for t in range(len(rngs))
         ]
 
-    def _run_trial(
+    def _best_of_trial(
         self, x: np.ndarray, trial: int, rng, overflowed: List[tuple],
         precomputed=None,
-    ) -> Optional[Dict[str, Any]]:
-        """One bootstrap trial: project, bin, collapse, cut, score.
+    ) -> Optional[Candidate]:
+        """One bootstrap trial: project, bin, histogram, collapse, then the
+        shared tail. Returns the trial's selected candidate, or ``None``
+        when every depth's grid overflowed (recorded in ``overflowed``).
 
-        Returns the trial's best candidate, or ``None`` when no depth's
-        cell grid fits int64 codes; skipped candidates are appended to
-        ``overflowed``.
+        The keys are the deep bins of the kept dimensions, one row per
+        point; they and the losing candidates' codes die with this call.
         """
         m, n = x.shape
         if precomputed is not None:
@@ -268,81 +221,28 @@ class KeyBin2:
         else:
             n_rp = self._target_components(n)
             matrix = projection_matrix(n, n_rp, seed=rng, kind=self.projection)
-            projected = project_points(x, matrix, engine=self.engine)
+            projected = project_points(x, matrix)
 
         space = SpaceRange.from_data(projected, margin=self.range_margin)
         depths = self._resolved_depths
-        deepest = depths[-1]
-        deep_bins = bin_indices(
-            projected, space.r_min, space.r_max, deepest, engine=self.engine
-        )
-
-        # Histograms at every candidate depth from the single deep binning.
-        counts_by_depth = {}
-        for d in depths:
-            b = deep_bins if d == deepest else prefix_bins(deep_bins, deepest, d)
-            counts_by_depth[d] = accumulate_histogram(b, 1 << d, engine=self.engine)
-
+        deep_bins, hist = depth_histograms(projected, space, depths)
         if self.collapse:
             kept = collapse_dimensions(
-                counts_by_depth[deepest],
+                hist[depths[-1]],
                 uniform_threshold=self.uniform_threshold,
                 min_support_bins=self.min_support_bins,
             )
         else:
             kept = np.ones(projected.shape[1], dtype=bool)
-
-        kept_bins = deep_bins[:, kept]
-        best_for_trial: Optional[Dict[str, Any]] = None
-        for d in depths:
-            counts_kept = counts_by_depth[d][kept]
-            partition = PrimaryPartition(
-                d,
-                find_cuts(
-                    counts_kept,
-                    n_points=m,
-                    min_prominence=self.min_cut_prominence,
-                    smoother=self.smoother,
-                ),
-            )
-            if not partition.codes_fit:
-                overflowed.append((trial, kept, partition))
-                continue
-            codes = partition.codes_for_bins(kept_bins, deepest)
-            table = GlobalClusterTable.from_points(codes)
-            if self.min_cluster_fraction > 0.0 and table.n_clusters > 1:
-                min_size = int(np.ceil(self.min_cluster_fraction * m))
-                keep_cells = table.sizes >= min_size
-                if keep_cells.any():
-                    table = GlobalClusterTable(
-                        table.codes[keep_cells], table.sizes[keep_cells]
-                    )
-            cell_intervals = partition.decode_cells(table.codes)
-            score = histogram_ch_index(counts_kept, partition.cuts, cell_intervals)
-            candidate = {
-                "model": KeyBin2Model(
-                    projection=matrix,
-                    space=space,
-                    partition=partition,
-                    kept_dims=kept,
-                    table=table,
-                    score=score,
-                    depth=d,
-                    n_points_fit=m,
-                    meta={"trial": trial},
-                ),
-                "codes": codes,
-                "score": score,
-                "depth": d,
-                "n_clusters": table.n_clusters,
-                "n_kept_dims": int(kept.sum()),
-            }
-            if (
-                best_for_trial is None
-                or _score_key(candidate) > _score_key(best_for_trial)
-            ):
-                best_for_trial = candidate
-        return best_for_trial
+        inputs = TrialHistograms(
+            hist=hist, kept=kept, keys=deep_bins[:, kept], key_weights=None,
+            matrix=matrix, space=space, n_points=m, meta={"trial": trial},
+        )
+        candidates = candidate_models(
+            [inputs], depths, overflowed,
+            min_prominence=self.min_cut_prominence, smoother=self.smoother,
+        )
+        return select_best(candidates, overflowed) if candidates else None
 
     # -- inference ------------------------------------------------------------------
 
@@ -353,13 +253,53 @@ class KeyBin2:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Labels for new points under the fitted model (−1 = unseen cell)."""
-        return self._require_fitted().predict(x, engine=self.engine)
+        return self._require_fitted().predict(x)
 
     def fit_predict(self, x: np.ndarray) -> np.ndarray:
         """Fit and return the training labels."""
         self.fit(x)
         assert self.labels_ is not None
         return self.labels_
+
+
+def check_fit_options(n_projections: int, candidate_depths, projection: str,
+                      smoother: str):
+    """Validate the options batch and SPMD fits share; return the depth
+    specification normalized (``"auto"``, or sorted unique depths)."""
+    if projection not in PROJECTION_KINDS + ("none",):
+        raise ValidationError(
+            f"projection must be one of {PROJECTION_KINDS + ('none',)}"
+        )
+    if smoother not in ("ma", "kde"):
+        raise ValidationError("smoother must be 'ma' or 'kde'")
+    if n_projections < 1:
+        raise ValidationError("n_projections must be >= 1")
+    if isinstance(candidate_depths, str):
+        if candidate_depths != "auto":
+            raise ValidationError(
+                "candidate_depths must be a depth sequence or 'auto'"
+            )
+        return "auto"
+    if not candidate_depths:
+        raise ValidationError("candidate_depths must be non-empty")
+    return tuple(sorted(set(int(d) for d in candidate_depths)))
+
+
+def depth_histograms(projected: np.ndarray, space: SpaceRange, depths: Sequence[int]):
+    """Deepest bins of ``projected`` and its histogram at every depth.
+
+    One binning pass at the deepest depth; shallower histograms count its
+    prefix shifts, one depth at a time.
+    """
+    deepest = depths[-1]
+    deep = bin_indices(projected, space.r_min, space.r_max, deepest)
+    hist = {
+        d: accumulate_histogram(
+            deep if d == deepest else prefix_bins(deep, deepest, d), 1 << d
+        )
+        for d in depths
+    }
+    return deep, hist
 
 
 def resolve_depths(candidate_depths, n_points: int) -> tuple:
@@ -377,10 +317,3 @@ def resolve_depths(candidate_depths, n_points: int) -> tuple:
         shallowest = max(2, deepest - 3)
         return tuple(range(shallowest, deepest + 1))
     return tuple(candidate_depths)
-
-
-def _score_key(candidate: Dict[str, Any]) -> tuple:
-    """Ordering for trial candidates: multi-cluster beats single-cluster,
-    then higher CH score wins."""
-    multi = candidate["n_clusters"] >= 2
-    return (multi, candidate["score"])

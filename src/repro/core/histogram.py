@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.binning import SpaceRange
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
 from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices_at_depths
 
@@ -58,19 +57,13 @@ class HistogramSet:
         x_projected: np.ndarray,
         space: SpaceRange,
         depths: Sequence[int],
-        engine: Optional[KernelEngine] = None,
     ) -> "HistogramSet":
         """Bin projected points at every depth and accumulate the counts."""
         hist = cls(x_projected.shape[1], depths)
-        hist.update(x_projected, space, engine=engine)
+        hist.update(x_projected, space)
         return hist
 
-    def update(
-        self,
-        x_projected: np.ndarray,
-        space: SpaceRange,
-        engine: Optional[KernelEngine] = None,
-    ) -> "HistogramSet":
+    def update(self, x_projected: np.ndarray, space: SpaceRange) -> "HistogramSet":
         """Accumulate a batch of projected points (streaming entry point)."""
         x_projected = np.asarray(x_projected, dtype=np.float64)
         if x_projected.ndim != 2 or x_projected.shape[1] != self.n_dims:
@@ -81,11 +74,9 @@ class HistogramSet:
             raise ValidationError("space range dimensionality mismatch")
         if x_projected.shape[0] == 0:
             return self
-        bins = bin_indices_at_depths(
-            x_projected, space.r_min, space.r_max, self.depths, engine=engine
-        )
+        bins = bin_indices_at_depths(x_projected, space.r_min, space.r_max, self.depths)
         for d, b in bins.items():
-            accumulate_histogram(b, 1 << d, out=self.counts[d], engine=engine)
+            accumulate_histogram(b, 1 << d, out=self.counts[d])
         return self
 
     def add_counts(self, depth: int, counts: np.ndarray) -> "HistogramSet":

@@ -22,7 +22,6 @@ from repro.core.binning import SpaceRange
 from repro.core.model import KeyBin2Model
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
 from repro.errors import NotFittedError, ValidationError
-from repro.kernels.engine import KernelEngine
 from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices
 from repro.util.validation import check_array_2d, check_finite
@@ -79,14 +78,12 @@ class KeyBin1:
         depth: int = 5,
         density_threshold: float = 0.05,
         range_margin: float = 0.05,
-        engine: Optional[KernelEngine] = None,
     ):
         if depth < 1 or depth > 31:
             raise ValidationError("depth must be in [1, 31]")
         self.depth = int(depth)
         self.density_threshold = float(density_threshold)
         self.range_margin = float(range_margin)
-        self.engine = engine
         self.model_: Optional[KeyBin2Model] = None
         self.labels_: Optional[np.ndarray] = None
 
@@ -96,8 +93,8 @@ class KeyBin1:
         m, n = x.shape
         self.n_features_in_ = n
         space = SpaceRange.from_data(x, margin=self.range_margin)
-        bins = bin_indices(x, space.r_min, space.r_max, self.depth, engine=self.engine)
-        counts = accumulate_histogram(bins, 1 << self.depth, engine=self.engine)
+        bins = bin_indices(x, space.r_min, space.r_max, self.depth)
+        counts = accumulate_histogram(bins, 1 << self.depth)
         cuts = [
             threshold_cuts(counts[j], self.density_threshold) for j in range(n)
         ]
@@ -123,7 +120,7 @@ class KeyBin1:
     def predict(self, x: np.ndarray) -> np.ndarray:
         if self.model_ is None:
             raise NotFittedError("KeyBin1 instance is not fitted; call fit() first")
-        return self.model_.predict(x, engine=self.engine)
+        return self.model_.predict(x)
 
     def fit_predict(self, x: np.ndarray) -> np.ndarray:
         self.fit(x)

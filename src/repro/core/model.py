@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.binning import SpaceRange
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
 from repro.errors import NotFittedError, ValidationError
-from repro.kernels.engine import KernelEngine
 from repro.kernels.keys import bin_indices
 from repro.kernels.project import project_points
 from repro.util.validation import check_array_2d, check_finite
@@ -98,9 +97,7 @@ class KeyBin2Model:
 
     # -- inference -------------------------------------------------------------
 
-    def transform(
-        self, x: np.ndarray, engine: Optional[KernelEngine] = None
-    ) -> np.ndarray:
+    def transform(self, x: np.ndarray) -> np.ndarray:
         """Project raw points into the model's reduced space."""
         x = check_array_2d(x, "X")
         check_finite(x, "X")
@@ -114,27 +111,21 @@ class KeyBin2Model:
             raise ValidationError(
                 f"model expects {self.projection.shape[0]} features, got {x.shape[1]}"
             )
-        return project_points(x, self.projection, engine=engine)
+        return project_points(x, self.projection)
 
-    def cell_codes_for(
-        self, x: np.ndarray, engine: Optional[KernelEngine] = None
-    ) -> np.ndarray:
+    def cell_codes_for(self, x: np.ndarray) -> np.ndarray:
         """Grid-cell code of every point (the key → cell mapping)."""
-        projected = self.transform(x, engine=engine)
+        projected = self.transform(x)
         kept = projected[:, self.kept_dims]
         kept_range_min = self.space.r_min[self.kept_dims]
         kept_range_max = self.space.r_max[self.kept_dims]
-        bins = bin_indices(
-            kept, kept_range_min, kept_range_max, self.partition.depth, engine=engine
-        )
+        bins = bin_indices(kept, kept_range_min, kept_range_max, self.partition.depth)
         intervals = self.partition.intervals_for(bins)
         return self.partition.cell_codes(intervals)
 
-    def predict(
-        self, x: np.ndarray, engine: Optional[KernelEngine] = None
-    ) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Cluster labels for new points; ``-1`` marks cells unseen in fit."""
-        return self.table.lookup(self.cell_codes_for(x, engine=engine))
+        return self.table.lookup(self.cell_codes_for(x))
 
     # -- serialization -----------------------------------------------------------
 

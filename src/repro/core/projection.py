@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.util.rng import SeedLike, as_generator
 
-__all__ = ["target_dimension", "projection_matrix", "PROJECTION_KINDS"]
+__all__ = ["target_dimension", "resolve_components", "projection_matrix", "PROJECTION_KINDS"]
 
 PROJECTION_KINDS = ("gaussian", "sparse", "orthonormal")
 
@@ -53,6 +53,19 @@ def target_dimension(
         raise ValidationError(f"factor must be positive, got {factor}")
     raw = math.ceil(factor * math.log(max(n_features, 2)))
     return int(min(max(raw, min_dim), n_features))
+
+
+def resolve_components(
+    n_features: int, n_components: Optional[int], factor: float = 1.5
+) -> int:
+    """Projected dimensionality of a fit: ``n_components`` when given, else
+    :func:`target_dimension`; clamped to ``[1, n_features]``."""
+    n_rp = (
+        target_dimension(n_features, factor=factor)
+        if n_components is None
+        else int(n_components)
+    )
+    return min(max(n_rp, 1), n_features)
 
 
 def projection_matrix(

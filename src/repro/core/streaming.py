@@ -27,16 +27,13 @@ from repro.core.adaptive import (
     grid_bounds,
     rebin_maps,
 )
-from repro.core.assess import histogram_ch_index
 from repro.core.binning import SpaceRange
 from repro.core.drift import WindowDriftDetector
 from repro.core.collapse import collapse_dimensions
 from repro.core.model import KeyBin2Model
-from repro.core.partitioning import find_cuts
-from repro.core.primary import GlobalClusterTable, PrimaryPartition, cell_space_error
-from repro.core.projection import projection_matrix, target_dimension
+from repro.core.projection import projection_matrix, resolve_components
+from repro.core.tail import TrialHistograms, candidate_models, select_best
 from repro.errors import NotFittedError, ValidationError
-from repro.kernels.engine import KernelEngine
 from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices, prefix_bins
 from repro.kernels.project import project_points
@@ -656,7 +653,6 @@ class StreamingKeyBin2:
         drift_threshold: float = 0.25,
         anticipate: float = 0.0,
         seed: SeedLike = None,
-        engine: Optional[KernelEngine] = None,
     ):
         if n_projections < 1:
             raise ValidationError("n_projections must be >= 1")
@@ -690,7 +686,6 @@ class StreamingKeyBin2:
         self.drift_threshold = float(drift_threshold)
         self.anticipate = float(anticipate)
         self.seed = seed
-        self.engine = engine
         # Lazily-resolved backend instance (backends carry per-consumer
         # scratch buffers, so each model owns one).
         self._backend_instance = None
@@ -720,14 +715,9 @@ class StreamingKeyBin2:
                 matrix = None
                 projected = x
             else:
-                n_rp = (
-                    target_dimension(n, factor=self.projection_factor)
-                    if self.n_components is None
-                    else int(self.n_components)
-                )
-                n_rp = min(max(n_rp, 1), n)
+                n_rp = resolve_components(n, self.n_components, self.projection_factor)
                 matrix = projection_matrix(n, n_rp, seed=rng, kind=self.projection)
-                projected = project_points(x, matrix, engine=self.engine)
+                projected = project_points(x, matrix)
             if self.feature_range is not None:
                 space = _projected_bounds(self.feature_range, matrix, n)
             else:
@@ -812,9 +802,6 @@ class StreamingKeyBin2:
         )
 
         assert self._states is not None
-        chunk = (
-            DEFAULT_FUSED_CHUNK if self.engine is None else self.engine.block_size
-        )
 
         def run():
             specs = [
@@ -822,8 +809,8 @@ class StreamingKeyBin2:
                 for st in self._states
             ]
             return fused_partial_fit(
-                x, specs, backend=self._resolve_backend(), chunk_size=chunk,
-                track_bounds=self.adaptive,
+                x, specs, backend=self._resolve_backend(),
+                chunk_size=DEFAULT_FUSED_CHUNK, track_bounds=self.adaptive,
             )
 
         results = run()
@@ -885,7 +872,7 @@ class StreamingKeyBin2:
             with trace.span("project"):
                 projected = (
                     x if state.matrix is None
-                    else project_points(x, state.matrix, engine=self.engine)
+                    else project_points(x, state.matrix)
                 )
             if self.adaptive:
                 lo = projected.min(axis=0)
@@ -903,8 +890,7 @@ class StreamingKeyBin2:
                     oor_high = np.zeros(state.space.n_dims, dtype=np.int64)
                     deep = bin_indices(
                         projected, state.space.r_min, state.space.r_max,
-                        deepest, engine=self.engine,
-                        oor_low=oor_low, oor_high=oor_high,
+                        deepest, oor_low=oor_low, oor_high=oor_high,
                     )
                     oor_dims = (oor_low > 0) | (oor_high > 0)
                     if oor_dims.any():
@@ -924,12 +910,8 @@ class StreamingKeyBin2:
             with trace.span("histogram"):
                 for d in state.depths:
                     b = deep if d == deepest else prefix_bins(deep, deepest, d)
-                    accumulate_histogram(
-                        b, 1 << d, out=state.hist[d], engine=self.engine
-                    )
-                    accumulate_histogram(
-                        b, 1 << d, out=state.hist_delta[d], engine=self.engine
-                    )
+                    accumulate_histogram(b, 1 << d, out=state.hist[d])
+                    accumulate_histogram(b, 1 << d, out=state.hist_delta[d])
             with trace.span("keys"):
                 deep_u8 = deep.astype(np.uint8)
                 state.keys.update(deep_u8)
@@ -937,9 +919,7 @@ class StreamingKeyBin2:
             state.n_points += x.shape[0]
             if state.drift is not None:
                 batch_hist = np.zeros_like(state.hist[deepest])
-                accumulate_histogram(
-                    deep, 1 << deepest, out=batch_hist, engine=self.engine
-                )
+                accumulate_histogram(deep, 1 << deepest, out=batch_hist)
                 self._feed_drift(idx, state, batch_hist, x.shape[0])
 
     # -- adaptive/drift telemetry ------------------------------------------
@@ -1016,8 +996,7 @@ class StreamingKeyBin2:
         if self._states is None or self.n_seen_ == 0:
             raise NotFittedError("no data accumulated; call partial_fit first")
         with trace.span("refresh"):
-            best_model, fallback = self._refresh_models()
-        self.model_ = best_model if best_model is not None else fallback
+            self.model_ = self._refresh_models()
         reg = default_registry()
         if reg.enabled:
             reg.counter(
@@ -1046,21 +1025,19 @@ class StreamingKeyBin2:
         return self
 
     def _refresh_models(self):
-        """Score every (projection, depth) candidate; return (best, fallback).
+        """Score every (projection, depth) candidate; return the selected model.
 
-        Each depth is one pass: the cuts of every kept dimension of every
-        projection come from one stacked :func:`find_cuts` call, then each
-        candidate's cell table is a sum of per-dimension gathers over the
-        deep keys. Candidates are compared in (projection, depth) order.
+        All projections go through the shared tail at once, so each depth
+        is one stacked :func:`find_cuts` call over every projection's kept
+        dimensions.
         """
         assert self._states is not None
         states = self._states
         depths = self.candidate_depths
-        deepest = depths[-1]
         with trace.span("collapse"):
             kept = [
                 collapse_dimensions(
-                    st.hist[deepest],
+                    st.hist[depths[-1]],
                     uniform_threshold=self.uniform_threshold,
                     min_support_bins=self.min_support_bins,
                 )
@@ -1068,70 +1045,22 @@ class StreamingKeyBin2:
                 else np.ones(st.space.n_dims, dtype=bool)
                 for st in states
             ]
-        keys = []
-        for st, k in zip(states, kept):
+        trials = []
+        for trial, (st, k) in enumerate(zip(states, kept)):
             deep_keys, key_counts = st.keys.to_arrays()
-            keys.append((deep_keys[:, k] if deep_keys.size else deep_keys, key_counts))
-        bounds = np.cumsum([0] + [int(k.sum()) for k in kept])
-        candidates: Dict[tuple, KeyBin2Model] = {}
-        overflowed = []
-        for d in depths:
-            with trace.span("cuts"):
-                # The window depends only on the bin count, so one call
-                # serves every projection.
-                cuts = find_cuts(
-                    np.concatenate([st.hist[d][k] for st, k in zip(states, kept)]),
-                    n_points=max(st.n_points for st in states),
-                    min_prominence=self.min_cut_prominence,
-                )
-            with trace.span("cell_table"):
-                tables = {}
-                for trial, (kept_keys, key_counts) in enumerate(keys):
-                    partition = PrimaryPartition(d, cuts[bounds[trial]:bounds[trial + 1]])
-                    if not partition.codes_fit:
-                        overflowed.append((trial, kept[trial], partition))
-                        continue
-                    if kept_keys.size:
-                        codes = partition.codes_for_bins(kept_keys, deepest)
-                        table = GlobalClusterTable.from_points(codes, key_counts)
-                    else:  # no keys survived (pathological capacity)
-                        table = GlobalClusterTable(np.empty(0, dtype=np.int64))
-                    tables[trial] = (partition, table)
-            with trace.span("score"):
-                for trial, (partition, table) in tables.items():
-                    state = states[trial]
-                    score = histogram_ch_index(
-                        state.hist[d][kept[trial]],
-                        partition.cuts,
-                        partition.decode_cells(table.codes),
-                    )
-                    candidates[trial, d] = KeyBin2Model(
-                        projection=state.matrix,
-                        space=state.space,
-                        partition=partition,
-                        kept_dims=kept[trial],
-                        table=table,
-                        score=score,
-                        depth=d,
-                        n_points_fit=state.n_points,
-                        meta={
-                            "trial": trial,
-                            "streaming": True,
-                            "evicted_points": state.keys.evicted_points,
-                        },
-                    )
-        if not candidates:
-            raise cell_space_error(overflowed)
-        best_model: Optional[KeyBin2Model] = None
-        fallback: Optional[KeyBin2Model] = None
-        for key in sorted(candidates):
-            model = candidates[key]
-            if model.table.n_clusters >= 2:
-                if best_model is None or model.score > best_model.score:
-                    best_model = model
-            elif fallback is None:
-                fallback = model
-        return best_model, fallback
+            trials.append(TrialHistograms(
+                hist=st.hist, kept=k,
+                keys=deep_keys[:, k] if deep_keys.size else deep_keys,
+                key_weights=key_counts, matrix=st.matrix, space=st.space,
+                n_points=st.n_points,
+                meta={"trial": trial, "streaming": True,
+                      "evicted_points": st.keys.evicted_points},
+            ))
+        overflowed: List[tuple] = []
+        candidates = candidate_models(
+            trials, depths, overflowed, min_prominence=self.min_cut_prominence
+        )
+        return select_best(candidates, overflowed).model
 
     # -- checkpointing -------------------------------------------------------
 
@@ -1262,8 +1191,7 @@ class StreamingKeyBin2:
             raise
 
     @classmethod
-    def load_state(cls, path, engine: Optional[KernelEngine] = None
-                   ) -> "StreamingKeyBin2":
+    def load_state(cls, path) -> "StreamingKeyBin2":
         """Restore a checkpoint written by :meth:`save_state`.
 
         The restored instance is bit-identical in behavior: the next
@@ -1306,7 +1234,7 @@ class StreamingKeyBin2:
                                   f"{payload.get('format')!r}")
         config = dict(payload["config"])
         seed = config.pop("seed", None)
-        skb = cls(seed=seed, engine=engine, **config)
+        skb = cls(seed=seed, **config)
         skb.n_seen_ = int(payload["n_seen"])
         skb.n_seen_delta_ = int(payload["n_seen_delta"])
         skb.n_own_ = int(payload["n_own"])
@@ -1380,4 +1308,4 @@ class StreamingKeyBin2:
         """Label points with the current model (−1 = cell unseen so far)."""
         if self.model_ is None:
             raise NotFittedError("call refresh() before predict()")
-        return self.model_.predict(x, engine=self.engine)
+        return self.model_.predict(x)

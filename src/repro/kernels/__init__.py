@@ -3,20 +3,18 @@
 The paper accelerates key assignment and histogram construction with
 Numba-CUDA kernels on Tesla K40m GPUs. The algorithmic structure those
 kernels exploit is plain data parallelism: every (point, dimension) pair is
-independent. This package reproduces that structure with vectorized NumPy
-executed through a chunked :class:`~repro.kernels.engine.KernelEngine`
-that mirrors a GPU grid — blocks of points are processed independently, so
-the same decomposition would map 1:1 onto real CUDA blocks.
-
-All kernels are allocation-disciplined: outputs can be preallocated and are
-written in place, and chunked execution keeps the working set cache-sized
-(see the hpc-parallel guide notes on views, contiguity and in-place ops).
+independent. This package reproduces that structure with vectorized NumPy;
+the fused path walks the points in fixed-size chunks that mirror a GPU
+grid — chunks are processed independently, so the same decomposition
+would map 1:1 onto real CUDA blocks, and the working set stays
+cache-sized. Outputs can be preallocated and are written in place.
 
 Two execution paths coexist:
 
 * the **reference** kernels (``project_points``, ``bin_indices``,
-  ``prefix_bins``, ``accumulate_histogram``, ``pack_keys``) — simple,
-  separately-testable passes that define the semantics; and
+  ``prefix_bins``, ``accumulate_histogram``) — simple, separately-testable
+  whole-array passes that define the semantics, used by batch and SPMD
+  fits, ``predict`` and ``StreamingKeyBin2(fused=False)``; and
 * the **fused** path (:func:`project_bin_count` /
   :func:`fused_partial_fit`) behind the pluggable
   :class:`~repro.kernels.backend.KernelBackend` API, which runs the whole

@@ -74,9 +74,9 @@ __all__ = [
 #: 8 bytes; wider states carry raw uint8 rows instead.
 _NARROW_DIMS = 8
 
-#: Default driver chunk. Larger than the generic engine's block size
-#: because the chunk here feeds a batched BLAS call whose fixed costs
-#: amortize measurably up to ~32k rows; the workspace stays bounded
+#: Default driver chunk, the one ``StreamingKeyBin2`` always uses. The
+#: chunk feeds a batched BLAS call whose fixed costs amortize measurably
+#: up to ~32k rows; the workspace stays bounded
 #: (Σ n_rp × 32768 × 8 B ≈ 16 MB at paper scale), far below the
 #: full-batch intermediates the fusion exists to avoid.
 DEFAULT_FUSED_CHUNK = 32_768

@@ -9,12 +9,11 @@ memory histograms merged into the global one.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
 
 __all__ = ["accumulate_histogram", "accumulate_histograms"]
 
@@ -23,7 +22,6 @@ def accumulate_histogram(
     bins: np.ndarray,
     n_bins: int,
     out: Optional[np.ndarray] = None,
-    engine: Optional[KernelEngine] = None,
 ) -> np.ndarray:
     """Count bin occupancy per dimension.
 
@@ -52,27 +50,17 @@ def accumulate_histogram(
             f"out shape {out.shape} != expected {(n_dims, n_bins)}"
         )
 
-    offsets = (np.arange(n_dims, dtype=np.int64) * n_bins).reshape(1, -1)
-
-    def kernel(block: np.ndarray) -> np.ndarray:
-        flat = block.astype(np.int64, copy=False) + offsets
-        counts = np.bincount(flat.ravel(), minlength=n_dims * n_bins)
-        return counts.reshape(n_dims, n_bins)
-
     if m == 0:
         return out
-    if engine is None:
-        out += kernel(bins)
-        return out
-    partial = engine.reduce(kernel, bins, combine=lambda a, b: a + b)
-    out += partial
+    offsets = (np.arange(n_dims, dtype=np.int64) * n_bins).reshape(1, -1)
+    flat = bins.astype(np.int64, copy=False) + offsets
+    out += np.bincount(flat.ravel(), minlength=n_dims * n_bins).reshape(n_dims, n_bins)
     return out
 
 
 def accumulate_histograms(
     bins_by_depth: dict[int, np.ndarray],
     out: Optional[dict[int, np.ndarray]] = None,
-    engine: Optional[KernelEngine] = None,
 ) -> dict[int, np.ndarray]:
     """Accumulate histograms for every depth in one call.
 
@@ -83,6 +71,6 @@ def accumulate_histograms(
     for depth, bins in bins_by_depth.items():
         n_bins = 1 << depth
         result[depth] = accumulate_histogram(
-            bins, n_bins, out=result.get(depth), engine=engine
+            bins, n_bins, out=result.get(depth)
         )
     return result

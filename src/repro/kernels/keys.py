@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
 
 __all__ = [
     "bin_scale",
@@ -33,6 +32,8 @@ __all__ = [
 ]
 
 _MAX_PACK_BITS = 63
+#: Deepest depth :func:`bin_scale` accepts.
+_MAX_DEPTH = 62
 
 
 def bin_scale(
@@ -46,11 +47,15 @@ def bin_scale(
     place is what keeps the two paths bit-identical.
 
     Returns 1-D float64 ``(r_min, scale)`` vectors. A dimension whose span
-    underflows the divide is effectively constant and gets scale 0 (all
-    values map into bin 0) instead of propagating inf/nan.
+    is so small that ``2^62 / span`` overflows is effectively constant and
+    gets scale 0 (all values map into bin 0) instead of propagating
+    inf/nan. The test uses the largest depth, not ``depth``, so the rule is
+    the same at every depth: a span that collapsed at one depth but not at
+    another would break the prefix property (``prefix_bins`` of the deep
+    bins equal the shallow bins) the fused path relies on.
     """
-    if depth < 1 or depth > 62:
-        raise ValidationError(f"depth must be in [1, 62], got {depth}")
+    if depth < 1 or depth > _MAX_DEPTH:
+        raise ValidationError(f"depth must be in [1, {_MAX_DEPTH}], got {depth}")
     r_min = np.asarray(r_min, dtype=np.float64).ravel()
     r_max = np.asarray(r_max, dtype=np.float64).ravel()
     if r_min.shape != r_max.shape:
@@ -72,10 +77,9 @@ def bin_scale(
     span = r_max - r_min
     if np.any(span <= 0):
         raise ValidationError("r_max must be strictly greater than r_min per dimension")
-    n_bins = 1 << depth
     with np.errstate(over="ignore"):
-        scale = n_bins / span
-    scale[~np.isfinite(scale)] = 0.0
+        scale = (1 << depth) / span
+        scale[~np.isfinite(float(1 << _MAX_DEPTH) / span)] = 0.0
     return r_min, scale
 
 
@@ -103,7 +107,6 @@ def bin_indices(
     r_min: np.ndarray,
     r_max: np.ndarray,
     depth: int,
-    engine: Optional[KernelEngine] = None,
     out: Optional[np.ndarray] = None,
     oor_low: Optional[np.ndarray] = None,
     oor_high: Optional[np.ndarray] = None,
@@ -127,8 +130,7 @@ def bin_indices(
         saturation observable instead of silent. Counting happens on the
         pre-clip indices of the exact binning arithmetic (so a value that
         floats to bin ``2^depth`` counts high even if it is numerically
-        ``<= r_max``), and forces the single-pass (engine-less) kernel:
-        the engine's parallel blocks would race on the accumulators.
+        ``<= r_max``).
 
     Returns
     -------
@@ -154,25 +156,17 @@ def bin_indices(
     if track_oor and (oor_low is None or oor_high is None):
         raise ValidationError("pass both oor_low and oor_high, or neither")
     n_bins = 1 << depth
-    r_min = r_min_v.reshape(1, -1)
-    scale = scale_v.reshape(1, -1)
-
-    def kernel(block: np.ndarray) -> np.ndarray:
-        idx = (block - r_min) * scale
-        np.floor(idx, out=idx)
-        if track_oor:
-            oor_low[...] += (idx < 0).sum(axis=0)
-            oor_high[...] += (idx > n_bins - 1).sum(axis=0)
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        return idx.astype(np.int32, copy=False)
-
-    if engine is None or track_oor:
-        result = kernel(x)
-        if out is not None:
-            out[...] = result
-            return out
-        return result
-    return engine.map(kernel, x, out=out, out_shape=x.shape, out_dtype=np.int32)
+    idx = (x - r_min_v.reshape(1, -1)) * scale_v.reshape(1, -1)
+    np.floor(idx, out=idx)
+    if track_oor:
+        oor_low[...] += (idx < 0).sum(axis=0)
+        oor_high[...] += (idx > n_bins - 1).sum(axis=0)
+    np.clip(idx, 0, n_bins - 1, out=idx)
+    result = idx.astype(np.int32, copy=False)
+    if out is not None:
+        out[...] = result
+        return out
+    return result
 
 
 def prefix_bins(deep_bins: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
@@ -195,7 +189,6 @@ def bin_indices_at_depths(
     r_min: np.ndarray,
     r_max: np.ndarray,
     depths: Sequence[int],
-    engine: Optional[KernelEngine] = None,
 ) -> dict[int, np.ndarray]:
     """Bin indices for several depths with one binning pass.
 
@@ -206,7 +199,7 @@ def bin_indices_at_depths(
     if not depths:
         raise ValidationError("depths must be non-empty")
     deepest = depths[-1]
-    deep = bin_indices(x, r_min, r_max, deepest, engine=engine)
+    deep = bin_indices(x, r_min, r_max, deepest)
     return {d: (deep if d == deepest else prefix_bins(deep, deepest, d)) for d in depths}
 
 

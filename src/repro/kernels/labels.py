@@ -10,12 +10,11 @@ cluster.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
 
 __all__ = ["intervals_for_bins", "check_cuts", "interval_id_table"]
 
@@ -23,7 +22,6 @@ __all__ = ["intervals_for_bins", "check_cuts", "interval_id_table"]
 def intervals_for_bins(
     bins: np.ndarray,
     cuts: Sequence[np.ndarray],
-    engine: Optional[KernelEngine] = None,
 ) -> np.ndarray:
     """Map (M × N) bin indices to per-dimension interval ids.
 
@@ -39,20 +37,11 @@ def intervals_for_bins(
         raise ValidationError(
             f"need one cut array per dimension: {len(cuts)} != {bins.shape[1]}"
         )
-    cut_arrays = [np.asarray(c, dtype=np.int64) for c in cuts]
-
-    def kernel(block: np.ndarray) -> np.ndarray:
-        out = np.empty(block.shape, dtype=np.int32)
-        for j, c in enumerate(cut_arrays):
-            if c.size == 0:
-                out[:, j] = 0
-            else:
-                out[:, j] = np.searchsorted(c, block[:, j], side="left")
-        return out
-
-    if engine is None:
-        return kernel(bins)
-    return engine.map(kernel, bins, out_shape=bins.shape, out_dtype=np.int32)
+    out = np.empty(bins.shape, dtype=np.int32)
+    for j, c in enumerate(cuts):
+        c = np.asarray(c, dtype=np.int64)
+        out[:, j] = np.searchsorted(c, bins[:, j], side="left") if c.size else 0
+    return out
 
 
 def check_cuts(

@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
 
 __all__ = ["project_points"]
 
@@ -21,14 +20,9 @@ __all__ = ["project_points"]
 def project_points(
     x: np.ndarray,
     matrix: np.ndarray,
-    engine: Optional[KernelEngine] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Project ``x`` (M × N) through ``matrix`` (N × N_rp) → (M × N_rp).
-
-    With an engine, the GEMM is executed block-by-block so peak memory is
-    bounded by one block of projected rows.
-    """
+    """Project ``x`` (M × N) through ``matrix`` (N × N_rp) → (M × N_rp)."""
     x = np.asarray(x, dtype=np.float64)
     matrix = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or matrix.ndim != 2:
@@ -38,16 +32,7 @@ def project_points(
             f"dimension mismatch: x has {x.shape[1]} features, "
             f"matrix expects {matrix.shape[0]}"
         )
-    if engine is None:
-        if out is None:
-            return x @ matrix
-        np.matmul(x, matrix, out=out)
-        return out
-    return engine.map(
-        lambda block, a: block @ a,
-        x,
-        matrix,
-        out=out,
-        out_shape=(x.shape[0], matrix.shape[1]),
-        out_dtype=np.float64,
-    )
+    if out is None:
+        return x @ matrix
+    np.matmul(x, matrix, out=out)
+    return out

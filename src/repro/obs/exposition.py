@@ -196,11 +196,6 @@ def ensure_core_series(registry: MetricsRegistry = None) -> MetricsRegistry:
         ("op", "reason"),
     )
     reg.counter(
-        "kernel_launches_total",
-        "KernelEngine block launches, by kernel name.",
-        ("kernel",),
-    )
-    reg.counter(
         "stream_points_total",
         "Points accumulated by StreamingKeyBin2.partial_fit.",
     )

@@ -1,13 +1,16 @@
 """Tests for the SPMD KeyBin2 driver."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.distributed import fit_distributed, keybin2_spmd
+from repro.core.estimator import KeyBin2
 from repro.comm.spmd import run_spmd
 from repro.data.gaussians import gaussian_mixture
 from repro.data.streams import distributed_partitions
-from repro.errors import ValidationError
+from repro.errors import RankFailedError, ValidationError
 from repro.metrics.external import purity
 from repro.metrics.pairs import pair_precision_recall_f1
 
@@ -123,3 +126,45 @@ class TestKeybin2SpmdDirect:
 
         with pytest.raises(Exception):
             run_spmd(prog, 2, executor="thread", timeout=10)
+
+
+class TestEqualsBatchFit:
+    """The SPMD model is the batch model of the pooled data: the merged raw
+    range is padded once, exactly as a single process pads its own."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        x, _ = gaussian_mixture(n_points=2400, n_dims=16, n_clusters=4, seed=3)
+        return x
+
+    @pytest.mark.parametrize("cut_at", [(700,), (300, 1100)])
+    def test_uneven_contiguous_shards_give_batch_model(self, data, cut_at):
+        batch = KeyBin2(seed=0, n_projections=3).fit(data)
+        res = fit_distributed(np.split(data, cut_at), executor="thread",
+                              seed=0, n_projections=3)
+        assert res.model.fingerprint() == batch.model_.fingerprint()
+        assert np.array_equal(res.concatenated_labels(), batch.labels_)
+
+    def test_auto_depths_resolved_from_global_count(self, data):
+        batch = KeyBin2(seed=0, n_projections=2, candidate_depths="auto").fit(data)
+        res = fit_distributed(np.split(data, [1000]), executor="thread", seed=0,
+                              n_projections=2, candidate_depths="auto")
+        assert res.model.depth in batch._resolved_depths
+        assert res.model.fingerprint() == batch.model_.fingerprint()
+
+    @pytest.mark.parametrize("bad", [
+        {"projection": "fourier"},
+        {"smoother": "spline"},
+        {"n_projections": 0},
+        {"candidate_depths": "deep"},
+        {"candidate_depths": ()},
+    ])
+    def test_rejects_what_batch_rejects(self, bad):
+        with pytest.raises(ValidationError) as batch_err:
+            KeyBin2(**bad)
+
+        def prog(comm):
+            return keybin2_spmd(comm, np.zeros((5, 2)), **bad)
+
+        with pytest.raises(RankFailedError, match=re.escape(str(batch_err.value))):
+            run_spmd(prog, 1, executor="thread", timeout=10)

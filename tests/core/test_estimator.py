@@ -94,16 +94,6 @@ class TestParameters:
         with pytest.raises(ValidationError):
             KeyBin2(candidate_depths=())
 
-    def test_invalid_min_cluster_fraction(self):
-        with pytest.raises(ValidationError):
-            KeyBin2(min_cluster_fraction=1.0)
-
-    def test_min_cluster_fraction_prunes(self, small_gaussians):
-        x, y = small_gaussians
-        loose = KeyBin2(seed=4).fit(x)
-        strict = KeyBin2(seed=4, min_cluster_fraction=0.05).fit(x)
-        assert strict.n_clusters_ <= loose.n_clusters_
-
     def test_collapse_disabled_keeps_all_dims(self, small_gaussians):
         x, _ = small_gaussians
         kb = KeyBin2(collapse=False, n_projections=2, seed=0).fit(x)

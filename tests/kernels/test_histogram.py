@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
 from repro.kernels.histogram import accumulate_histogram, accumulate_histograms
 
 
@@ -32,12 +31,6 @@ class TestAccumulateHistogram:
         accumulate_histogram(bins, 4, out=acc)
         single = accumulate_histogram(bins, 4)
         assert np.array_equal(acc, single * 2)
-
-    def test_engine_chunked_equals_direct(self, rng):
-        bins = rng.integers(0, 8, size=(97, 4)).astype(np.int32)
-        direct = accumulate_histogram(bins, 8)
-        chunked = accumulate_histogram(bins, 8, engine=KernelEngine(10))
-        assert np.array_equal(direct, chunked)
 
     def test_empty_input(self):
         h = accumulate_histogram(np.empty((0, 2), dtype=np.int32), 4)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
 from repro.kernels.keys import (
     bin_indices,
     bin_indices_at_depths,
@@ -45,12 +44,6 @@ class TestBinIndices:
         vals = np.sort(rng.random(50)).reshape(-1, 1)
         bins = bin_indices(vals, [0.0], [1.0], depth=5).ravel()
         assert np.all(np.diff(bins) >= 0)
-
-    def test_engine_chunked_equals_direct(self, rng):
-        x = rng.random((77, 3))
-        direct = bin_indices(x, [0] * 3, [1] * 3, 5)
-        chunked = bin_indices(x, [0] * 3, [1] * 3, 5, engine=KernelEngine(13))
-        assert np.array_equal(direct, chunked)
 
     def test_invalid_depth(self):
         with pytest.raises(ValidationError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
 from repro.kernels.labels import interval_id_table, intervals_for_bins
 
 
@@ -33,13 +32,6 @@ class TestIntervalsForBins:
     def test_cut_count_mismatch(self):
         with pytest.raises(ValidationError):
             intervals_for_bins(np.zeros((2, 2), dtype=np.int32), [np.array([1])])
-
-    def test_engine_equals_direct(self, rng):
-        bins = rng.integers(0, 32, (64, 3)).astype(np.int32)
-        cuts = [np.array([10]), np.array([5, 20]), np.empty(0, dtype=np.int64)]
-        a = intervals_for_bins(bins, cuts)
-        b = intervals_for_bins(bins, cuts, engine=KernelEngine(7))
-        assert np.array_equal(a, b)
 
 
 class TestIntervalIdTable:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.kernels.engine import KernelEngine
 from repro.kernels.project import project_points
 
 
@@ -13,13 +12,6 @@ class TestProjectPoints:
         x = rng.random((40, 8))
         a = rng.random((8, 3))
         assert np.allclose(project_points(x, a), x @ a)
-
-    def test_engine_chunked_equals_direct(self, rng):
-        x = rng.random((101, 6))
-        a = rng.random((6, 2))
-        direct = project_points(x, a)
-        chunked = project_points(x, a, engine=KernelEngine(17))
-        assert np.allclose(direct, chunked)
 
     def test_preallocated_out(self, rng):
         x = rng.random((10, 4))

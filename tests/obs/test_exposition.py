@@ -132,7 +132,6 @@ class TestEnsureCoreSeries:
             "phase_seconds_total",
             "insitu_consolidation_rounds_total",
             "insitu_consolidation_bytes_total",
-            "kernel_launches_total",
             "stream_points_total",
         ):
             assert f"# TYPE {name} counter" in text

@@ -1,0 +1,101 @@
+"""Every fit path computes the same model: batch, SPMD, streaming, restored.
+
+On a gaussian mixture drawn by seed, size and dimensionality, these fits
+must agree with ``KeyBin2.fit`` on the model fingerprint and on the
+training labels:
+
+* ``fit_distributed`` at 1, 2 and 4 ranks (thread executor, random uneven
+  contiguous shards) under every consolidation mode;
+* a one-batch ``StreamingKeyBin2`` plus ``refresh``, fused and unfused;
+* that streaming state after ``save_state``/``load_state`` and ``refresh``.
+
+All of them end in the shared tail (:mod:`repro.core.tail`). The data is
+drawn from mixtures rather than arbitrary floats: the fused GEMM may round
+a projected value one ulp differently from the reference GEMM, which only
+shows when a value sits within an ulp of a bin edge — measure zero for
+points in generic position (see :mod:`repro.kernels.fused`).
+
+Named exceptions, each an intentional difference the configs below align:
+
+* *Range.* Streaming measures its range on the first batch and widens it
+  by ``range_expand``; only one batch with ``range_expand=0`` reproduces
+  the batch range (its fixed 5% margin is the batch default
+  ``range_margin``).
+* *Key capacity.* Streaming keeps at most ``key_capacity`` distinct keys
+  and evicts the rest; the capacity here holds every key.
+* *Smoother.* Streaming has no ``smoother`` option and always uses the
+  paper's moving average, the batch default.
+* *Depth.* Streaming stores deep keys as uint8 and caps depth at 8; batch
+  ``"auto"`` depths reach 12.
+* *Seed.* SPMD needs a plain integer seed shared by every rank.
+* *Labels.* Streaming keeps keys, not points, so its training labels are
+  ``predict`` on the training data.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.distributed import fit_distributed
+from repro.core.estimator import KeyBin2
+from repro.core.streaming import StreamingKeyBin2
+from repro.data.gaussians import gaussian_mixture
+
+N_PROJECTIONS = 3
+DEPTHS = (3, 4, 5, 6)
+
+PATHS = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _uneven_shards(x, n_ranks, rng):
+    """``n_ranks`` contiguous, non-empty shards with random sizes."""
+    cuts = np.sort(rng.choice(np.arange(1, x.shape[0]), n_ranks - 1, replace=False))
+    return np.split(x, cuts)
+
+
+def _streaming(x, seed, fused):
+    skb = StreamingKeyBin2(
+        n_projections=N_PROJECTIONS, candidate_depths=DEPTHS, range_expand=0.0,
+        key_capacity=x.shape[0], fused=fused, seed=seed,
+    )
+    return skb.partial_fit(x).refresh()
+
+
+@PATHS
+@given(
+    seed=st.integers(0, 2**16),
+    n_points=st.integers(300, 3000),
+    n_dims=st.integers(4, 24),
+    n_clusters=st.integers(2, 6),
+)
+def test_fit_paths_agree(tmp_path_factory, seed, n_points, n_dims, n_clusters):
+    x, _ = gaussian_mixture(n_points=n_points, n_dims=n_dims,
+                            n_clusters=n_clusters, seed=seed)
+    batch = KeyBin2(n_projections=N_PROJECTIONS, candidate_depths=DEPTHS,
+                    seed=seed).fit(x)
+    want = batch.model_.fingerprint()
+    rng = np.random.default_rng(seed)
+
+    for n_ranks in (1, 2, 4):
+        shards = _uneven_shards(x, n_ranks, rng)
+        for mode in ("master", "allreduce", "ring"):
+            res = fit_distributed(shards, executor="thread", seed=seed,
+                                  n_projections=N_PROJECTIONS,
+                                  candidate_depths=DEPTHS, consolidation=mode)
+            assert res.model.fingerprint() == want, (n_ranks, mode)
+            assert np.array_equal(res.concatenated_labels(), batch.labels_)
+
+    for fused in (True, False):
+        skb = _streaming(x, seed, fused)
+        assert skb.model_.fingerprint() == want, fused
+        assert np.array_equal(skb.predict(x), batch.labels_)
+
+    path = tmp_path_factory.mktemp("ckpt") / "state.kb2"
+    skb.save_state(path)
+    restored = StreamingKeyBin2.load_state(path).refresh()
+    assert restored.model_.fingerprint() == want
+    assert np.array_equal(restored.predict(x), batch.labels_)

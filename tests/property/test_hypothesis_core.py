@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -37,6 +37,10 @@ class TestBinningProperties:
 
     @COMMON
     @given(finite_matrix, st.integers(2, 8), st.integers(1, 7))
+    # A span near the float64 minimum once collapsed to bin 0 at depths 2
+    # and 3 but not at depth 1 (bin_scale's degenerate-span rule depended
+    # on depth).
+    @example(x=np.array([[1.11253693e-308], [0.0]]), deep=2, shallow=1)
     def test_hierarchy_prefix_property(self, x, deep, shallow):
         if shallow >= deep:
             shallow = deep - 1

@@ -3,8 +3,9 @@
 ``tail_oracle`` keeps the loop forms of cut finding, interval statistics,
 bin→interval mapping and table building. Here the runtime versions must
 reproduce them exactly: the same cuts, the same CH scores to the last bit,
-the same cell tables, and, with the oracle patched into every fit path,
-the same model fingerprints.
+the same cell tables, and, with the oracle patched into the shared tail
+(``repro.core.tail``, which every fit path calls), the same model
+fingerprints.
 """
 
 import numpy as np
@@ -12,9 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.distributed as distributed_mod
-import repro.core.estimator as estimator_mod
-import repro.core.streaming as streaming_mod
+import repro.core.tail as tail_mod
 from repro.core.assess import histogram_ch_index, interval_stats, marginal_percentile_bin
 from repro.core.distributed import fit_distributed
 from repro.core.estimator import KeyBin2
@@ -136,9 +135,8 @@ def patch_oracle(monkeypatch):
     """Return a function that swaps every tail helper for its oracle."""
 
     def apply():
-        for mod in (streaming_mod, estimator_mod, distributed_mod):
-            monkeypatch.setattr(mod, "find_cuts", oracle.find_cuts)
-            monkeypatch.setattr(mod, "histogram_ch_index", oracle.histogram_ch_index)
+        monkeypatch.setattr(tail_mod, "find_cuts", oracle.find_cuts)
+        monkeypatch.setattr(tail_mod, "histogram_ch_index", oracle.histogram_ch_index)
         monkeypatch.setattr(PrimaryPartition, "codes_for_bins", oracle.codes_for_bins)
         monkeypatch.setattr(GlobalClusterTable, "from_points",
                             staticmethod(oracle.from_points))
@@ -156,8 +154,7 @@ def _fits(x, seed):
         skb.refresh()
         out.append(skb.model_.fingerprint())
     for smoother in ("ma", "kde"):
-        kb = KeyBin2(seed=seed, n_projections=3, smoother=smoother,
-                     min_cluster_fraction=0.01).fit(x)
+        kb = KeyBin2(seed=seed, n_projections=3, smoother=smoother).fit(x)
         out += [kb.model_.fingerprint(), kb.labels_.tolist()]
     res = fit_distributed(np.array_split(x, 2), executor="thread", seed=seed,
                           n_projections=3, consolidation="master")
