@@ -34,7 +34,6 @@ __all__ = [
     "run_ablation_bootstrap",
     "run_ablation_nrp",
     "run_ablation_smoother",
-    "run_ablation_simultaneous",
     "CommVolumeResult",
     "run_comm_volume",
 ]
@@ -202,15 +201,16 @@ def run_comm_volume(
     """C1: measure per-rank traffic of the distributed fit.
 
     The "histogram bytes" baseline is the pure histogram payload one rank
-    must move per the paper's model: 2 (send + receive) × N_rp × ΣB × 8
-    bytes × n_projections. Measured traffic additionally carries the small
-    control messages (ranges, cuts, cell tables), so ratios modestly above
-    1 are expected; growth with ranks should be flat for the ring topology.
+    must move: 2 (send + receive) × N_rp × 2^deepest × 8 bytes ×
+    n_projections. Only the deepest table travels (shallower depths are
+    its reshape-sums), so this is the paper's O(2·K·N_rp·B) without the
+    factor 2 of sending every depth. Measured traffic additionally carries
+    the small control messages (ranges, cell tables), so ratios above 1
+    are expected; growth with ranks should be flat for the ring topology.
     """
     out = CommVolumeResult()
     n_rp = target_dimension(n_dims)
-    total_bins = sum(1 << d for d in candidate_depths)
-    histogram_bytes = 2 * n_rp * total_bins * 8 * n_projections
+    histogram_bytes = 2 * n_rp * (1 << max(candidate_depths)) * 8 * n_projections
     for ranks in rank_steps:
         x, y = gaussian_mixture(
             n_points=points_per_rank * ranks, n_dims=n_dims, n_clusters=4,
@@ -268,36 +268,4 @@ def run_ablation_smoother(
 
         agg = repeat_with_seeds(body, repeats, base_seed=seed)
         out.rows[smoother] = {m: agg for m in out.metrics}
-    return out
-
-
-def run_ablation_simultaneous(
-    n_points: int = 20_000,
-    n_dims: int = 256,
-    repeats: int = 3,
-    seed: int = 0,
-) -> AblationResult:
-    """A5: §3.4's simultaneous-projection optimization (one stacked GEMM).
-
-    Results must be identical; only time should move.
-    """
-    out = AblationResult(
-        title="Ablation A5 — t separate GEMMs vs one stacked GEMM (§3.4)",
-        sweep_name="mode",
-    )
-    for mode, flag in (("separate", False), ("stacked", True)):
-        def body(run_seed: int) -> Dict[str, float]:
-            x, y = gaussian_mixture(
-                n_points=n_points, n_dims=n_dims, n_clusters=4,
-                separation=3.0, seed=run_seed,
-            )
-            t0 = time.perf_counter()
-            kb = KeyBin2(seed=run_seed, n_projections=8,
-                         simultaneous_projections=flag).fit(x)
-            elapsed = time.perf_counter() - t0
-            _, _, f1 = pair_precision_recall_f1(y, kb.labels_)
-            return {"f1": f1, "clusters": float(kb.n_clusters_), "time": elapsed}
-
-        agg = repeat_with_seeds(body, repeats, base_seed=seed)
-        out.rows[mode] = {m: agg for m in out.metrics}
     return out

@@ -28,7 +28,6 @@ from repro.bench.ablations import (
     run_ablation_bootstrap,
     run_ablation_nrp,
     run_ablation_partitioning,
-    run_ablation_simultaneous,
     run_ablation_smoother,
     run_comm_volume,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "run_ablation_bootstrap",
     "run_ablation_nrp",
     "run_ablation_smoother",
-    "run_ablation_simultaneous",
     "CommVolumeResult",
     "run_comm_volume",
 ]

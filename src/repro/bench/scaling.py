@@ -86,8 +86,7 @@ def run_scaling(
         best = np.inf
         for r in range(repeats):
             x, _ = gaussian_mixture(m, n, n_clusters=4, seed=seed + r)
-            kb = KeyBin2(seed=seed, n_projections=n_projections,
-                         simultaneous_projections=True)
+            kb = KeyBin2(seed=seed, n_projections=n_projections)
             t0 = time.perf_counter()
             kb.fit(x)
             best = min(best, time.perf_counter() - t0)

@@ -62,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "table1", "table2", "table3",
             "fig1", "fig2", "fig3", "fig4",
             "ablation-partitioning", "ablation-bootstrap", "ablation-nrp",
-            "ablation-smoother", "ablation-simultaneous",
-            "comm-volume", "scaling", "all",
+            "ablation-smoother", "comm-volume", "scaling", "all",
         ],
     )
     parser.add_argument("--scale", type=float, default=0.02,
@@ -125,10 +124,6 @@ def _run_one(name: str, args) -> str:
         from repro.bench.experiments import run_ablation_smoother
 
         return run_ablation_smoother(seed=args.seed).render()
-    if name == "ablation-simultaneous":
-        from repro.bench.experiments import run_ablation_simultaneous
-
-        return run_ablation_simultaneous(seed=args.seed).render()
     if name == "comm-volume":
         from repro.bench.experiments import run_comm_volume
 
@@ -1002,8 +997,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = (
         ["table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
          "ablation-partitioning", "ablation-bootstrap", "ablation-nrp",
-         "ablation-smoother", "ablation-simultaneous", "comm-volume",
-         "scaling"]
+         "ablation-smoother", "comm-volume", "scaling"]
         if args.experiment == "all"
         else [args.experiment]
     )

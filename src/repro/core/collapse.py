@@ -17,51 +17,92 @@ the number of points, as required for in-situ use.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["uniformity_statistic", "effective_support", "collapse_dimensions"]
+__all__ = [
+    "uniformity_statistic",
+    "uniformity_statistics",
+    "effective_support",
+    "effective_supports",
+    "collapse_dimensions",
+]
 
 
-def uniformity_statistic(counts: np.ndarray) -> float:
-    """KS distance between a histogram's ECDF and the uniform CDF.
-
-    Computed over the occupied range (first to last non-empty bin), so a
-    cluster sitting in a corner of a wide binning window is not mistaken
-    for structure. Returns 0.0 for empty or single-bin support (perfectly
-    "uniform": nothing to cut).
-    """
-    counts = np.asarray(counts, dtype=np.float64).ravel()
-    if counts.size == 0:
+def _check_table(counts: np.ndarray) -> np.ndarray:
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 2:
+        raise ValidationError("expected an (n_dims × B) histogram table")
+    if counts.shape[1] == 0:
         raise ValidationError("counts must be non-empty")
     if np.any(counts < 0):
         raise ValidationError("counts must be non-negative")
-    occupied = np.flatnonzero(counts > 0)
-    if occupied.size == 0:
-        return 0.0
-    lo, hi = occupied[0], occupied[-1]
-    support = counts[lo : hi + 1]
-    total = support.sum()
-    if support.size <= 1 or total == 0:
-        return 0.0
-    ecdf = np.cumsum(support) / total
-    # Uniform CDF evaluated at the right edge of each bin.
-    uniform = np.arange(1, support.size + 1) / support.size
-    return float(np.max(np.abs(ecdf - uniform)))
+    return counts
+
+
+def uniformity_statistics(counts: np.ndarray) -> np.ndarray:
+    """KS distance between each row's ECDF and the uniform CDF.
+
+    Computed over each row's occupied range (first to last non-empty
+    bin), so a cluster sitting in a corner of a wide binning window is
+    not mistaken for structure. A row with no or single-bin support
+    scores 0.0 (perfectly "uniform": nothing to cut).
+
+    One pass over the (n_dims × B) table. Inside the occupied range a
+    row's running sum equals the running sum of the range alone (the
+    bins before it are empty), and with whole-number counts every sum is
+    exact, so the result is bit-identical to measuring each row's
+    occupied slice on its own.
+    """
+    return _uniformity(_check_table(counts))
+
+
+def _uniformity(counts: np.ndarray) -> np.ndarray:
+    n_dims, n_bins = counts.shape
+    occupied = counts > 0
+    any_occupied = occupied.any(axis=1)
+    lo = np.argmax(occupied, axis=1)
+    hi = n_bins - 1 - np.argmax(occupied[:, ::-1], axis=1)
+    width = hi - lo + 1
+    cum = np.cumsum(counts, axis=1)
+    total = cum[np.arange(n_dims), hi]
+    idx = np.arange(n_bins)
+    inside = (idx >= lo[:, None]) & (idx <= hi[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ecdf = cum / total[:, None]
+        # Uniform CDF evaluated at the right edge of each bin.
+        uniform = (idx - lo[:, None] + 1) / width[:, None]
+        gap = np.where(inside, np.abs(ecdf - uniform), 0.0)
+    stats = gap.max(axis=1)
+    stats[~any_occupied | (width <= 1)] = 0.0
+    return stats
+
+
+def uniformity_statistic(counts: np.ndarray) -> float:
+    """KS statistic of one histogram; see :func:`uniformity_statistics`."""
+    counts = np.asarray(counts, dtype=np.float64).ravel()
+    return float(uniformity_statistics(counts[None, :])[0])
+
+
+def effective_supports(counts: np.ndarray) -> np.ndarray:
+    """Number of bins holding 99% of each row's mass (degeneracy check);
+    0 for an empty row. One pass over the (n_dims × B) table."""
+    return _support(_check_table(counts))
+
+
+def _support(counts: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(-np.sort(-counts, axis=1), axis=1)
+    total = cum[:, -1]
+    support = (cum < 0.99 * total[:, None]).sum(axis=1) + 1
+    support[total == 0] = 0
+    return support
 
 
 def effective_support(counts: np.ndarray) -> int:
-    """Number of bins needed to hold 99% of the mass (degeneracy check)."""
+    """99%-mass support of one histogram; see :func:`effective_supports`."""
     counts = np.asarray(counts, dtype=np.float64).ravel()
-    total = counts.sum()
-    if total == 0:
-        return 0
-    sorted_desc = np.sort(counts)[::-1]
-    cum = np.cumsum(sorted_desc)
-    return int(np.searchsorted(cum, 0.99 * total) + 1)
+    return int(effective_supports(counts[None, :])[0])
 
 
 def collapse_dimensions(
@@ -90,16 +131,13 @@ def collapse_dimensions(
     the single most structured dimension (largest KS statistic) is kept so
     downstream steps always have a space to work in.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 2:
-        raise ValidationError("expected an (n_dims × B) histogram table")
+    counts = _check_table(counts)
     if not (0.0 <= uniform_threshold <= 1.0):
         raise ValidationError("uniform_threshold must be in [0, 1]")
-    n_dims = counts.shape[0]
-    stats = np.array([uniformity_statistic(counts[j]) for j in range(n_dims)])
-    support = np.array([effective_support(counts[j]) for j in range(n_dims)])
+    stats = _uniformity(counts)
+    support = _support(counts)
     keep = (stats >= uniform_threshold) & (support >= min_support_bins)
     if not keep.any():
-        keep = np.zeros(n_dims, dtype=bool)
+        keep = np.zeros(counts.shape[0], dtype=bool)
         keep[int(np.argmax(stats))] = True
     return keep

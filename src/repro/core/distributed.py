@@ -1,22 +1,29 @@
 """Distributed (SPMD) KeyBin2 driver (paper §3.5).
 
 Implements the paper's master–worker deployment on top of
-:mod:`repro.comm`, with an allreduce/ring alternative. Per bootstrap trial:
+:mod:`repro.comm`, with an allreduce/ring alternative. Every rank runs
+the batch fit's driver (:meth:`KeyBin2._fit_trials
+<repro.core.estimator.KeyBin2._fit_trials>`) on its shard, with
+collectives as its three hooks:
 
-1. every rank builds the *same* projection matrix from the shared seed
+1. every rank builds the *same* projection matrices from the shared seed
    (no communication),
-2. per-rank raw projected bounds are merged with an elementwise min/max
-   allreduce (2 small vectors), and the merged range is padded by
+2. one stacked-GEMM pass over the shard measures the raw projected
+   bounds of every trial; **one** elementwise min/max allreduce merges
+   the (2 × t·N_rp) array, and each trial's merged range is padded by
    ``range_margin`` once — the range a single process measures over all
    of the data,
-3. per-rank histograms are consolidated so every rank holds the global
-   histogram: reduced at the master and broadcast (paper's topology,
+3. one fused pass bins the shard for every trial, and **one** collective
+   sums every trial's deepest histogram table so every rank holds the
+   global tables: reduced at the master and broadcast (paper's topology,
    ``"master"``), or allreduced (``"allreduce"``/``"ring"``); the modes
-   differ only in this collective,
-4. every rank partitions the identical global histogram — cut finding is
-   deterministic, so no cuts travel,
-5. occupied-cell tables are unioned (tiny: a few ints per cluster) and the
-   global table broadcast, so labels are consistent across ranks,
+   differ only in this collective. Shallower depths are reshape-sums of
+   the deepest table, so they never travel,
+4. every rank partitions the identical global histograms — cut finding
+   is deterministic, so no cuts travel,
+5. each candidate's occupied-cell table is unioned (tiny: a few ints per
+   cluster) and the global table broadcast, so labels are consistent
+   across ranks,
 6. the CH score is computed from the global histogram; the best-scoring
    candidate wins on every rank simultaneously (same data ⇒ same
    decision).
@@ -24,8 +31,11 @@ Implements the paper's master–worker deployment on top of
 Steps 4–6 are the shared tail (:mod:`repro.core.tail`), so the model
 equals the one :class:`~repro.core.estimator.KeyBin2` fits on the pooled
 data. The only payloads proportional to anything are the histograms —
-O(N_rp · B) integers per rank per trial — which is the paper's
-O(2·K·N_rp·B) total communication claim; ``comm.traffic`` measures it.
+t · N_rp · 2^D integers per rank — which is the paper's O(K·N_rp·B)
+communication claim, without the factor 2 of sending every depth;
+``comm.traffic`` measures it. The bounds and histogram collectives run
+once per fit whatever the number of trials; only the table unions run
+per (trial, depth) candidate.
 """
 
 from __future__ import annotations
@@ -37,17 +47,11 @@ import numpy as np
 from repro.comm.base import Communicator, ReduceOp
 from repro.comm.ring import ring_allreduce
 from repro.comm.spmd import run_spmd
-from repro.core.binning import SpaceRange
-from repro.core.collapse import collapse_dimensions
-from repro.core.estimator import check_fit_options, depth_histograms, resolve_depths
+from repro.core.estimator import KeyBin2
 from repro.core.model import KeyBin2Model
 from repro.core.primary import GlobalClusterTable
-from repro.core.projection import projection_matrix, resolve_components
-from repro.core.tail import Candidate, TrialHistograms, candidate_models, select_best
 from repro.errors import ValidationError
-from repro.kernels.project import project_points
-from repro.util.rng import spawn_generators
-from repro.util.validation import check_array_2d, check_finite
+from repro.util.validation import check_array_2d
 
 __all__ = ["keybin2_spmd", "fit_distributed", "DistributedFitResult"]
 
@@ -59,15 +63,19 @@ def _merge_ranges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([np.minimum(a[0], b[0]), np.maximum(a[1], b[1])])
 
 
+def _merge_bounds(comm: Communicator, local: List[np.ndarray]) -> List[np.ndarray]:
+    """Global [min; max] of every trial's (2 × N_rp) bounds, in one
+    allreduce."""
+    merged = comm.allreduce(np.concatenate(local, axis=1), op=_merge_ranges)
+    return np.split(merged, np.cumsum([part.shape[1] for part in local])[:-1], axis=1)
+
+
 def _consolidate_histograms(
-    comm: Communicator,
-    local: Dict[int, np.ndarray],
-    depths: Sequence[int],
-    mode: str,
-) -> Dict[int, np.ndarray]:
-    """Return the global (summed) histogram tables on every rank."""
-    n_dims = next(iter(local.values())).shape[0]
-    buf = np.concatenate([local[d].ravel() for d in depths])
+    comm: Communicator, local: List[np.ndarray], mode: str
+) -> List[np.ndarray]:
+    """Sum every trial's deepest histogram table over the ranks, in one
+    collective; return the global tables on every rank."""
+    buf = np.concatenate([table.ravel() for table in local])
     if mode == "ring":
         total = ring_allreduce(comm, buf, op=ReduceOp.SUM)
     elif mode == "allreduce":
@@ -77,13 +85,11 @@ def _consolidate_histograms(
         total = comm.bcast(summed, root=0)
     else:
         raise ValidationError(f"mode must be one of {CONSOLIDATION_MODES}")
-    out: Dict[int, np.ndarray] = {}
-    offset = 0
-    for d in depths:
-        size = n_dims * (1 << d)
-        out[d] = total[offset : offset + size].reshape(n_dims, 1 << d)
-        offset += size
-    return out
+    offsets = np.cumsum([0] + [table.size for table in local])
+    return [
+        total[lo:hi].reshape(table.shape)
+        for table, lo, hi in zip(local, offsets[:-1], offsets[1:])
+    ]
 
 
 def _union_tables(comm: Communicator, local: GlobalClusterTable) -> GlobalClusterTable:
@@ -128,8 +134,14 @@ def keybin2_spmd(
     shared source of the projection matrices.
     """
     x_local = check_array_2d(x_local, "x_local", min_rows=1)
-    check_finite(x_local, "x_local")
-    depth_spec = check_fit_options(n_projections, candidate_depths, projection, smoother)
+    estimator = KeyBin2(
+        n_projections=n_projections, n_components=n_components,
+        candidate_depths=candidate_depths, projection=projection,
+        projection_factor=projection_factor, range_margin=range_margin,
+        collapse=collapse, uniform_threshold=uniform_threshold,
+        min_support_bins=min_support_bins,
+        min_cut_prominence=min_cut_prominence, smoother=smoother, seed=seed,
+    )
     if consolidation not in CONSOLIDATION_MODES:
         raise ValidationError(f"consolidation must be one of {CONSOLIDATION_MODES}")
     n = x_local.shape[1]
@@ -137,55 +149,16 @@ def keybin2_spmd(
     if int(n_check[0]) != n or int(-n_check[1]) != n:
         raise ValidationError("all ranks must hold the same number of features")
 
-    m_global = int(comm.allreduce(x_local.shape[0]))
-    depths = resolve_depths(depth_spec, m_global)
-    n_rp = resolve_components(n, n_components, projection_factor)
-    overflowed: List[tuple] = []
-
-    def best_of_trial(trial: int, rng) -> Optional[Candidate]:
-        """One trial's selected candidate (None when every grid overflowed);
-        its keys and the losing candidates' codes die with the call."""
-        if projection == "none":
-            matrix = None
-            projected = x_local
-        else:
-            matrix = projection_matrix(n, n_rp, seed=rng, kind=projection)
-            projected = project_points(x_local, matrix)
-
-        local_bounds = np.stack([projected.min(axis=0), projected.max(axis=0)])
-        space = SpaceRange.from_data(
-            comm.allreduce(local_bounds, op=_merge_ranges), margin=range_margin
-        )
-        deep_bins, local_hist = depth_histograms(projected, space, depths)
-        global_hist = _consolidate_histograms(comm, local_hist, depths, consolidation)
-        if collapse:
-            kept = collapse_dimensions(
-                global_hist[depths[-1]],
-                uniform_threshold=uniform_threshold,
-                min_support_bins=min_support_bins,
-            )
-        else:
-            kept = np.ones(projected.shape[1], dtype=bool)
-
-        inputs = TrialHistograms(
-            hist=global_hist, kept=kept, keys=deep_bins[:, kept], key_weights=None,
-            matrix=matrix, space=space, n_points=m_global,
-            meta={"trial": trial, "consolidation": consolidation, "ranks": comm.size},
-        )
-        candidates = candidate_models(
-            [inputs], depths, overflowed,
-            min_prominence=min_cut_prominence, smoother=smoother,
-            union_table=lambda table: _union_tables(comm, table),
-        )
-        return select_best(candidates, overflowed) if candidates else None
-
-    finalists: List[Candidate] = []
-    for trial, rng in enumerate(spawn_generators(seed, n_projections)):
-        best = best_of_trial(trial, rng)
-        if best is not None:
-            # Only the running best keeps its per-row codes.
-            finalists = [select_best(finalists + [best], overflowed)]
-    chosen = select_best(finalists, overflowed)
+    chosen, _ = estimator._fit_trials(
+        x_local,
+        int(comm.allreduce(x_local.shape[0])),
+        merge_bounds=lambda bounds: _merge_bounds(comm, bounds),
+        merge_tables=lambda tables: _consolidate_histograms(
+            comm, tables, consolidation
+        ),
+        union_table=lambda table: _union_tables(comm, table),
+        meta={"consolidation": consolidation, "ranks": comm.size},
+    )
     return chosen.model.table.lookup(chosen.codes), chosen.model
 
 

@@ -7,6 +7,14 @@ finds cuts at every candidate depth, and scores the induced clustering with
 the histogram-space Calinski–Harabasz index. The best (projection, depth)
 pair becomes the fitted model.
 
+Ingest follows §3.4's simultaneous projections: every trial's matrix is
+stacked into one GEMM, so the data is read once for all trials — one
+pass for the ranges (:func:`~repro.kernels.fused.projected_bounds`), one
+fused pass that bins, histograms and keeps each point's deep bins
+(:func:`~repro.kernels.fused.fused_bin_points`). The SPMD driver
+(:mod:`repro.core.distributed`) runs the same fit on each rank's shard,
+with collectives between those passes.
+
 Example
 -------
 >>> from repro import KeyBin2
@@ -20,23 +28,33 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.binning import SpaceRange
 from repro.core.collapse import collapse_dimensions
 from repro.core.model import KeyBin2Model
-from repro.core.projection import PROJECTION_KINDS, projection_matrix, resolve_components
+from repro.core.primary import GlobalClusterTable
+from repro.core.projection import PROJECTION_KINDS, trial_matrices
 from repro.core.tail import Candidate, TrialHistograms, candidate_models, select_best
 from repro.errors import NotFittedError, ValidationError
-from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices, prefix_bins
-from repro.kernels.project import project_points
-from repro.util.rng import SeedLike, spawn_generators
-from repro.util.validation import check_array_2d, check_finite
+from repro.kernels.fused import (
+    MAX_POINT_DEPTH,
+    FusedStateSpec,
+    fused_bin_points,
+    prefix_histograms,
+    projected_bounds,
+)
+from repro.util.rng import SeedLike
+from repro.util.validation import check_array_2d
 
 __all__ = ["KeyBin2", "TrialResult"]
+
+
+def _unchanged(value):
+    """A one-process fit's collective: the local value is the global one."""
+    return value
 
 
 @dataclass
@@ -61,11 +79,12 @@ class KeyBin2:
         Projected dimensionality ``N_rp``. ``None`` applies the paper rule
         ``1.5·log(N)``.
     candidate_depths:
-        Bin-tree depths to evaluate; the paper observes depths 2–4 suffice
-        for convex problems. Default ``(3, 4, 5, 6)``. The string
-        ``"auto"`` applies the paper's bin-count rule ``B = log2²(M)``:
-        the deepest candidate is ``ceil(log2(log2²(M)))`` with the three
-        shallower depths below it (resolved at fit time from M).
+        Bin-tree depths to evaluate, each in [1, 16]; the paper observes
+        depths 2–4 suffice for convex problems. Default ``(3, 4, 5, 6)``.
+        The string ``"auto"`` applies the paper's bin-count rule
+        ``B = log2²(M)``: the deepest candidate is ``ceil(log2(log2²(M)))``
+        with the three shallower depths below it (resolved at fit time
+        from M).
     projection:
         ``"gaussian"`` | ``"sparse"`` | ``"orthonormal"`` | ``"none"``.
         ``"none"`` clusters in the original space (KeyBin1-style; only
@@ -83,10 +102,6 @@ class KeyBin2:
         Histogram smoother for the partitioner: ``"ma"`` (paper's moving
         average + local regression) or ``"kde"`` (Gaussian KDE — the
         costlier alternative §3.2 benchmarks against).
-    simultaneous_projections:
-        Apply §3.4's optimization: stack all bootstrap projection matrices
-        into a single GEMM so the data is read once instead of ``t`` times.
-        Identical results, better throughput for large ``M``.
     seed:
         Seed / Generator for reproducibility.
 
@@ -113,7 +128,6 @@ class KeyBin2:
         min_support_bins: int = 3,
         min_cut_prominence: float = 0.10,
         smoother: str = "ma",
-        simultaneous_projections: bool = False,
         seed: SeedLike = None,
     ):
         self.candidate_depths = check_fit_options(
@@ -129,7 +143,6 @@ class KeyBin2:
         self.min_support_bins = int(min_support_bins)
         self.min_cut_prominence = float(min_cut_prominence)
         self.smoother = smoother
-        self.simultaneous_projections = bool(simultaneous_projections)
         self.seed = seed
 
         self.model_: Optional[KeyBin2Model] = None
@@ -141,24 +154,91 @@ class KeyBin2:
     def fit(self, x: np.ndarray) -> "KeyBin2":
         """Learn a clustering of ``x`` (M × N)."""
         x = check_array_2d(x, "X", min_rows=2)
-        check_finite(x, "X")
-        m, n = x.shape
-        self.n_features_in_ = n
-        self._resolved_depths = resolve_depths(self.candidate_depths, m)
-        rngs = spawn_generators(self.seed, self.n_projections)
-        precomputed = self._project_all_trials(x, rngs)
-        self.trials_ = []
+        self.n_features_in_ = x.shape[1]
+        chosen, self.trials_ = self._fit_trials(x, x.shape[0])
+        self.model_ = chosen.model
+        self.labels_ = chosen.model.table.lookup(chosen.codes)
+        self.score_ = chosen.model.score
+        self.n_clusters_ = chosen.model.n_clusters
+        return self
+
+    def _fit_trials(
+        self,
+        x: np.ndarray,
+        n_points: int,
+        merge_bounds: Callable[[List[np.ndarray]], List[np.ndarray]] = _unchanged,
+        merge_tables: Callable[[List[np.ndarray]], List[np.ndarray]] = _unchanged,
+        union_table: Optional[Callable[[GlobalClusterTable], GlobalClusterTable]] = None,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> Tuple[Candidate, List[TrialResult]]:
+        """Fit every bootstrap trial over ``x``; return the selected
+        candidate and the per-trial summaries.
+
+        Batch and SPMD fits both run this; SPMD passes its collectives as
+        the three hooks, and ``x`` is then one rank's shard of the
+        ``n_points`` rows:
+
+        1. one stacked-GEMM pass measures every trial's projected bounds
+           (§3.4: the data is read once for all trials); ``merge_bounds``
+           reduces the list of (2 × N_rp) [min; max] arrays, and each
+           trial's range is padded by ``range_margin`` once;
+        2. one fused pass bins every trial at the deepest depth, keeping
+           each point's deep bins and the deepest histogram;
+           ``merge_tables`` sums the list of deepest tables, and the
+           shallower depths are reshape-sums of it;
+        3. per trial, collapse and the shared tail; ``union_table``
+           merges each candidate's cell table. Only the running best
+           keeps its per-point codes.
+        """
+        depths = resolve_depths(self.candidate_depths, n_points)
+        self._resolved_depths = depths
+        matrices = trial_matrices(
+            x.shape[1], self.n_projections, self.seed, self.projection,
+            self.n_components, self.projection_factor,
+        )
+        spaces = [
+            SpaceRange.from_data(bounds, margin=self.range_margin)
+            for bounds in merge_bounds(projected_bounds(x, matrices))
+        ]
+        points = fused_bin_points(x, [
+            FusedStateSpec(m, s.r_min, s.r_max, depths)
+            for m, s in zip(matrices, spaces)
+        ])
+        deep_tables = merge_tables([p.deep for p in points])
+
+        trials: List[TrialResult] = []
         overflowed: List[tuple] = []
         finalists: List[Candidate] = []
-        for t, rng in enumerate(rngs):
-            best = self._best_of_trial(
-                x, t, rng, overflowed,
-                None if precomputed is None else precomputed[t],
+        for t in range(len(matrices)):
+            hist = prefix_histograms(deep_tables[t], depths)
+            if self.collapse:
+                kept = collapse_dimensions(
+                    hist[depths[-1]],
+                    uniform_threshold=self.uniform_threshold,
+                    min_support_bins=self.min_support_bins,
+                )
+            else:
+                kept = np.ones(hist[depths[-1]].shape[0], dtype=bool)
+            # The trial's keys are the deep bins of its kept dimensions,
+            # one row per point; its bins die here, its codes with the
+            # candidates that lose.
+            keys = points[t].rows[kept].T
+            points[t] = None
+            inputs = TrialHistograms(
+                hist=hist, kept=kept, keys=keys, key_weights=None,
+                matrix=matrices[t], space=spaces[t], n_points=n_points,
+                meta={"trial": t, **(meta or {})},
             )
-            if best is None:  # every depth's grid overflowed int64 codes
+            candidates = candidate_models(
+                [inputs], depths, overflowed,
+                min_prominence=self.min_cut_prominence, smoother=self.smoother,
+                union_table=union_table,
+            )
+            if not candidates:  # every depth's grid overflowed int64 codes
                 continue
+            best = select_best(candidates, overflowed)
             model = best.model
-            self.trials_.append(
+            trials.append(
                 TrialResult(
                     trial=t,
                     depth=model.depth,
@@ -170,79 +250,7 @@ class KeyBin2:
             # Only the running best keeps its per-point codes: holding every
             # trial's until the end would cost O(t·M) memory.
             finalists = [select_best(finalists + [best], overflowed)]
-        chosen = select_best(finalists, overflowed)
-        self.model_ = chosen.model
-        self.labels_ = chosen.model.table.lookup(chosen.codes)
-        self.score_ = chosen.model.score
-        self.n_clusters_ = chosen.model.n_clusters
-        return self
-
-    def _target_components(self, n: int) -> int:
-        return resolve_components(n, self.n_components, self.projection_factor)
-
-    def _project_all_trials(self, x: np.ndarray, rngs) -> Optional[list]:
-        """§3.4's optimization: stack all trial matrices into one GEMM.
-
-        One (N × t·N_rp) multiplication replaces t separate projections —
-        the data is read once instead of t times. Returns a per-trial list
-        of ``(matrix, projected)`` pairs, or ``None`` when disabled.
-        """
-        if not self.simultaneous_projections or self.projection == "none":
-            return None
-        n = x.shape[1]
-        n_rp = self._target_components(n)
-        matrices = [
-            projection_matrix(n, n_rp, seed=rng, kind=self.projection)
-            for rng in rngs
-        ]
-        projected_all = project_points(x, np.hstack(matrices))
-        return [
-            (matrices[t], projected_all[:, t * n_rp : (t + 1) * n_rp])
-            for t in range(len(rngs))
-        ]
-
-    def _best_of_trial(
-        self, x: np.ndarray, trial: int, rng, overflowed: List[tuple],
-        precomputed=None,
-    ) -> Optional[Candidate]:
-        """One bootstrap trial: project, bin, histogram, collapse, then the
-        shared tail. Returns the trial's selected candidate, or ``None``
-        when every depth's grid overflowed (recorded in ``overflowed``).
-
-        The keys are the deep bins of the kept dimensions, one row per
-        point; they and the losing candidates' codes die with this call.
-        """
-        m, n = x.shape
-        if precomputed is not None:
-            matrix, projected = precomputed
-        elif self.projection == "none":
-            matrix = None
-            projected = x
-        else:
-            n_rp = self._target_components(n)
-            matrix = projection_matrix(n, n_rp, seed=rng, kind=self.projection)
-            projected = project_points(x, matrix)
-
-        space = SpaceRange.from_data(projected, margin=self.range_margin)
-        depths = self._resolved_depths
-        deep_bins, hist = depth_histograms(projected, space, depths)
-        if self.collapse:
-            kept = collapse_dimensions(
-                hist[depths[-1]],
-                uniform_threshold=self.uniform_threshold,
-                min_support_bins=self.min_support_bins,
-            )
-        else:
-            kept = np.ones(projected.shape[1], dtype=bool)
-        inputs = TrialHistograms(
-            hist=hist, kept=kept, keys=deep_bins[:, kept], key_weights=None,
-            matrix=matrix, space=space, n_points=m, meta={"trial": trial},
-        )
-        candidates = candidate_models(
-            [inputs], depths, overflowed,
-            min_prominence=self.min_cut_prominence, smoother=self.smoother,
-        )
-        return select_best(candidates, overflowed) if candidates else None
+        return select_best(finalists, overflowed), trials
 
     # -- inference ------------------------------------------------------------------
 
@@ -282,24 +290,13 @@ def check_fit_options(n_projections: int, candidate_depths, projection: str,
         return "auto"
     if not candidate_depths:
         raise ValidationError("candidate_depths must be non-empty")
-    return tuple(sorted(set(int(d) for d in candidate_depths)))
-
-
-def depth_histograms(projected: np.ndarray, space: SpaceRange, depths: Sequence[int]):
-    """Deepest bins of ``projected`` and its histogram at every depth.
-
-    One binning pass at the deepest depth; shallower histograms count its
-    prefix shifts, one depth at a time.
-    """
-    deepest = depths[-1]
-    deep = bin_indices(projected, space.r_min, space.r_max, deepest)
-    hist = {
-        d: accumulate_histogram(
-            deep if d == deepest else prefix_bins(deep, deepest, d), 1 << d
+    depths = tuple(sorted(set(int(d) for d in candidate_depths)))
+    if depths[0] < 1 or depths[-1] > MAX_POINT_DEPTH:
+        raise ValidationError(
+            f"candidate_depths must lie in [1, {MAX_POINT_DEPTH}] (deep bins "
+            f"are stored as uint16), got {depths}"
         )
-        for d in depths
-    }
-    return deep, hist
+    return depths
 
 
 def resolve_depths(candidate_depths, n_points: int) -> tuple:

@@ -25,14 +25,17 @@ Three matrix families are provided:
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.util.rng import SeedLike, as_generator
+from repro.util.rng import SeedLike, as_generator, spawn_generators
 
-__all__ = ["target_dimension", "resolve_components", "projection_matrix", "PROJECTION_KINDS"]
+__all__ = [
+    "target_dimension", "resolve_components", "projection_matrix",
+    "trial_matrices", "PROJECTION_KINDS",
+]
 
 PROJECTION_KINDS = ("gaussian", "sparse", "orthonormal")
 
@@ -110,3 +113,21 @@ def projection_matrix(
     norms[norms == 0] = 1.0
     a /= norms
     return np.ascontiguousarray(a)
+
+
+def trial_matrices(
+    n_features: int,
+    n_projections: int,
+    seed: SeedLike,
+    kind: str = "gaussian",
+    n_components: Optional[int] = None,
+    factor: float = 1.5,
+) -> List[Optional[np.ndarray]]:
+    """One projection matrix per bootstrap trial, each drawn from its own
+    stream of ``seed``; ``None`` for every trial when ``kind`` is
+    ``"none"`` (the trials bin the raw features)."""
+    rngs = spawn_generators(seed, n_projections)
+    if kind == "none":
+        return [None] * len(rngs)
+    n_rp = resolve_components(n_features, n_components, factor)
+    return [projection_matrix(n_features, n_rp, seed=rng, kind=kind) for rng in rngs]

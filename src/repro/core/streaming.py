@@ -31,14 +31,15 @@ from repro.core.binning import SpaceRange
 from repro.core.drift import WindowDriftDetector
 from repro.core.collapse import collapse_dimensions
 from repro.core.model import KeyBin2Model
-from repro.core.projection import projection_matrix, resolve_components
+from repro.core.projection import trial_matrices
 from repro.core.tail import TrialHistograms, candidate_models, select_best
 from repro.errors import NotFittedError, ValidationError
+from repro.kernels.fused import projected_bounds
 from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices, prefix_bins
 from repro.kernels.project import project_points
 from repro.obs import default_registry, trace
-from repro.util.rng import SeedLike, spawn_generators
+from repro.util.rng import SeedLike
 from repro.util.validation import check_array_2d, check_finite
 
 __all__ = ["KeyCounter", "StreamingKeyBin2"]
@@ -708,31 +709,28 @@ class StreamingKeyBin2:
     def _initialize(self, x: np.ndarray) -> None:
         n = x.shape[1]
         self.n_features_in_ = n
-        rngs = spawn_generators(self.seed, self.n_projections)
-        states: List[_ProjectionState] = []
-        for rng in rngs:
-            if self.projection == "none":
-                matrix = None
-                projected = x
-            else:
-                n_rp = resolve_components(n, self.n_components, self.projection_factor)
-                matrix = projection_matrix(n, n_rp, seed=rng, kind=self.projection)
-                projected = project_points(x, matrix)
-            if self.feature_range is not None:
-                space = _projected_bounds(self.feature_range, matrix, n)
-            else:
-                space = SpaceRange.from_data(projected, margin=0.05).expand(
-                    self.range_expand
-                )
-            states.append(
-                _ProjectionState(
-                    matrix, space, self.candidate_depths, self.key_capacity,
-                    adaptive=self.adaptive,
-                    drift_window=self.drift_window,
-                    drift_threshold=self.drift_threshold,
-                )
+        matrices = trial_matrices(
+            n, self.n_projections, self.seed, self.projection,
+            self.n_components, self.projection_factor,
+        )
+        if self.feature_range is not None:
+            spaces = [_projected_bounds(self.feature_range, m, n) for m in matrices]
+        else:
+            # The batch fit's range pass, so one batch measures the range
+            # KeyBin2.fit measures on the same rows.
+            spaces = [
+                SpaceRange.from_data(bounds, margin=0.05).expand(self.range_expand)
+                for bounds in projected_bounds(x, matrices)
+            ]
+        self._states = [
+            _ProjectionState(
+                matrix, space, self.candidate_depths, self.key_capacity,
+                adaptive=self.adaptive,
+                drift_window=self.drift_window,
+                drift_threshold=self.drift_threshold,
             )
-        self._states = states
+            for matrix, space in zip(matrices, spaces)
+        ]
 
     def partial_fit(self, x: np.ndarray) -> "StreamingKeyBin2":
         """Accumulate one batch (a single point works too — M = 1 streams)."""

@@ -13,13 +13,16 @@ Two execution paths coexist:
 
 * the **reference** kernels (``project_points``, ``bin_indices``,
   ``prefix_bins``, ``accumulate_histogram``) — simple, separately-testable
-  whole-array passes that define the semantics, used by batch and SPMD
-  fits, ``predict`` and ``StreamingKeyBin2(fused=False)``; and
-* the **fused** path (:func:`project_bin_count` /
-  :func:`fused_partial_fit`) behind the pluggable
+  whole-array passes that define the semantics, used by ``predict``,
+  ``KeyBin1`` and ``StreamingKeyBin2(fused=False)``, but by no batch or
+  SPMD fit; and
+* the **fused** path behind the pluggable
   :class:`~repro.kernels.backend.KernelBackend` API, which runs the whole
-  projection → bin → histogram → key pipeline in one chunked pass with a
-  batched GEMM and no full-size intermediates. The equivalence suite
+  projection → bin → histogram → key pipeline in chunked passes with a
+  batched GEMM and no full-size intermediates: :func:`fused_partial_fit`
+  (and :func:`project_bin_count`) for streaming, and
+  :func:`projected_bounds` then :func:`fused_bin_points` for batch and
+  SPMD fits. The equivalence suite
   (``tests/property/test_fused_equivalence.py``) holds the fused path
   bit-identical to the reference on every backend.
 """
@@ -49,9 +52,13 @@ from repro.kernels.histogram import accumulate_histogram, accumulate_histograms
 from repro.kernels.fused import (
     FusedResult,
     FusedStateSpec,
+    PointBins,
     decode_key_codes,
+    fused_bin_points,
     fused_partial_fit,
+    prefix_histograms,
     project_bin_count,
+    projected_bounds,
 )
 from repro.kernels.labels import interval_id_table, intervals_for_bins
 
@@ -76,9 +83,13 @@ __all__ = [
     "accumulate_histograms",
     "FusedResult",
     "FusedStateSpec",
+    "PointBins",
     "decode_key_codes",
+    "fused_bin_points",
     "fused_partial_fit",
+    "prefix_histograms",
     "project_bin_count",
+    "projected_bounds",
     "intervals_for_bins",
     "interval_id_table",
 ]

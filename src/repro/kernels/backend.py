@@ -132,8 +132,10 @@ class KernelBackend:
             zero-padded — the :class:`~repro.core.streaming.KeyCounter`
             code format). Only valid for n ≤ 8.
         rows:
-            Optional (n × m) uint8 output of raw deep bin indices,
-            dimension-major — the wide-key fallback when n > 8.
+            Optional (n × m) output of raw deep bin indices,
+            dimension-major: uint8, or uint16 when ``n_bins`` exceeds
+            256. The wide-key fallback when n > 8, and the per-point
+            bins of batch fits.
         oor_low, oor_high:
             Optional (n,) int64 accumulators for out-of-range accounting:
             the number of chunk entries whose pre-clip bin index fell

@@ -78,7 +78,7 @@ def _compiled_kernel():  # pragma: no cover - requires numba
                 if use_codes:
                     code = (code << np.uint64(8)) | np.uint64(b)
                 if use_rows:
-                    rows[j, i] = np.uint8(b)
+                    rows[j, i] = b  # uint8 or uint16: numba casts per dtype
             if use_codes:
                 codes[i] = code << tail_shift
         return -1

@@ -1,6 +1,5 @@
-"""Tests for the optional/extension features: simultaneous projections
-(§3.4), the KDE partitioner alternative (§3.2), and the privacy utilities
-(§1)."""
+"""Tests for the optional/extension features: the KDE partitioner
+alternative (§3.2) and the privacy utilities (§1)."""
 
 import numpy as np
 import pytest
@@ -11,29 +10,6 @@ from repro.core.partitioning import find_cuts, kde_density
 from repro.core.privacy import histogram_anonymity, reconstruction_ambiguity
 from repro.errors import ValidationError
 from repro.metrics.pairs import pair_precision_recall_f1
-
-
-class TestSimultaneousProjections:
-    def test_identical_results(self, small_gaussians):
-        """§3.4's optimization must change throughput, not outcomes."""
-        x, _ = small_gaussians
-        a = KeyBin2(n_projections=4, seed=3).fit(x)
-        b = KeyBin2(n_projections=4, seed=3, simultaneous_projections=True).fit(x)
-        assert np.array_equal(a.labels_, b.labels_)
-        assert a.score_ == pytest.approx(b.score_)
-        assert a.n_clusters_ == b.n_clusters_
-
-    def test_noop_with_projection_none(self, tiny_gaussians):
-        x, _ = tiny_gaussians
-        kb = KeyBin2(projection="none", simultaneous_projections=True,
-                     seed=0).fit(x)
-        assert kb.model_.projection is None
-
-    def test_accuracy_preserved(self, small_gaussians):
-        x, y = small_gaussians
-        kb = KeyBin2(seed=1, simultaneous_projections=True).fit(x)
-        _, _, f1 = pair_precision_recall_f1(y, kb.labels_)
-        assert f1 > 0.9
 
 
 class TestKDEPartitioner:

@@ -1,0 +1,131 @@
+"""Batch and SPMD fits ingest through the fused kernels only.
+
+* *Guard.* With the reference ingest kernels (``project_points``,
+  ``bin_indices``, ``accumulate_histogram``) patched to raise everywhere
+  they are reachable, ``KeyBin2.fit`` and a 2-rank ``fit_distributed``
+  still run.
+* *Non-finite input.* NaN and Inf rows still raise ``ValidationError``
+  naming the row, in batch and on the SPMD rank that holds them.
+* *Constant collectives.* At 2 ranks, the messages a rank sends outside
+  the per-candidate cell-table unions do not depend on the number of
+  trials: the bounds and the histograms each travel in one collective.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import repro.core.distributed as distributed
+from repro.comm.spmd import run_spmd
+from repro.core.distributed import fit_distributed, keybin2_spmd
+from repro.core.estimator import KeyBin2
+from repro.data.gaussians import gaussian_mixture
+from repro.errors import RankFailedError, ValidationError
+from repro.kernels.histogram import accumulate_histogram
+from repro.kernels.keys import bin_indices
+from repro.kernels.project import project_points
+
+REFERENCE_INGEST = {
+    "project_points": project_points,
+    "bin_indices": bin_indices,
+    "accumulate_histogram": accumulate_histogram,
+}
+
+
+@pytest.fixture(scope="module")
+def data():
+    x, _ = gaussian_mixture(n_points=1200, n_dims=12, n_clusters=3, seed=4)
+    return x
+
+
+@pytest.fixture
+def no_reference_ingest(monkeypatch):
+    """Make every ``repro`` module's handle on a reference kernel raise."""
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"fit reached the reference kernel {name}")
+        return call
+
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        for name, kernel in REFERENCE_INGEST.items():
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, forbidden(name))
+
+
+class TestGuard:
+    def test_batch_fit_avoids_reference_kernels(self, data, no_reference_ingest):
+        kb = KeyBin2(n_projections=3, seed=0).fit(data)
+        assert kb.labels_.shape == (data.shape[0],)
+
+    def test_spmd_fit_avoids_reference_kernels(self, data, no_reference_ingest):
+        res = fit_distributed(np.array_split(data, 2), executor="thread",
+                              n_projections=3, seed=0)
+        assert res.concatenated_labels().shape == (data.shape[0],)
+
+    def test_guard_bites(self, data, no_reference_ingest):
+        from repro.kernels import project as project_module
+
+        with pytest.raises(AssertionError, match="project_points"):
+            project_module.project_points(data, np.eye(data.shape[1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteInput:
+    def test_batch_names_row(self, data, bad):
+        x = data.copy()
+        x[37, 5] = bad
+        with pytest.raises(ValidationError, match=r"row 37\b"):
+            KeyBin2(n_projections=2, seed=0).fit(x)
+
+    def test_batch_projection_none_names_row(self, data, bad):
+        x = data[:, :3].copy()
+        x[1100, 2] = bad
+        with pytest.raises(ValidationError, match=r"row 1100\b"):
+            KeyBin2(n_projections=2, projection="none", seed=0).fit(x)
+
+    def test_spmd_names_local_row(self, data, bad):
+        shards = np.array_split(data.copy(), 2)
+        shards[1][9, 0] = bad
+
+        def prog(comm):
+            return keybin2_spmd(comm, shards[comm.rank], n_projections=2, seed=0)
+
+        with pytest.raises(RankFailedError, match=r"row 9\b") as err:
+            run_spmd(prog, 2, executor="thread", timeout=30)
+        assert err.value.rank == 1
+
+
+def _messages(x, n_projections, monkeypatch):
+    """Per-rank (messages outside table unions, union calls) of a 2-rank fit."""
+    union_messages = [0, 0]
+    union_calls = [0, 0]
+    union = distributed._union_tables
+
+    def counted(comm, table):
+        before = comm.traffic.messages_sent
+        merged = union(comm, table)
+        union_messages[comm.rank] += comm.traffic.messages_sent - before
+        union_calls[comm.rank] += 1
+        return merged
+
+    monkeypatch.setattr(distributed, "_union_tables", counted)
+    res = fit_distributed(np.array_split(x, 2), executor="thread",
+                          n_projections=n_projections, seed=0)
+    return [
+        (t["messages_sent"] - union_messages[r], union_calls[r])
+        for r, t in enumerate(res.traffic)
+    ]
+
+
+def test_bounds_and_histogram_messages_do_not_scale_with_trials(data, monkeypatch):
+    four = _messages(data, 4, monkeypatch)
+    eight = _messages(data, 8, monkeypatch)
+    for rank in range(2):
+        assert four[rank][0] == eight[rank][0], rank
+        # One union per (trial, depth) candidate: 4 default depths.
+        assert four[rank][1] == 4 * 4
+        assert eight[rank][1] == 8 * 4

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.kernels.backend import available_backends
 from repro.kernels.fused import (
     FusedStateSpec,
     decode_key_codes,
+    fused_bin_points,
     fused_partial_fit,
+    prefix_histograms,
     project_bin_count,
+    projected_bounds,
 )
 from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices, prefix_bins
 from repro.kernels.project import project_points
+
+AVAILABLE_BACKENDS = [name for name, ok in available_backends().items() if ok]
 
 
 def _reference(x, matrix, r_min, r_max, depths):
@@ -209,3 +215,105 @@ class TestDecodeKeyCodes:
             decode_key_codes(np.zeros(1, dtype=np.uint64), 9)
         with pytest.raises(ValidationError):
             decode_key_codes(np.zeros(1, dtype=np.uint64), 0)
+
+
+class TestFusedBinPoints:
+    """The whole-dataset pass batch and SPMD fits run."""
+
+    @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+    @pytest.mark.parametrize("depths", [(3, 5), (6, 9), (4, 12), (16,)])
+    @pytest.mark.parametrize("chunk_size", [None, 1, 33])
+    def test_raw_state_matches_reference_chain(self, rng, backend, depths,
+                                               chunk_size):
+        """No GEMM runs for ``matrix=None``, so bins and histograms are
+        bit-identical to the reference kernels at every depth, uint16
+        bins above depth 8 included, on every backend."""
+        x = rng.standard_normal((101, 5))
+        r_min, r_max = _spec_for(x, None, depths)
+        (got,) = fused_bin_points(
+            x, [FusedStateSpec(None, r_min, r_max, depths)],
+            backend=backend, chunk_size=chunk_size,
+        )
+        deep = bin_indices(x, r_min, r_max, max(depths))
+        assert got.rows.dtype == (np.uint16 if max(depths) > 8 else np.uint8)
+        assert np.array_equal(got.rows.T, deep)
+        assert np.array_equal(
+            got.deep, accumulate_histogram(deep, 1 << max(depths))
+        )
+        hist = prefix_histograms(got.deep, depths)
+        for d in depths:
+            shallow = prefix_bins(deep, max(depths), d)
+            assert np.array_equal(hist[d], accumulate_histogram(shallow, 1 << d))
+
+    def test_several_states_match_partial_fit_histograms(self, rng):
+        x = rng.standard_normal((300, 10))
+        specs = []
+        for n_rp in (3, 9):
+            matrix = rng.standard_normal((10, n_rp))
+            specs.append(FusedStateSpec(matrix, *_spec_for(x, matrix, (4, 6)), (4, 6)))
+        specs.append(FusedStateSpec(None, *_spec_for(x, None, (4, 6)), (4, 6)))
+        points = fused_bin_points(x, specs, backend="numpy", chunk_size=64)
+        keyed = fused_partial_fit(x, specs, backend="numpy", chunk_size=64)
+        for p, k in zip(points, keyed):
+            assert np.array_equal(p.deep, k.hist[6])
+            rows, counts = np.unique(p.rows.T, axis=0, return_counts=True)
+            assert np.array_equal(rows, k.key_rows)
+            assert np.array_equal(counts, k.key_counts)
+
+    def test_depth_over_16_rejected(self, rng):
+        spec = FusedStateSpec(None, np.full(2, -9.0), np.full(2, 9.0), (17,))
+        with pytest.raises(ValidationError, match="depths"):
+            fused_bin_points(rng.standard_normal((5, 2)), [spec])
+
+    def test_non_finite_row_named(self, rng):
+        x = rng.standard_normal((50, 3))
+        x[41, 1] = np.nan
+        spec = FusedStateSpec(None, np.full(3, -9.0), np.full(3, 9.0), (3,))
+        with pytest.raises(ValidationError, match="row 41"):
+            fused_bin_points(x, [spec], chunk_size=16)
+
+
+class TestProjectedBounds:
+    def test_matches_per_state_min_max(self, rng):
+        x = rng.standard_normal((500, 8))
+        matrices = [rng.standard_normal((8, 3)), None, rng.standard_normal((8, 5))]
+        bounds = projected_bounds(x, matrices, chunk_size=64)
+        want = [
+            np.stack([p.min(axis=0), p.max(axis=0)])
+            for p in (x @ matrices[0], x, x @ matrices[2])
+        ]
+        assert [b.shape for b in bounds] == [(2, 3), (2, 8), (2, 5)]
+        for got, expected in zip(bounds, want):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n_features, n_rp, t",
+                             [(64, 7, 8), (24, 10, 3), (16, 3, 3)])
+    def test_independent_of_chunking(self, rng, n_features, n_rp, t):
+        """Bounds set the shared range of an SPMD fit, so any split of the
+        rows must give the same bits — a one-row chunk included."""
+        x = rng.standard_normal((1000, n_features))
+        matrices = [rng.standard_normal((n_features, n_rp)) for _ in range(t)]
+        whole = np.hstack(projected_bounds(x, matrices, chunk_size=None))
+        for chunk_size in (1, 7, 193, 453, 999):
+            got = np.hstack(projected_bounds(x, matrices, chunk_size=chunk_size))
+            assert np.array_equal(got, whole), chunk_size
+        for cut in (1, 453, 999):
+            head = np.hstack(projected_bounds(x[:cut], matrices))
+            tail = np.hstack(projected_bounds(x[cut:], matrices))
+            merged = np.stack([np.minimum(head[0], tail[0]),
+                               np.maximum(head[1], tail[1])])
+            assert np.array_equal(merged, whole), cut
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_named(self, rng, bad):
+        x = rng.standard_normal((70, 4))
+        x[66, 3] = bad
+        with pytest.raises(ValidationError, match="row 66"):
+            projected_bounds(x, [rng.standard_normal((4, 2))], chunk_size=32)
+        with pytest.raises(ValidationError, match="row 66"):
+            projected_bounds(x, [None], chunk_size=32)
+
+    def test_overflowing_projection_rejected(self):
+        x = np.full((4, 2), 1e308)
+        with pytest.raises(ValidationError, match="row 0"):
+            projected_bounds(x, [np.full((2, 1), 10.0)])

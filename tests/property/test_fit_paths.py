@@ -30,6 +30,11 @@ Named exceptions, each an intentional difference the configs below align:
 * *Seed.* SPMD needs a plain integer seed shared by every rank.
 * *Labels.* Streaming keeps keys, not points, so its training labels are
   ``predict`` on the training data.
+
+Further tests hold batch and SPMD (1 and 2 ranks) together on the ingest
+branches the default configuration does not reach: more than 8 projected
+dimensions, the KDE smoother, ``projection="none"`` and ``"auto"`` depths
+past 8 (uint16 deep bins).
 """
 
 import numpy as np
@@ -57,10 +62,10 @@ def _uneven_shards(x, n_ranks, rng):
     return np.split(x, cuts)
 
 
-def _streaming(x, seed, fused):
+def _streaming(x, seed, fused, **options):
     skb = StreamingKeyBin2(
         n_projections=N_PROJECTIONS, candidate_depths=DEPTHS, range_expand=0.0,
-        key_capacity=x.shape[0], fused=fused, seed=seed,
+        key_capacity=x.shape[0], fused=fused, seed=seed, **options,
     )
     return skb.partial_fit(x).refresh()
 
@@ -99,3 +104,81 @@ def test_fit_paths_agree(tmp_path_factory, seed, n_points, n_dims, n_clusters):
     restored = StreamingKeyBin2.load_state(path).refresh()
     assert restored.model_.fingerprint() == want
     assert np.array_equal(restored.predict(x), batch.labels_)
+
+
+def _assert_spmd_equals_batch(x, seed, options):
+    batch = KeyBin2(seed=seed, **options).fit(x)
+    want = batch.model_.fingerprint()
+    rng = np.random.default_rng(seed)
+    for n_ranks in (1, 2):
+        res = fit_distributed(_uneven_shards(x, n_ranks, rng), executor="thread",
+                              seed=seed, **options)
+        assert res.model.fingerprint() == want, n_ranks
+        assert np.array_equal(res.concatenated_labels(), batch.labels_), n_ranks
+    return batch
+
+
+BRANCHES = settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@BRANCHES
+@given(
+    seed=st.integers(0, 2**16),
+    n_points=st.integers(300, 3000),
+    n_dims=st.integers(10, 24),
+    n_clusters=st.integers(2, 6),
+    options=st.sampled_from([
+        {"n_components": 10},
+        {"smoother": "kde"},
+    ]),
+)
+def test_ingest_branches_spmd_equals_batch(seed, n_points, n_dims, n_clusters,
+                                           options):
+    """More than 8 projected dimensions (wide key rows in streaming) and the
+    KDE smoother, which runs in the tail, not in ingest. Streaming has no
+    smoother option, so only the wide states are held to it too."""
+    x, _ = gaussian_mixture(n_points=n_points, n_dims=n_dims,
+                            n_clusters=n_clusters, seed=seed)
+    batch = _assert_spmd_equals_batch(
+        x, seed, dict(n_projections=N_PROJECTIONS, candidate_depths=DEPTHS, **options)
+    )
+    if "n_components" in options:
+        assert batch.model_.projection.shape[1] == 10
+        for fused in (True, False):
+            skb = _streaming(x, seed, fused, **options)
+            assert skb.model_.fingerprint() == batch.model_.fingerprint(), fused
+            assert np.array_equal(skb.predict(x), batch.labels_)
+
+
+@BRANCHES
+@given(
+    seed=st.integers(0, 2**16),
+    n_points=st.integers(300, 3000),
+    n_dims=st.integers(2, 6),
+    n_clusters=st.integers(2, 5),
+)
+def test_projection_none_spmd_equals_batch(seed, n_points, n_dims, n_clusters):
+    """Raw features, no GEMM: the bounds pass reduces the input itself."""
+    x, _ = gaussian_mixture(n_points=n_points, n_dims=n_dims,
+                            n_clusters=n_clusters, seed=seed)
+    batch = _assert_spmd_equals_batch(
+        x, seed, dict(n_projections=2, candidate_depths=DEPTHS, projection="none")
+    )
+    assert batch.model_.projection is None
+
+
+@settings(max_examples=2, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16))
+def test_auto_depths_past_8_spmd_equals_batch(seed):
+    """``"auto"`` resolves depths 6–9 at 70k points: the deepest bins no
+    longer fit a byte and travel as uint16 rows."""
+    x, _ = gaussian_mixture(n_points=70_000, n_dims=6, n_clusters=4, seed=seed)
+    batch = _assert_spmd_equals_batch(
+        x, seed, dict(n_projections=2, candidate_depths="auto")
+    )
+    assert batch._resolved_depths == (6, 7, 8, 9)
