@@ -50,7 +50,7 @@ def main() -> None:
     registry = ModelRegistry()
     registry.publish(model, tag="initial-deploy")
 
-    # 2. Serve it (ephemeral port; micro-batch window 2 ms).
+    # 2. Serve it (ephemeral port; micro-batch linger capped at 2 ms).
     with serve_in_thread(registry,
                          policy=BatchPolicy(max_delay_s=0.002)) as handle:
         host, port = handle.address

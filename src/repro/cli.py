@@ -163,7 +163,10 @@ def _serve_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-batch", type=int, default=256,
                         help="micro-batch flush size")
     parser.add_argument("--window-ms", type=float, default=5.0,
-                        help="micro-batch max linger (milliseconds)")
+                        help="cap (milliseconds) on how long a micro-batch "
+                             "keeps lingering while rows keep arriving; a "
+                             "batch flushes as soon as the event loop stops "
+                             "handing it rows (0 = never linger)")
     parser.add_argument("--queue", type=int, default=10_000,
                         help="pending-row bound before backpressure rejections")
     parser.add_argument("--admit-rate", type=float, default=None,

@@ -4,12 +4,19 @@ The serving economics of KeyBin2 are extreme: labeling one point costs
 ~70 µs (a dozen small numpy calls, all fixed dispatch overhead) while
 labeling 500 points in one vectorized call costs ~0.2 µs *per point*.
 The :class:`MicroBatcher` exploits this by coalescing concurrent
-single-point ``predict`` requests into one vectorized model call, under a
-two-knob policy:
+single-point ``predict`` requests into one vectorized model call.
+
+A batch flushes when the event loop has no more rows to hand it: the
+worker yields one loop iteration at a time (``asyncio.sleep(0)``) and
+flushes after :data:`IDLE_YIELDS` consecutive yields add no row. Rows
+already on their way join the batch, while a lone request pays a few
+loop iterations (microseconds) rather than a timer: asyncio rounds any
+sub-millisecond sleep up to about a millisecond. Two knobs cap the
+linger while rows keep arriving:
 
 * ``max_batch`` — flush as soon as this many rows are pending;
-* ``max_delay_s`` — otherwise flush after this long, bounding the latency
-  a lone request can pay waiting for company.
+* ``max_delay_s`` — flush after this long even if rows are still
+  arriving; ``0`` flushes on every wakeup without lingering.
 
 Backpressure is a bounded pending queue: beyond ``max_queue`` waiting
 rows, :meth:`submit` fails fast with :class:`QueueFullError` instead of
@@ -51,9 +58,20 @@ from repro.serve.stats import ServeStats
 __all__ = ["BatchPolicy", "MicroBatcher"]
 
 
+#: Consecutive event-loop iterations that add no row before a lingering
+#: batch flushes. Rows already in socket buffers reach the queue within
+#: two iterations of the worker's yield (select, then the handler task);
+#: a third covers bytes that land just after an iteration's select.
+IDLE_YIELDS = 3
+
+
 @dataclass(frozen=True)
 class BatchPolicy:
     """Coalescing policy knobs.
+
+    A pending batch flushes once the event loop stops handing it rows
+    (:data:`IDLE_YIELDS` loop iterations without a new row); these knobs
+    only cap how long it may keep growing while rows keep arriving.
 
     Attributes
     ----------
@@ -61,33 +79,23 @@ class BatchPolicy:
         Flush once this many rows are pending (also the vectorization
         width the model call sees).
     max_delay_s:
-        Longest a pending row waits for co-travelers before a flush is
-        forced. ``0`` degenerates to one-call-per-wakeup (no added
-        latency, little coalescing under light load).
+        Longest a batch lingers while rows keep arriving. ``0`` degenerates
+        to one-call-per-wakeup (no linger at all, little coalescing under
+        light load).
     max_queue:
         Bound on rows waiting to be batched; beyond it, submissions are
         rejected with :class:`QueueFullError`.
-    quiescence_s:
-        Early-flush probe: while lingering, if the queue stops growing for
-        this long the batch flushes immediately instead of waiting out the
-        window. Under closed-loop traffic every client that will send has
-        sent within a probe or two, so lone windows stop dominating
-        latency. ``0`` disables the early exit (always linger the full
-        window).
     """
 
     max_batch: int = 256
     max_delay_s: float = 0.005
     max_queue: int = 10_000
-    quiescence_s: float = 0.0002
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValidationError("max_batch must be >= 1")
         if self.max_delay_s < 0:
             raise ValidationError("max_delay_s must be >= 0")
-        if self.quiescence_s < 0:
-            raise ValidationError("quiescence_s must be >= 0")
         if self.max_queue < self.max_batch:
             raise ValidationError("max_queue must be >= max_batch")
 
@@ -244,31 +252,20 @@ class MicroBatcher:
                     return
                 self._wakeup.clear()
                 continue
-            # Linger briefly so concurrent submitters can pile on — unless
+            # Linger while the event loop keeps handing us rows — unless
             # the batch is already full or we are draining for shutdown.
-            if (
-                policy.max_delay_s > 0
-                and len(self._pending) < policy.max_batch
-                and not self._stopping
-            ):
+            if policy.max_delay_s > 0:
                 deadline = time.perf_counter() + policy.max_delay_s
+                idle = 0
                 while (
-                    len(self._pending) < policy.max_batch
+                    idle < IDLE_YIELDS
+                    and len(self._pending) < policy.max_batch
                     and not self._stopping
+                    and time.perf_counter() < deadline
                 ):
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    # Cap each nap so batch-full and stop() are noticed
-                    # promptly even when the early-exit probe is disabled.
-                    probe = min(
-                        remaining,
-                        policy.quiescence_s if policy.quiescence_s > 0 else 0.005,
-                    )
                     before = len(self._pending)
-                    await asyncio.sleep(probe)
-                    if policy.quiescence_s > 0 and len(self._pending) == before:
-                        break  # traffic went quiet — flush what we have
+                    await asyncio.sleep(0)
+                    idle = idle + 1 if len(self._pending) == before else 0
             batch = self._pending[: policy.max_batch]
             del self._pending[: policy.max_batch]
             if not self._pending:

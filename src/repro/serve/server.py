@@ -231,9 +231,15 @@ class ModelServer:
             raise ServeError("server already started")
         self._shutdown = asyncio.Event()
         self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_client, self.host, self.port
+            )
+        except BaseException:
+            # A failed bind must not leave the worker task pending on a
+            # loop that is about to close.
+            await self.batcher.stop()
+            raise
         self.bound_port = self._server.sockets[0].getsockname()[1]
 
     async def serve_until_shutdown(self) -> None:
@@ -604,17 +610,17 @@ def serve_in_thread(
     loop_holder: Dict[str, asyncio.AbstractEventLoop] = {}
 
     def _run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        loop_holder["loop"] = loop
-
         async def _main():
+            loop_holder["loop"] = asyncio.get_running_loop()
             await server.start()
             started.set()  # only after a successful bind
             await server.serve_until_shutdown()
 
         try:
-            loop.run_until_complete(_main())
+            # asyncio.run cancels whatever is still pending (connection
+            # handlers, a stop() racing a shutdown RPC) before it closes
+            # the loop, so no task outlives the thread.
+            asyncio.run(_main())
         except BaseException as exc:  # surface bind errors to the caller
             failure["exc"] = exc
         finally:
@@ -622,12 +628,12 @@ def serve_in_thread(
             # caller can never observe "started" with a failed-but-silent
             # bind (it would hand back a handle whose bound_port is None).
             started.set()
-            loop.close()
 
     thread = threading.Thread(target=_run, name="repro-serve", daemon=True)
     thread.start()
     if not started.wait(startup_timeout):
         raise ServeError("server failed to start within timeout")
     if "exc" in failure:
+        thread.join(startup_timeout)
         raise ServeError(f"server failed to start: {failure['exc']}")
     return ServerHandle(server, thread, loop_holder["loop"])

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import QueueFullError, ServeError, ValidationError
 from repro.serve import BatchPolicy, MicroBatcher, ServeStats
+from repro.serve.batcher import IDLE_YIELDS
 
 
 class _Recorder:
@@ -36,8 +37,6 @@ class TestPolicy:
             BatchPolicy(max_delay_s=-1)
         with pytest.raises(ValidationError):
             BatchPolicy(max_batch=10, max_queue=5)
-        with pytest.raises(ValidationError):
-            BatchPolicy(quiescence_s=-0.1)
 
 
 class TestBatching:
@@ -123,6 +122,108 @@ class TestBatching:
         assert stats.batches_total >= 3  # max_batch=8 forces >= ceil(20/8)
         assert stats.versions_served == {7: 20}
         assert stats.snapshot()["mean_batch_size"] > 1
+
+
+class TestFlushOnLoopReadiness:
+    """A batch flushes when the event loop stops handing it rows, not when
+    a timer fires; ``max_delay_s`` and ``max_batch`` only cap the linger
+    while rows keep arriving."""
+
+    def test_lone_submit_skips_the_window(self):
+        async def scenario():
+            rec = _Recorder()
+            batcher = MicroBatcher(rec, BatchPolicy(max_delay_s=10.0)).start()
+            t0 = time.perf_counter()
+            label, _ = await batcher.submit(np.array([3.0]))
+            elapsed = time.perf_counter() - t0
+            await batcher.stop()
+            return label, elapsed, rec
+
+        label, elapsed, rec = run(scenario())
+        assert label == 3
+        assert rec.batch_sizes == [1]
+        assert elapsed < 1.0  # nowhere near the 10 s window
+
+    def test_lone_submit_flushes_within_a_few_loop_iterations(self):
+        """Counted in event-loop iterations, not wall time: a timer-based
+        linger lets the loop spin many idle iterations before it fires."""
+        async def scenario():
+            rec = _Recorder()
+            batcher = MicroBatcher(rec, BatchPolicy(max_delay_s=10.0)).start()
+            fut = batcher.submit_nowait(np.array([3.0]))
+            ticks = 0
+            while not fut.done():
+                ticks += 1
+                await asyncio.sleep(0)
+            await batcher.stop()
+            return ticks
+
+        # One iteration to wake the worker, IDLE_YIELDS idle ones, the flush.
+        assert run(scenario()) <= IDLE_YIELDS + 2
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_rows_a_few_iterations_behind_join_the_flush(self, lag):
+        """A row whose bytes already sit in a socket buffer reaches
+        ``submit_nowait`` a loop iteration or two after the first row
+        (select wakes the reader, then its handler parses and submits)."""
+        async def late(batcher, value):
+            for _ in range(lag):
+                await asyncio.sleep(0)
+            return await batcher.submit_nowait(np.array([value]))
+
+        async def scenario():
+            rec = _Recorder()
+            batcher = MicroBatcher(rec, BatchPolicy(max_delay_s=10.0)).start()
+            results = await asyncio.gather(
+                batcher.submit(np.array([1.0])), late(batcher, 2.0)
+            )
+            await batcher.stop()
+            return results, rec
+
+        results, rec = run(scenario())
+        assert [lab for lab, _ in results] == [1, 2]
+        assert rec.batch_sizes == [2]
+
+    def test_endless_arrivals_flush_at_max_batch(self):
+        async def scenario():
+            rec = _Recorder()
+            batcher = MicroBatcher(
+                rec, BatchPolicy(max_batch=8, max_delay_s=10.0)
+            ).start()
+            futures = []
+
+            async def producer():
+                # One row every loop iteration, until the first flush.
+                while not rec.batch_sizes:
+                    futures.append(batcher.submit_nowait(np.array([1.0])))
+                    await asyncio.sleep(0)
+
+            t0 = time.perf_counter()
+            await producer()
+            elapsed = time.perf_counter() - t0
+            await batcher.stop()
+            await asyncio.gather(*futures)
+            return elapsed, rec
+
+        elapsed, rec = run(scenario())
+        assert rec.batch_sizes[0] == 8
+        assert elapsed < 1.0
+
+    def test_zero_delay_flushes_without_lingering(self):
+        async def scenario():
+            rec = _Recorder()
+            batcher = MicroBatcher(rec, BatchPolicy(max_delay_s=0.0)).start()
+
+            async def late():
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                return await batcher.submit(np.array([2.0]))
+
+            await asyncio.gather(batcher.submit(np.array([1.0])), late())
+            await batcher.stop()
+            return rec
+
+        assert run(scenario()).batch_sizes == [1, 1]
 
 
 class TestFailureAndBackpressure:

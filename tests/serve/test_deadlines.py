@@ -2,13 +2,18 @@
 
 The batcher-level tests pin the mechanism (shed at flush, before the
 model call); the end-to-end tests pin the wiring: a ``deadline_ms``
-budget rides the wire, expires while the request lingers in the batch
-window, and comes back as a typed ``deadline_exceeded`` response — while
-the queue-wait histogram records how long the row actually sat.
+budget rides the wire, expires while the request waits in the batcher's
+queue behind a slow flush, and comes back as a typed
+``deadline_exceeded`` response — while the queue-wait histogram records
+how long the row actually sat.
 """
 
 import asyncio
+import json
+import socket
+import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -91,14 +96,76 @@ class TestBatcherDeadlines:
         assert stats.snapshot()["queue_wait"]["count"] == 1
 
 
+#: How long every model call after the held one takes in the end-to-end
+#: tests: the time a row queued behind another waits, far past 10 ms.
+SLOW_CALL_S = 0.05
+#: How long the held model call keeps the server's event loop blocked
+#: after the row ahead is sent: time for the caller to send its request.
+HOLD_S = 0.3
+
+
+def _send_line(sock, payload):
+    sock.sendall(json.dumps(payload).encode("utf-8") + b"\n")
+
+
+@contextmanager
+def queued_behind_slow_flush(handle, rows):
+    """Make the next single-row predict wait in the batcher's queue.
+
+    Needs a server with ``max_batch=1``. A blocker row's model call holds
+    the server's event loop; meanwhile a row is sent ahead of the caller's
+    request, which the caller sends inside the block. When the loop
+    resumes, both requests parse in one loop iteration (the row ahead
+    first, in arrival order) and queue together; the row ahead's flush
+    takes :data:`SLOW_CALL_S`, so the caller's row waits in the queue for
+    at least that long before its own flush.
+    """
+    batcher = handle.server.batcher
+    original = batcher.predict_rows
+    entered, release = threading.Event(), threading.Event()
+
+    def predict_rows(matrix):
+        if not entered.is_set():
+            entered.set()
+            release.wait(5.0)
+        else:
+            time.sleep(SLOW_CALL_S)
+        return original(matrix)
+
+    batcher.predict_rows = predict_rows
+    socks = [socket.create_connection(handle.address, timeout=10.0)
+             for _ in range(2)]
+    files = [sock.makefile("rb") for sock in socks]
+    timer = threading.Timer(HOLD_S, release.set)
+    try:
+        for sock, f in zip(socks, files):  # both handlers are now reading
+            _send_line(sock, {"op": "healthz"})
+            assert json.loads(f.readline())["ok"]
+        blocker, ahead = socks
+        _send_line(blocker, {"op": "predict", "x": rows[0].tolist()})
+        assert entered.wait(5.0)
+        _send_line(ahead, {"op": "predict", "x": rows[1].tolist()})
+        timer.start()
+        yield
+        for f in files:
+            assert json.loads(f.readline())["ok"]
+    finally:
+        release.set()
+        timer.cancel()
+        batcher.predict_rows = original
+        for f, sock in zip(files, socks):
+            f.close()
+            sock.close()
+
+
 class TestDeadlinesEndToEnd:
     @pytest.fixture()
     def lingering(self, served_model):
-        """A server whose batch window (200 ms, no early flush) is far
-        longer than the deadlines the tests attach."""
+        """A server that flushes one row at a time (``max_batch=1``), so
+        :func:`queued_behind_slow_flush` can keep a row queued."""
         registry = ModelRegistry()
         registry.publish(served_model)
-        policy = BatchPolicy(max_delay_s=0.2, quiescence_s=0.0)
+        policy = BatchPolicy(max_batch=1, max_delay_s=0.2)
         with serve_in_thread(registry, policy=policy) as handle:
             with ServeClient(*handle.address) as client:
                 yield handle, client
@@ -106,8 +173,9 @@ class TestDeadlinesEndToEnd:
     def test_deadline_expires_in_queue(self, lingering, small_gaussians):
         handle, client = lingering
         x, _ = small_gaussians
-        with pytest.raises(DeadlineExceededError):
-            client.predict(x[0], deadline_ms=10.0)
+        with queued_behind_slow_flush(handle, x[1:3]):
+            with pytest.raises(DeadlineExceededError):
+                client.predict(x[0], deadline_ms=10.0)
         stats = client.stats()
         assert stats["deadline_expired_total"] >= 1
         assert stats["queue_wait"]["count"] >= 1
@@ -149,14 +217,15 @@ class TestDeadlinesEndToEnd:
         is spent), so even a retrying client surfaces it immediately."""
         registry = ModelRegistry()
         registry.publish(served_model)
-        policy = BatchPolicy(max_delay_s=0.2, quiescence_s=0.0)
+        policy = BatchPolicy(max_batch=1, max_delay_s=0.2)
         x, _ = small_gaussians
         with serve_in_thread(registry, policy=policy) as handle:
             client = ServeClient(*handle.address, retries=3)
-            t0 = time.monotonic()
-            with pytest.raises(DeadlineExceededError):
-                client.predict(x[0], deadline_ms=10.0)
-            elapsed = time.monotonic() - t0
+            with queued_behind_slow_flush(handle, x[1:3]):
+                t0 = time.monotonic()
+                with pytest.raises(DeadlineExceededError):
+                    client.predict(x[0], deadline_ms=10.0)
+                elapsed = time.monotonic() - t0
             client.close()
-        # One linger window (~0.2 s), not four retry rounds of it.
+        # One hold of the event loop (~0.3 s), not four retry rounds of it.
         assert elapsed < 1.0
