@@ -91,8 +91,7 @@ def main() -> None:
 
     with ReplicaSupervisor(model=v1, mode="thread", n_replicas=3) as sup:
         endpoints = sup.start()
-        with router_in_thread(endpoints, shard_model=v1,
-                              probe_interval_s=0.05) as handle:
+        with router_in_thread(endpoints, probe_interval_s=0.05) as handle:
             host, port = handle.address
             print(f"fleet: 3 replicas behind {host}:{port}\n")
 

@@ -8,9 +8,9 @@ are the ones from `repro.serve`, unchanged. This example:
 
 1. fits two model versions (same data, different seeds) and saves both;
 2. starts 3 replicas under a ReplicaSupervisor plus a FleetRouter that
-   shards single-point predicts by the model's own cell codes;
+   balances every request by power-of-two-choices over replica load;
 3. sends mixed traffic (single points, batches, model-info) and shows
-   the shard affinity — the same point always lands on the same replica;
+   the balancing — even repeats of one point spread over the replicas;
 4. drives open-loop load while `fleet reload` walks the staged rollout
    (canary bake -> 50% -> 100%) to v2 mid-traffic — zero hard failures;
 5. prints the fleet status and per-replica routing counters.
@@ -48,8 +48,7 @@ def main() -> None:
     #    `python -m repro fleet` runs the same stack with subprocesses.
     with ReplicaSupervisor(model=v1, mode="thread", n_replicas=3) as sup:
         endpoints = sup.start()
-        with router_in_thread(endpoints, shard_model=v1,
-                              probe_interval_s=0.05) as handle:
+        with router_in_thread(endpoints, probe_interval_s=0.05) as handle:
             host, port = handle.address
             print(f"router on {host}:{port} fronting "
                   f"{len(endpoints)} replicas\n")
@@ -65,7 +64,7 @@ def main() -> None:
                 print(f"model-info:     v{info['version']}, "
                       f"fingerprint {info['fingerprint']}")
 
-                # Shard affinity: repeats of one point hit one replica.
+                # No affinity: the router picks by load, not by point.
                 for _ in range(20):
                     client.predict(traffic[0])
                 status = client.request({"op": "fleet-status"})

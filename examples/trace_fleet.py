@@ -52,8 +52,7 @@ def main() -> None:
         with ReplicaSupervisor(model=model, mode="thread",
                                n_replicas=2) as sup:
             endpoints = sup.start()
-            with router_in_thread(endpoints, shard_model=model,
-                                  probe_interval_s=60.0) as handle:
+            with router_in_thread(endpoints, probe_interval_s=60.0) as handle:
                 with ServeClient(*handle.address) as client:
                     for i in range(20):
                         client.predict(traffic[i])

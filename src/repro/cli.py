@@ -371,11 +371,6 @@ def _run_fleet(argv: List[str]) -> int:
     parser.add_argument("--allow-admin", action="store_true",
                         help="serve reload (staged rollout), rollback and "
                              "shutdown even on a non-loopback --host")
-    parser.add_argument("--no-shard", action="store_true",
-                        help="disable bin-key sharding (pure power-of-two-"
-                             "choices routing)")
-    parser.add_argument("--vnodes", type=int, default=64,
-                        help="virtual nodes per replica on the shard ring")
     parser.add_argument("--quota", action="append", default=[],
                         metavar="TENANT=RATE[:BURST]",
                         help="per-tenant token-bucket quota (repeatable)")
@@ -413,18 +408,15 @@ def _run_fleet(argv: List[str]) -> int:
         configure_tracer(trace_path, sample_rate=args.trace_sample)
 
     # Process replicas load from disk; --demo fits once and saves a temp
-    # artifact every replica (and the shard model) shares.
+    # artifact every replica shares. The router itself holds no model.
     tmp = None
     model_path = args.model
     if model_path is None:
-        model = _load_or_demo_model(args)
         tmp = tempfile.NamedTemporaryFile(
             mode="w", suffix=".json", prefix="fleet-demo-", delete=False)
         tmp.close()
-        model.save(tmp.name)
+        _load_or_demo_model(args).save(tmp.name)
         model_path = tmp.name
-    else:
-        model = KeyBin2Model.load(model_path)
 
     quotas = TenantQuotas(
         quotas={name: _parse_quota(spec) for name, _, spec in
@@ -454,7 +446,8 @@ def _run_fleet(argv: List[str]) -> int:
         journal = RolloutJournal(args.journal_dir)
         if journal.current_artifact() is None:
             # First boot: the starting model is the fleet's baseline.
-            journal.set_artifact(model_path, model.fingerprint())
+            journal.set_artifact(
+                model_path, KeyBin2Model.load(model_path).fingerprint())
 
     sup = ReplicaSupervisor(model_path, n_replicas=args.replicas,
                             mode="process", extra_args=extra,
@@ -472,8 +465,7 @@ def _run_fleet(argv: List[str]) -> int:
                       flush=True)
         handle = router_in_thread(
             endpoints, host=args.host, port=args.port,
-            shard=not args.no_shard, shard_model=model,
-            vnodes=args.vnodes, quotas=quotas,
+            quotas=quotas,
             allow_admin=True if args.allow_admin else None,
             seed=args.seed, journal=journal,
         )

@@ -2,15 +2,13 @@
 
 One :class:`~repro.serve.server.ModelServer` serves a fitted KeyBin2
 model well; a production footprint needs *N* of them behind a single
-endpoint — with health-aware routing, cache-preserving sharding, tenant
-quotas, and model rollouts that cannot split-brain the fleet. This
+endpoint — with health-aware routing, tenant quotas, and model rollouts that cannot split-brain the fleet. This
 subpackage is that tier, speaking the existing JSON wire protocol
 unchanged so every client and load tool drives a fleet transparently:
 
-hashring    consistent-hash ring (vnodes, bounded-load spill walk)
 quotas      per-tenant token-bucket quotas ahead of replica admission
 replica     ReplicaSupervisor: spawn/monitor/restart local replicas
-router      FleetRouter: p2c + sharded routing, probing, failover
+router      FleetRouter: p2c routing, probing, failover
 rollout     staged canary → percentage → fleet model promotion
 journal     crash-safe rollout WAL + restart recovery (fleet-recover)
 chaosproxy  deterministic TCP fault injection for partial-failure tests
@@ -38,7 +36,6 @@ from repro.fleet.chaosproxy import (
     ChaosProxyHandle,
     chaos_proxy_in_thread,
 )
-from repro.fleet.hashring import ConsistentHashRing
 from repro.fleet.journal import (
     JournalError,
     RolloutJournal,
@@ -55,7 +52,6 @@ __all__ = [
     "ChaosPlan",
     "ChaosProxy",
     "ChaosProxyHandle",
-    "ConsistentHashRing",
     "FleetRouter",
     "JournalError",
     "ReplicaSupervisor",

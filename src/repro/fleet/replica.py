@@ -19,8 +19,8 @@ Two modes:
   use this.
 
 Every replica gets a stable id (``r0``, ``r1``, ...) that survives
-restarts — the consistent-hash ring hashes ids, so a restarted replica
-(new port, cold cache) takes back exactly its old shard.
+restarts, so a restarted replica (new port) keeps its routing counters
+and metric labels under the same name.
 
 With a :class:`~repro.fleet.journal.RolloutJournal` attached the
 supervisor is *version-aware*: a restarted replica boots from the
@@ -64,6 +64,7 @@ class _Replica:
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self.proc: Optional[subprocess.Popen] = None
+        self.drain: Optional[threading.Thread] = None  # stdout reader
         self.handle = None  # ServerHandle in thread mode
         self.registry = None  # ModelRegistry in thread mode
         self.tail: deque = deque(maxlen=50)  # last stdout lines (diagnostics)
@@ -228,6 +229,10 @@ class ReplicaSupervisor:
                         rep.proc.wait(timeout=10)
                     except subprocess.TimeoutExpired:  # pragma: no cover
                         pass  # unreapable (D-state); poll() keeps watching
+            if rep.drain is not None:
+                # The reader closes the pipe at EOF; wait for it so a
+                # killed replica leaves no open descriptor behind.
+                rep.drain.join(timeout=10)
         elif rep.handle is not None:
             rep.handle.stop()
             rep.handle = None
@@ -235,8 +240,8 @@ class ReplicaSupervisor:
     def restart(self, replica_id: str) -> Tuple[str, int]:
         """Restart one replica (fresh process/thread, fresh ephemeral port).
 
-        The replica id — and therefore its shard on the ring — is
-        preserved; callers must tell the router about the new endpoint.
+        The replica id is preserved; callers must tell the router about
+        the new endpoint.
         The old endpoint is forgotten *before* the start attempt: a
         failed start must not leave :meth:`endpoints` advertising the
         dead port. With a journal attached, the restarted replica is
@@ -417,10 +422,11 @@ class ReplicaSupervisor:
             cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env,
         )
-        threading.Thread(
+        rep.drain = threading.Thread(
             target=self._drain_stdout, args=(rep, rep.proc),
             name=f"fleet-{rep.replica_id}-stdout", daemon=True,
-        ).start()
+        )
+        rep.drain.start()
         if not rep.port_event.wait(self.startup_timeout) or rep.port is None:
             self.kill(rep.replica_id)
             raise ServeError(
@@ -435,7 +441,8 @@ class ReplicaSupervisor:
 
     def _drain_stdout(self, rep: _Replica, proc: subprocess.Popen) -> None:
         # Keeps the pipe from filling (which would wedge the child) and
-        # captures a diagnostic tail. Runs until the child's stdout EOFs.
+        # captures a diagnostic tail. Runs until the child's stdout EOFs,
+        # then closes the pipe.
         try:
             for line in proc.stdout:
                 rep.tail.append(line)
@@ -445,4 +452,5 @@ class ReplicaSupervisor:
                         rep.port = int(match.group(2))
                         rep.port_event.set()
         finally:
+            proc.stdout.close()
             rep.port_event.set()  # EOF: unblock a waiting starter

@@ -21,9 +21,8 @@ a staged promotion:
    the canary's — the same convergence check the consolidation layer
    uses — so a replica that silently loaded something else aborts the
    rollout instead of serving split-brain labels.
-3. **complete** — every promoted fingerprint agrees; the router's shard
-   model is refreshed to the new artifact so cell-code shard keys track
-   what the fleet now serves.
+3. **complete** — every promoted fingerprint agrees, and the journal (if
+   any) records the new artifact as the fleet's source of truth.
 
 Any failure after the canary promotes rolls back *every* promoted
 replica (canary included) and the rollout ends ``rolled_back`` — the
@@ -256,7 +255,6 @@ class RolloutManager:
             self._finish("rolled_back", "aborted", error=str(exc))
             raise RolloutError(f"rollout aborted, fleet rolled back: {exc}") from exc
 
-        await self._refresh_shard_model(path)
         # New source of truth first, then the terminal record: a crash
         # between the two leaves an open rollout whose artifact already
         # points at new_fp, and recovery completes it as a no-op.
@@ -356,14 +354,3 @@ class RolloutManager:
                     "at": time.time(), "state": "rollback_failed",
                     "replica": state.id,
                 })
-
-    async def _refresh_shard_model(self, path: str) -> None:
-        if not self.router.shard_enabled:
-            return
-        from repro.core.model import KeyBin2Model
-
-        try:
-            model = await asyncio.to_thread(KeyBin2Model.load, path)
-        except Exception:
-            return  # shard keys fall back to coordinate quantization
-        self.router.set_shard_model(model)

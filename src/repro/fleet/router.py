@@ -3,13 +3,14 @@
 The :class:`FleetRouter` is an asyncio TCP front-end that speaks the
 *exact* :mod:`repro.serve` newline-delimited JSON protocol, so every
 existing client, load generator, and test drives a fleet the same way it
-drives a single server. Behind the socket it adds the four things one
+drives a single server. Behind the socket it adds the three things one
 ``ModelServer`` cannot do for itself:
 
 * **capacity-aware load balancing** — power-of-two-choices over a score
   combining the router's own per-replica in-flight count (exact, free)
   with each replica's self-reported ``in_flight``/``queue_depth`` from
-  periodic ``healthz`` probes (an EWMA'd capacity hint). Per the
+  periodic ``healthz`` probes (an EWMA'd capacity hint, raised by one
+  for each request the replica refuses for capacity). Per the
   coordinator-model discipline of *Communication-Optimal Distributed
   Clustering*, the router centralizes only these cheap aggregate
   signals — never per-point model work, which stays on the replicas.
@@ -19,11 +20,6 @@ drives a single server. Behind the socket it adds the four things one
   re-admit it. Transport failures during forwarding count too, so a
   crashed replica stops receiving traffic after the first error, not the
   next probe tick.
-* **bin-key sharding** — single-point predicts are routed by consistent
-  hash of their KeyBin2 cell code (or a coarse coordinate quantization
-  when no shard model is installed), so each replica's label cache
-  keeps its shard's working set hot as the fleet scales out
-  (:mod:`repro.fleet.hashring`, with bounded-load spill for hot shards).
 * **failover** — idempotent requests that die on a replica connection
   are retried on the next-best replica; the client sees one slightly
   slower response instead of an error.
@@ -34,16 +30,16 @@ replica admission, and a staged-rollout engine for the ``reload`` op
 
 The router deliberately keeps **no model state** on the request path:
 responses are relayed as raw bytes (one ``startswith`` sniff for the
-success metric), requests are forwarded as the raw line the client sent,
-and large batch predicts skip JSON parsing entirely. What the router
-computes per request is O(dims) at most — a shard hash — which is the
-same order as reading the line off the socket.
+success metric) and requests are forwarded as the raw line the client
+sent. A predict line is JSON-parsed only when it may carry a tenant or a
+trace context, or when it is the one-in-16 sample that feeds the
+rollout canary's live-row reservoir (:meth:`FleetRouter.probe_rows`).
+Every other predict costs one byte-prefix sniff.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import math
 import random
@@ -52,15 +48,12 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import (
     ConnectionLostError,
     ServeError,
     ShedError,
     ValidationError,
 )
-from repro.fleet.hashring import ConsistentHashRing
 from repro.fleet.quotas import TenantQuotas
 from repro.obs import default_registry, render_json, render_prometheus
 from repro.obs.registry import MetricsRegistry
@@ -70,11 +63,15 @@ from repro.serve.client import PROBE_TIMEOUT_S, async_probe
 
 __all__ = ["FleetRouter", "RouterHandle", "router_in_thread"]
 
-#: Routed-outcome label values (mirrors the loadgen's buckets plus the
-#: router-only ``failover`` and ``relayed`` classifications).
+#: Byte prefixes sniffed instead of parsing: the predict op every client
+#: in this repo serializes first, and a success response.
 _PREDICT_PREFIX = b'{"op": "predict"'
 _OK_PREFIX = b'{"ok": true'
-_NOTOK_PREFIX = b'{"ok": false'
+#: One predict line in this many is parsed for the canary's live-row
+#: reservoir; longer lines than ``_SAMPLE_MAX_BYTES`` are batches and are
+#: never parsed for it.
+_SAMPLE_EVERY = 16
+_SAMPLE_MAX_BYTES = 4096
 
 
 class _Conn:
@@ -166,7 +163,8 @@ class ReplicaState:
         self.consecutive_failures = 0
         self.readmit_streak = 0
         self.outstanding = 0       # router-local in-flight (exact)
-        self.load_hint = 0.0       # EWMA of replica-reported in_flight+queue
+        self.load_hint = 0.0       # EWMA of replica-reported in_flight+queue,
+                                   # +1 per capacity refusal routed since
         self.polled: Dict[str, Any] = {}
         self.ejections = 0
         self.readmissions = 0
@@ -210,28 +208,15 @@ class FleetRouter:
         :meth:`ReplicaSupervisor.endpoints`. Membership is fixed for the
         router's lifetime (health ejection is temporary removal from
         rotation, not membership change); a restarted replica re-enters
-        via :meth:`set_endpoint` under its old id, keeping its shard.
+        via :meth:`set_endpoint` under its old id.
     host, port:
         Bind address of the router itself (``port=0`` → ephemeral).
-    shard:
-        Route single-point predicts by consistent-hashed bin key. Batch
-        predicts always balance by capacity (a batch spans many cells, so
-        it has no single shard).
-    shard_model:
-        Optional fitted :class:`~repro.core.model.KeyBin2Model` whose
-        ``cell_codes_for`` defines the shard key exactly. Without it,
-        points are quantized at ``shard_resolution`` per coordinate and
-        hashed — a model-free approximation of "same cell ⇒ same shard".
     quotas:
         Per-tenant :class:`~repro.fleet.quotas.TenantQuotas` enforced
         before any replica is consulted.
     allow_admin:
         Gate for ``reload`` (staged rollout), ``rollback`` and
         ``shutdown`` — same loopback-only default as the single server.
-    spill_factor, spill_min_headroom:
-        Bounded-load sharding: a shard owner with more than
-        ``max(min_headroom, ceil(factor · mean outstanding))`` requests
-        in flight spills the request to the next replica on the ring.
     eject_after, readmit_after:
         Consecutive probe/transport failures before a replica leaves
         rotation; consecutive probe successes before it returns.
@@ -259,10 +244,6 @@ class FleetRouter:
         replicas: Sequence[Tuple[str, str, int]],
         host: str = "127.0.0.1",
         port: int = 0,
-        shard: bool = True,
-        shard_model=None,
-        shard_resolution: float = 0.25,
-        vnodes: int = 64,
         quotas: Optional[TenantQuotas] = None,
         allow_admin: Optional[bool] = None,
         probe_interval_s: float = 0.25,
@@ -273,8 +254,6 @@ class FleetRouter:
         retry_budget_ratio: float = 0.2,
         retry_budget_min: int = 3,
         retry_budget_window_s: float = 10.0,
-        spill_factor: float = 1.25,
-        spill_min_headroom: int = 4,
         pool_size: int = 16,
         forward_timeout_s: float = 30.0,
         rollout_config=None,
@@ -291,22 +270,12 @@ class FleetRouter:
         )
         self.pool_size = int(pool_size)
         self._states: Dict[str, ReplicaState] = {}
-        self.ring = ConsistentHashRing(vnodes=vnodes)
         for replica_id, rhost, rport in replicas:
             if replica_id in self._states:
                 raise ValidationError(f"duplicate replica id {replica_id!r}")
             self._states[replica_id] = ReplicaState(
                 replica_id, rhost, int(rport), pool_size=self.pool_size
             )
-            self.ring.add(replica_id)
-        self.shard_enabled = bool(shard)
-        self.shard_resolution = float(shard_resolution)
-        if self.shard_resolution <= 0:
-            raise ValidationError("shard_resolution must be > 0")
-        self._shard_model = None
-        self._shard_model_features = 0
-        if shard_model is not None:
-            self.set_shard_model(shard_model)
         self.quotas = quotas if quotas is not None else TenantQuotas()
         self.probe_interval_s = float(probe_interval_s)
         self.probe_timeout_s = float(probe_timeout_s)
@@ -318,12 +287,7 @@ class FleetRouter:
             min_retries=retry_budget_min,
             window_s=retry_budget_window_s,
         )
-        self.spill_factor = float(spill_factor)
-        self.spill_min_headroom = int(spill_min_headroom)
         self.forward_timeout_s = float(forward_timeout_s)
-        #: Lines larger than this are assumed to be batch predicts and are
-        #: never JSON-parsed on the hot path (no shard key, p2c routing).
-        self.shard_parse_limit = 4096
         self._rng = random.Random(seed)
         self.registry = registry if registry is not None else MetricsRegistry()
         self._init_metrics()
@@ -356,12 +320,6 @@ class FleetRouter:
             "deadline_exceeded / circuit_open / queue_full / error / "
             "failover).",
             ("replica", "outcome"),
-        )
-        self._m_spill = reg.counter(
-            "fleet_shard_spill_total",
-            "Sharded predicts that left their shard owner for the next "
-            "ring replica because the owner was over the bounded-load cap.",
-            ("replica",),
         )
         self._m_unroutable = reg.counter(
             "fleet_unroutable_total",
@@ -422,8 +380,9 @@ class FleetRouter:
         )
         self._m_load_hint = reg.gauge(
             "fleet_replica_load_hint",
-            "EWMA of the replica's self-reported in_flight + queue_depth "
-            "(the capacity hint behind power-of-two-choices).",
+            "EWMA of the replica's self-reported in_flight + queue_depth, "
+            "plus one per shed or queue_full answer (the capacity hint "
+            "behind power-of-two-choices).",
             ("replica",),
         )
         self._m_consec_failures = reg.gauge(
@@ -437,48 +396,18 @@ class FleetRouter:
             self._m_load_hint.labels(replica=rid).set(0)
             self._m_consec_failures.labels(replica=rid).set(0)
 
-    # -- shard model ---------------------------------------------------------
+    # -- canary sample -------------------------------------------------------
 
-    def set_shard_model(self, model) -> None:
-        """Install (or swap) the model whose cell codes define shard keys.
-
-        Called at construction and again after a completed rollout, so
-        shard affinity tracks the fingerprint the fleet actually serves.
-        """
-        features = (
-            int(model.projection.shape[0]) if model.projection is not None
-            else int(model.kept_dims.size)
-        )
-        self._shard_model = model
-        self._shard_model_features = features
-
-    def _shard_key(self, request: Optional[Dict[str, Any]]) -> Optional[int]:
-        if not self.shard_enabled or request is None:
-            return None
-        x = request.get("x")
-        if not isinstance(x, list) or not x or isinstance(x[0], (list, dict)):
-            return None  # batch (or garbage the replica will reject)
+    def _keep_sample(self, x: Any) -> None:
+        """Add one single-point predict's row to the canary reservoir."""
+        if not isinstance(x, list) or not x:
+            return
         try:
-            row = np.asarray(x, dtype=np.float64)
-        except (ValueError, TypeError):
-            return None
-        if row.ndim != 1 or not np.all(np.isfinite(row)):
-            return None
-        self._sample_tick += 1
-        if self._sample_tick % 16 == 1:
-            # Reservoir of real traffic for rollout canary probes.
-            self._sample_rows.append(list(map(float, row)))
-        model = self._shard_model
-        if model is not None and row.size == self._shard_model_features:
-            try:
-                return int(model.cell_codes_for(row[None, :])[0])
-            except Exception:
-                pass  # fall through to the model-free key
-        quantized = np.floor(row / self.shard_resolution).astype(np.int64)
-        return int.from_bytes(
-            hashlib.blake2b(quantized.tobytes(), digest_size=8).digest(),
-            "little",
-        )
+            row = [float(v) for v in x]
+        except (TypeError, ValueError):
+            return  # a batch (its rows are lists) or garbage
+        if all(math.isfinite(v) for v in row):
+            self._sample_rows.append(row)
 
     def probe_rows(self, n: int, n_features: int) -> List[List[float]]:
         """Rows for canary baking: sampled live traffic, synthetic fallback.
@@ -536,9 +465,8 @@ class FleetRouter:
     async def set_endpoint(self, replica_id: str, host: str, port: int) -> None:
         """Point an existing replica id at a new host:port (post-restart).
 
-        The id keeps its ring position, so the restarted replica takes
-        back its old shard; health state resets and the probe loop
-        re-admits it as soon as it answers.
+        Routing counters stay keyed by the same id; health state resets
+        and the probe loop re-admits it as soon as it answers.
         """
         state = self._states.get(replica_id)
         if state is None:
@@ -646,19 +574,22 @@ class FleetRouter:
 
         Predict lines from every client in this repo serialize ``op``
         first, so the byte-prefix sniff catches the hot path. A parse is
-        still needed when the request may carry a tenant, or when it is
-        small enough to be a single point we want a shard key for; big
-        batch lines (> ``shard_parse_limit``) skip parsing entirely —
-        that is what keeps router CPU per request O(dims), not O(batch).
+        still needed when the request may carry a tenant, and for one
+        small line in ``_SAMPLE_EVERY`` that feeds the canary reservoir;
+        every other predict is relayed unparsed as ``("predict", None)``.
         """
+        sample = False
         if line.startswith(_PREDICT_PREFIX):
+            self._sample_tick += 1
+            sample = (self._sample_tick % _SAMPLE_EVERY == 1
+                      and len(line) <= _SAMPLE_MAX_BYTES)
             # Traced requests (rare; sampled at the client) always parse:
             # the router must re-inject its forward span's context per
             # attempt, so byte-transparent relay is reserved for the
             # untraced hot path.
             need_parse = (
-                (self.quotas.enabled and b'"tenant"' in line)
-                or (self.shard_enabled and len(line) <= self.shard_parse_limit)
+                sample
+                or (self.quotas.enabled and b'"tenant"' in line)
                 or (get_tracer().enabled and b'"trace"' in line)
             )
             if not need_parse:
@@ -669,6 +600,8 @@ class FleetRouter:
             return None, None
         if not isinstance(request, dict):
             return None, None
+        if sample:
+            self._keep_sample(request.get("x"))
         op = request.get("op")
         return (op if isinstance(op, str) else None), request
 
@@ -725,7 +658,6 @@ class FleetRouter:
                     tenant="anonymous" if tenant is None else str(tenant)
                 ).inc()
                 return self._error_bytes(str(exc), err="shed", retryable=True)
-        key = self._shard_key(request)
         tracer = get_tracer()
         route_span = (
             tracer.from_wire(request, "router/route")
@@ -748,7 +680,7 @@ class FleetRouter:
                         "failover retry budget exhausted",
                         err="unavailable", retryable=True,
                     )
-                state = self._pick(key, tried)
+                state = self._pick(tried)
                 if state is None:
                     break
                 # Each forward attempt is its own span so a failover shows
@@ -788,6 +720,13 @@ class FleetRouter:
                 state.consecutive_failures = 0
                 outcome = self._classify_response(response)
                 self._m_routed.labels(replica=state.id, outcome=outcome).inc()
+                if outcome in ("shed", "queue_full"):
+                    # A refusal comes back faster than an answer, so the
+                    # refusing replica's in-flight count stays low and
+                    # the least-loaded pick would send it yet more
+                    # traffic. Each refusal raises its load hint until
+                    # the next probes decay it.
+                    state.load_hint += 1.0
                 route_span.set_attr("replica", state.id)
                 if tried:
                     route_span.set_attr("failovers", len(tried))
@@ -816,8 +755,7 @@ class FleetRouter:
             return err
         return "error"
 
-    def _pick(self, key: Optional[int],
-              tried: Sequence[str]) -> Optional[ReplicaState]:
+    def _pick(self, tried: Sequence[str]) -> Optional[ReplicaState]:
         healthy = [s for s in self._healthy_states() if s.id not in tried]
         if not healthy:
             # Desperation pass: with everything ejected (or tried), an
@@ -830,37 +768,8 @@ class FleetRouter:
             return min(healthy, key=lambda s: s.score)
         if len(healthy) == 1:
             return healthy[0]
-        if key is not None:
-            try:
-                return self._pick_sharded(key, healthy)
-            except Exception:
-                # A shard-map failure must degrade to balanced routing,
-                # never surface as a dropped client connection.
-                pass
         a, b = self._rng.sample(healthy, 2)
         return a if a.score <= b.score else b
-
-    def _pick_sharded(self, key: int,
-                      healthy: List[ReplicaState]) -> ReplicaState:
-        # Bounded-load consistent hashing: the shard owner takes the
-        # request unless it is loaded past `factor × fleet mean`, in which
-        # case the request walks the ring to the next healthy replica.
-        total = sum(s.outstanding for s in healthy)
-        cap = max(
-            self.spill_min_headroom,
-            math.ceil(self.spill_factor * (total + 1) / len(healthy)),
-        )
-        allowed = [s.id for s in healthy]
-        owner: Optional[ReplicaState] = None
-        for node_id in self.ring.walk(key, only=allowed):
-            state = self._states[node_id]
-            if owner is None:
-                owner = state
-            if state.outstanding < cap:
-                if state is not owner:
-                    self._m_spill.labels(replica=state.id).inc()
-                return state
-        return owner if owner is not None else healthy[0]
 
     async def _forward(self, state: ReplicaState, line: bytes) -> bytes:
         """One request → one replica; returns the raw response line.
@@ -892,7 +801,7 @@ class FleetRouter:
         return response
 
     async def _forward_once(self, line: bytes) -> bytes:
-        state = self._pick(None, ())
+        state = self._pick(())
         if state is None:
             self._m_unroutable.inc()
             return self._error_bytes(
@@ -974,9 +883,6 @@ class FleetRouter:
             routed.setdefault(labels["replica"], {})[labels["outcome"]] = int(
                 sample["value"]
             )
-        spills = sum(
-            int(s["value"]) for s in self._m_spill.snapshot()["samples"]
-        )
         snap: Dict[str, Any] = {
             "healthy_replicas": len(self._healthy_states()),
             "replicas": {
@@ -984,14 +890,6 @@ class FleetRouter:
                 for rid in sorted(self._states)
             },
             "routed": routed,
-            "shard": {
-                "enabled": self.shard_enabled,
-                "keyed_by": (
-                    "cell_code" if self._shard_model is not None
-                    else "quantized_coords"
-                ),
-                "spills": spills,
-            },
             "unroutable": int(self._m_unroutable.value),
             "retry_budget": self.retry_budget.snapshot(),
             "rollout": self.rollout.state,

@@ -205,7 +205,7 @@ def overload_table(reg: MetricsRegistry) -> str:
 
 
 def fleet_table(reg: MetricsRegistry) -> str:
-    """Render fleet-router counters: routing, spills, health, rollouts.
+    """Render fleet-router counters: routing, health, rollouts.
 
     Pass a :class:`~repro.fleet.router.FleetRouter`'s ``registry``; the
     process-default registry only carries these series if a router ran in
@@ -233,16 +233,6 @@ def fleet_table(reg: MetricsRegistry) -> str:
             f"  {replica:<{width}}  " + "  ".join(
                 f"{per.get(o, 0):>{max(len(o), 6)}}" for o in outcomes
             )
-        )
-    spills = {
-        s["labels"]["replica"]: int(s["value"])
-        for s in _family_values(reg, "fleet_shard_spill_total")
-        if s["value"]
-    }
-    if spills:
-        detail = "  ".join(f"{k}={v}" for k, v in sorted(spills.items()))
-        lines.append(
-            f"  shard spills: {sum(spills.values()):,}  (to {detail})"
         )
     ejections = sum(
         int(s["value"])
@@ -528,7 +518,7 @@ def run_obs_report(
         "Overload / stragglers (serve_shed_total / insitu_straggler_*):",
         overload_table(report_reg),
         "",
-        "Fleet routing (fleet_routed_total / fleet_shard_spill_total):",
+        "Fleet routing (fleet_routed_total):",
         fleet_table(report_reg),
         "",
         "Stream range/drift (stream_out_of_range_total / stream_drift_score):",

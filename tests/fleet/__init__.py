@@ -1,1 +1,1 @@
-"""Fleet-tier tests (router, sharding, quotas, rollout, supervisor)."""
+"""Fleet-tier tests (router, quotas, rollout, supervisor)."""

@@ -39,8 +39,7 @@ def thread_fleet(fleet_model):
     with ReplicaSupervisor(model=fleet_model, mode="thread",
                            n_replicas=3) as sup:
         endpoints = sup.start()
-        with router_in_thread(endpoints, shard_model=fleet_model,
-                              probe_interval_s=0.05) as handle:
+        with router_in_thread(endpoints, probe_interval_s=0.05) as handle:
             yield sup, handle
 
 

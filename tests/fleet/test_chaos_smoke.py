@@ -24,8 +24,7 @@ def test_kill_one_of_three_mid_load_zero_client_errors(
     with ReplicaSupervisor(model_paths["v1"], n_replicas=3,
                            mode="process") as sup:
         endpoints = sup.start()
-        with router_in_thread(endpoints, shard_model=fleet_model,
-                              probe_interval_s=0.1) as handle:
+        with router_in_thread(endpoints, probe_interval_s=0.1) as handle:
             host, port = handle.address
             result = {}
 

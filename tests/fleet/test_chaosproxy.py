@@ -179,8 +179,7 @@ class TestRouterUnderPartition:
             (r0, h0, p0), (r1, h1, p1) = endpoints
             with chaos_proxy_in_thread(h0, p0) as proxy:
                 routed = [(r0, *proxy.address), (r1, h1, p1)]
-                with router_in_thread(routed, probe_interval_s=0.05,
-                                      shard=False) as handle:
+                with router_in_thread(routed, probe_interval_s=0.05) as handle:
                     with ServeClient(*handle.address, timeout=10.0) as client:
                         assert client.predict(x[0]).label >= 0
                         proxy.partition()

@@ -45,8 +45,7 @@ def test_drift_response_republishes_under_load_without_client_errors(
 
     with ReplicaSupervisor(model=v1, mode="thread", n_replicas=3) as sup:
         endpoints = sup.start()
-        with router_in_thread(endpoints, shard_model=v1,
-                              probe_interval_s=0.05) as handle:
+        with router_in_thread(endpoints, probe_interval_s=0.05) as handle:
             host, port = handle.address
 
             def republish():

@@ -56,8 +56,7 @@ def test_crash_at_every_record_boundary_converges(cut, tmp_path, fleet_model,
     with ReplicaSupervisor(model=fleet_model, mode="thread",
                            n_replicas=3) as sup:
         endpoints = sup.start()
-        with router_in_thread(endpoints, shard_model=fleet_model,
-                              probe_interval_s=0.05,
+        with router_in_thread(endpoints, probe_interval_s=0.05,
                               journal=crashing) as handle:
             future = asyncio.run_coroutine_threadsafe(
                 handle.router.rollout.run(model_paths["v2"]), handle._loop

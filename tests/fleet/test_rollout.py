@@ -114,21 +114,6 @@ def test_fleet_rollback_op_reverts_all_replicas(thread_fleet, model_paths,
         assert set(_fingerprints(sup).values()) == {fleet_model.fingerprint()}
 
 
-def test_shard_model_refreshes_after_rollout(thread_fleet, model_paths,
-                                             fleet_alt_model,
-                                             small_gaussians):
-    _, handle = thread_fleet
-    x, _ = small_gaussians
-    old_shard = handle.router._shard_model
-    with ServeClient(*handle.address, timeout=30.0) as client:
-        for i in range(20):
-            client.predict(x[i])
-        client.reload(model_paths["v2"])
-    new_shard = handle.router._shard_model
-    assert new_shard is not old_shard
-    assert new_shard.fingerprint() == fleet_alt_model.fingerprint()
-
-
 def test_rollout_config_validation():
     with pytest.raises(ValidationError):
         RolloutConfig(stages=())

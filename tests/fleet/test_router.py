@@ -9,17 +9,31 @@ from __future__ import annotations
 import json
 import socket
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import repro.fleet.router as router_mod
 from repro.errors import (
     ConnectionLostError,
     FleetUnavailableError,
     ShedError,
 )
-from repro.fleet import ReplicaSupervisor, TenantQuotaPolicy, TenantQuotas, router_in_thread
+from repro.fleet import (
+    FleetRouter,
+    ReplicaSupervisor,
+    TenantQuotaPolicy,
+    TenantQuotas,
+    router_in_thread,
+)
 from repro.obs.report import fleet_table
-from repro.serve import ServeClient
+from repro.serve import (
+    AdmissionPolicy,
+    ModelRegistry,
+    ServeClient,
+    serve_in_thread,
+)
 
 
 def _routed_ok_counts(client):
@@ -51,18 +65,6 @@ def test_batch_predict_passes_through(thread_fleet, small_gaussians):
     assert resp["ok"] and len(resp["labels"]) == 64
 
 
-def test_shard_affinity_same_point_same_replica(thread_fleet, small_gaussians):
-    _, handle = thread_fleet
-    x, _ = small_gaussians
-    with ServeClient(*handle.address) as client:
-        for _ in range(30):
-            client.predict(x[0])
-        counts = _routed_ok_counts(client)
-    # All 30 sequential sends of one point land on its shard owner (no
-    # load, so no bounded-load spill).
-    assert sorted(counts.values(), reverse=True)[0] == 30
-
-
 def test_distinct_points_spread_across_replicas(thread_fleet, small_gaussians):
     _, handle = thread_fleet
     x, _ = small_gaussians
@@ -72,6 +74,73 @@ def test_distinct_points_spread_across_replicas(thread_fleet, small_gaussians):
         counts = _routed_ok_counts(client)
     assert sum(counts.values()) == 120
     assert len([c for c in counts.values() if c > 0]) >= 2
+
+
+def test_single_point_predicts_feed_canary_sample(thread_fleet,
+                                                  small_gaussians):
+    _, handle = thread_fleet
+    x, _ = small_gaussians
+    sent = x[:40]
+    with ServeClient(*handle.address) as client:
+        for row in sent:
+            client.predict(row)
+    rows = handle.router.probe_rows(8, x.shape[1])
+    assert len(rows) == 8
+    # Live rows (the 1st, 17th and 33rd predicts), not the zero fallback.
+    for row in rows:
+        assert any(np.array_equal(row, s) for s in sent)
+    assert len({tuple(r) for r in rows}) == 3
+
+
+def test_plain_predict_is_relayed_unparsed(monkeypatch):
+    parsed = []
+
+    def loads(line):
+        parsed.append(line)
+        return json.loads(line)
+
+    monkeypatch.setattr(router_mod, "json", SimpleNamespace(
+        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+    router = FleetRouter([("r0", "127.0.0.1", 1)])
+    batch = (json.dumps({"op": "predict", "x": [[0.25] * 16] * 64})
+             + "\n").encode()
+    assert len(batch) > router_mod._SAMPLE_MAX_BYTES
+    # A batch at the sample tick is still relayed unparsed.
+    assert router._inspect(batch) == ("predict", None)
+    line = b'{"op": "predict", "x": [0.5, 1.5]}\n'
+    results = [router._inspect(line) for _ in range(31)]
+    # Only the 17th predict line overall is the canary sample.
+    assert [i for i, (_, req) in enumerate(results) if req is not None] == [15]
+    assert all(op == "predict" for op, _ in results)
+    assert parsed == [line]
+    assert router.probe_rows(2, 2) == [[0.5, 1.5], [0.5, 1.5]]
+
+
+def test_refusing_replica_does_not_attract_traffic(fleet_model,
+                                                   small_gaussians):
+    # r0 admits one request, then sheds every other one at once. Sheds
+    # return faster than answers, so without the shed signal the
+    # least-loaded pick keeps splitting traffic evenly (about 20 sheds).
+    x, _ = small_gaussians
+    registries = [ModelRegistry(), ModelRegistry()]
+    for registry in registries:
+        registry.publish(fleet_model)
+    stingy = AdmissionPolicy(rate=0.01, burst=1)
+    with serve_in_thread(registries[0], admission=stingy) as r0, \
+            serve_in_thread(registries[1]) as r1:
+        endpoints = [("r0", *r0.address), ("r1", *r1.address)]
+        with router_in_thread(endpoints, probe_interval_s=60.0) as handle:
+            with ServeClient(*handle.address) as client:
+                sheds = 0
+                for i in range(40):
+                    try:
+                        client.predict(x[i])
+                    except ShedError:
+                        sheds += 1
+                routed = client.request({"op": "fleet-status"})["routed"]
+    assert sheds == routed["r0"].get("shed", 0)
+    assert sheds <= 2
+    assert routed["r1"]["ok"] >= 37
 
 
 def test_healthz_reports_fleet_role(thread_fleet):
@@ -138,7 +207,7 @@ def test_killed_replica_fails_over_without_client_error(
         for i in range(30):
             client.predict(x[i])
         sup.kill("r1")
-        # Every point keeps getting answered: requests that hash to r1
+        # Every point keeps getting answered: requests picked for r1
         # fail over; the health loop ejects it shortly after.
         for _ in range(3):
             for i in range(30):
@@ -157,7 +226,7 @@ def test_killed_replica_fails_over_without_client_error(
         assert status["replicas"]["r1"]["ejections"] == 1
 
 
-def test_restart_readmits_under_same_shard_id(thread_fleet, small_gaussians):
+def test_restart_readmits_under_same_id(thread_fleet, small_gaussians):
     sup, handle = thread_fleet
     x, _ = small_gaussians
     with ServeClient(*handle.address) as client:
@@ -208,8 +277,7 @@ def test_tenant_quota_sheds_at_router(fleet_model, small_gaussians):
     )
     with ReplicaSupervisor(model=fleet_model, mode="thread",
                            n_replicas=2) as sup:
-        with router_in_thread(sup.start(), quotas=quotas,
-                              shard_model=fleet_model) as handle:
+        with router_in_thread(sup.start(), quotas=quotas) as handle:
             with ServeClient(*handle.address) as client:
                 for _ in range(3):
                     client.predict(x[0], tenant="greedy")

@@ -62,6 +62,22 @@ def test_process_mode_spawn_probe_kill_restart(model_paths, small_gaussians):
         assert "serving model" in sup.diagnostics(rid)
 
 
+def test_kill_and_restart_close_the_old_stdout_pipe(model_paths):
+    # Each dead replica's stdout pipe must be closed, not left for the
+    # garbage collector: one leaked descriptor per kill or restart.
+    with ReplicaSupervisor(model_paths["v1"], n_replicas=1,
+                           mode="process") as sup:
+        (rid, _, _), = sup.start()
+        first = sup._replicas[rid].proc
+        sup.kill(rid)
+        assert first.stdout.closed
+        sup.restart(rid)
+        second = sup._replicas[rid].proc
+        sup.restart(rid)
+        assert second.stdout.closed
+        assert not sup._replicas[rid].proc.stdout.closed
+
+
 def test_check_and_restart_revives_dead_replicas(model_paths):
     with ReplicaSupervisor(model_paths["v1"], n_replicas=2,
                            mode="process") as sup:

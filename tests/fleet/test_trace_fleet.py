@@ -145,8 +145,7 @@ class TestFailoverTrace:
             endpoints = sup.start()
             # Probe interval far beyond the test: health only degrades
             # through forward failures, which is the path under test.
-            with router_in_thread(endpoints, shard_model=fleet_model,
-                                  probe_interval_s=60.0) as handle:
+            with router_in_thread(endpoints, probe_interval_s=60.0) as handle:
                 with ServeClient(*handle.address) as client:
                     for i in range(8):
                         client.predict(x[i])  # traffic on both replicas
@@ -157,8 +156,8 @@ class TestFailoverTrace:
                     while failover_wall is None:
                         assert time.monotonic() < deadline, \
                             "no failover observed"
-                        # Distinct points spread over both shard owners,
-                        # so some predict must try the dead replica.
+                        # Power-of-two-choices over both replicas, so
+                        # some predict must try the dead replica.
                         i += 1
                         t0 = time.perf_counter()
                         client.predict(x[i % 256])
@@ -197,8 +196,7 @@ class TestFailoverTrace:
         with ReplicaSupervisor(model=fleet_model, mode="thread",
                                n_replicas=2) as sup:
             endpoints = sup.start()
-            with router_in_thread(endpoints, shard_model=fleet_model,
-                                  probe_interval_s=60.0) as handle:
+            with router_in_thread(endpoints, probe_interval_s=60.0) as handle:
                 with ServeClient(*handle.address) as client:
                     client.predict(x[0])
         trees = build_traces(traced_sink.spans())
@@ -220,8 +218,7 @@ class TestErrorsAlwaysSampled:
             with ReplicaSupervisor(model=fleet_model, mode="thread",
                                    n_replicas=1) as sup:
                 endpoints = sup.start()
-                with router_in_thread(endpoints, shard_model=fleet_model,
-                                      probe_interval_s=60.0,
+                with router_in_thread(endpoints, probe_interval_s=60.0,
                                       max_failovers=0) as handle:
                     with ServeClient(*handle.address,
                                      retries=0) as client:
