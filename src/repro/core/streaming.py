@@ -53,14 +53,20 @@ class KeyCounter:
     into a **sorted** uint64 code array (dimension 0 in the most
     significant byte, so numeric order equals lexicographic byte order —
     the same canonical encoding the fused kernel path emits); wider keys
-    fall back to a sorted structured-bytes array. Folding a batch is one
-    ``np.unique`` merge instead of a per-key dict walk, which is what
-    removed the Python-loop bottleneck from ``partial_fit``.
+    fall back to a sorted structured-bytes array. A fold adds the counts
+    of codes already tracked in place and merges the new codes in as one
+    sorted run, with no per-key Python work.
 
-    When the number of distinct keys exceeds ``capacity``, the
-    smallest-count half of the entries is evicted — dropping only cells
-    that would have formed negligible clusters. The eviction count is
-    tracked so callers can report the approximation.
+    When the number of distinct keys exceeds ``capacity``, the table is
+    cut back to its ``capacity // 2`` largest-count cells (ties broken by
+    key order). This is not a negligible approximation on continuous
+    data, where deep keys are nearly unique: at the ``stream-ingest``
+    shape (25k-row batches of a 64-dim mixture, default capacity)
+    eviction has dropped 88–89% of every projection's points by the 20th
+    batch. The ``evicted_keys``/``evicted_points`` totals record the
+    loss, and :meth:`StreamingKeyBin2.refresh` exports it as the
+    ``stream_key_evicted_fraction`` gauge; ROADMAP item 1 tracks
+    replacing the drop with a mass-conserving merge.
     """
 
     def __init__(self, capacity: int = 100_000):
@@ -117,9 +123,8 @@ class KeyCounter:
 
         ``sorted_unique=True`` asserts the codes are already strictly
         increasing (``np.unique`` output); uint64 codes are otherwise
-        checked, because the sorted case takes an O(K + u) merge instead
-        of re-sorting the whole table — the difference between a ~1 ms
-        and a ~7 ms fold at steady state, per projection per batch.
+        checked, because sorted codes take the O(K + u) merge of
+        :meth:`_merge_sorted` instead of re-sorting the whole table.
         """
         if codes.dtype == np.uint64:
             if not sorted_unique:
@@ -134,7 +139,7 @@ class KeyCounter:
             self._merge_sorted(codes, counts)
         else:
             # Wide structured-bytes keys: numpy defines only equality for
-            # structured dtypes, so no searchsorted merge — re-unique the
+            # structured dtypes, so no sorted-run merge — re-unique the
             # concatenation (rare path: > 8 projected dimensions).
             if self._codes is not None and self._codes.shape[0]:
                 codes = np.concatenate([self._codes, codes])
@@ -149,44 +154,60 @@ class KeyCounter:
 
     def _merge_sorted(self, ucodes: np.ndarray, ucounts: np.ndarray) -> None:
         """Merge strictly-increasing unique uint64 codes into the sorted
-        table without re-sorting it: binary-search each new code, add the
-        counts of codes already present in place, splice the rest in."""
-        if self._codes is None or self._codes.shape[0] == 0:
-            # Copy: the table is mutated in place by later folds and must
-            # not alias a caller's array (merge_encoded hands in fused-
-            # kernel output the caller may still hold).
+        table.
+
+        Codes already in the table add their counts in place, found by one
+        binary search each: O(u log K), which is all a fold costs once the
+        table holds the stream's cells (in-situ rounds on protein codes).
+        The remaining codes are new, so they form a second sorted run
+        disjoint from the table, and the stable sort of the concatenation
+        (timsort for 64-bit keys) merges the two runs in one O(K + u)
+        pass. New arrays never alias a caller's (``merge_encoded`` hands
+        in fused-kernel output the caller may still hold).
+        """
+        table = self._codes
+        if table is None or table.shape[0] == 0:
             self._codes = ucodes.copy()
             self._counts = ucounts.astype(np.int64, copy=True)
             return
-        idx = np.searchsorted(self._codes, ucodes)
-        in_bounds = idx < self._codes.shape[0]
-        present = np.zeros(ucodes.shape[0], dtype=bool)
-        present[in_bounds] = self._codes[idx[in_bounds]] == ucodes[in_bounds]
-        if present.all():
-            # Steady state: every key already tracked. idx entries are
-            # distinct (ucodes strictly increase), so fancy += is exact.
-            self._counts[idx] += ucounts
+        idx = np.searchsorted(table, ucodes)
+        hit = idx < table.shape[0]
+        hit[hit] = table[idx[hit]] == ucodes[hit]
+        # Hits land on distinct slots (ucodes strictly increase), so the
+        # fancy += is exact.
+        self._counts[idx[hit]] += ucounts[hit]
+        if hit.all():
             return
-        self._counts[idx[present]] += ucounts[present]
-        miss = ~present
-        self._codes = np.insert(self._codes, idx[miss], ucodes[miss])
-        self._counts = np.insert(self._counts, idx[miss], ucounts[miss])
+        new = ~hit
+        codes = np.concatenate([table, ucodes[new]])
+        order = np.argsort(codes, kind="stable")
+        self._codes = codes[order]
+        self._counts = np.concatenate([self._counts, ucounts[new]])[order]
 
     def _evict(self) -> None:
-        # A stable argsort on counts over the code-sorted table orders by
-        # (count, key bytes) — eviction stays a pure function of the table
-        # contents, so distributed replicas holding the same cells evict
-        # the same cells regardless of insertion order.
+        """Drop the ``n_drop`` smallest-count cells, ties in key order.
+
+        That is the first ``n_drop`` entries of a stable argsort of the
+        counts over the code-sorted table, found without the argsort: the
+        ``n_drop``-th smallest count ``t`` is the threshold, every count
+        below ``t`` goes, and so do the lowest-keyed of the cells at
+        exactly ``t`` until ``n_drop`` are gone. Eviction stays a pure
+        function of the table contents, so distributed replicas holding
+        the same cells evict the same cells regardless of insertion order.
+        """
         assert self._codes is not None
-        order = np.argsort(self._counts, kind="stable")
+        counts = self._counts
         n_drop = self._codes.shape[0] - self.capacity // 2
-        drop = order[:n_drop]
+        t = np.sort(counts)[n_drop - 1]
+        keep = counts > t
+        ties = np.flatnonzero(counts == t)
+        n_below = counts.shape[0] - int(np.count_nonzero(keep)) - ties.shape[0]
+        keep[ties[n_drop - n_below:]] = True
+        kept = counts[keep]
         self.evicted_keys += int(n_drop)
-        self.evicted_points += int(self._counts[drop].sum())
-        keep = np.ones(self._codes.shape[0], dtype=bool)
-        keep[drop] = False
+        self.evicted_points += int(counts.sum()) - int(kept.sum())
         self._codes = self._codes[keep]
-        self._counts = self._counts[keep]
+        self._counts = kept
 
     def update(self, rows: np.ndarray) -> None:
         """Count unique rows of an (M × D) uint8 array."""
@@ -267,16 +288,6 @@ class KeyCounter:
         if self._codes is None or self._codes.shape[0] == 0 or self._width is None:
             return np.empty((0, 0), dtype=np.uint8), np.empty(0, dtype=np.int64)
         return self._decode_codes(self._codes), self._counts.copy()
-
-    def copy(self) -> "KeyCounter":
-        """Independent deep copy (two array copies, no re-encoding)."""
-        out = KeyCounter(self.capacity)
-        out._codes = None if self._codes is None else self._codes.copy()
-        out._counts = self._counts.copy()
-        out.evicted_keys = self.evicted_keys
-        out.evicted_points = self.evicted_points
-        out._width = self._width
-        return out
 
     def state_dict(self) -> Dict[str, Any]:
         """Checkpointable plain representation (see :meth:`from_state_dict`)."""
@@ -361,6 +372,17 @@ def _rebin_key_counter(kc: KeyCounter, maps: np.ndarray) -> KeyCounter:
     return out
 
 
+def _same_key_table(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
+    """Whether two :meth:`KeyCounter.state_dict` payloads hold equal
+    tables, eviction totals included."""
+    return (
+        all(a[f] == b[f] for f in
+            ("capacity", "width", "evicted_keys", "evicted_points"))
+        and np.array_equal(a["keys"], b["keys"])
+        and np.array_equal(a["counts"], b["counts"])
+    )
+
+
 class _ProjectionState:
     """Per-projection streaming accumulators.
 
@@ -381,6 +403,14 @@ class _ProjectionState:
     dead rank's mass) and re-merge their own ledgers — exact survivor-only
     mass without ever re-reading a frame. The fold happens off the hot
     path (at merge time), so ``partial_fit`` pays nothing for it.
+
+    While ``keys_delta`` equals ``keys`` — from construction until the
+    first :meth:`reset_deltas`, and again after
+    :meth:`rebuild_from_local` — the two are one shared table, so a batch
+    folds its keys once (:meth:`key_tables`). That is exact: both tables
+    would receive the same folds from the same contents, and eviction is
+    a pure function of the contents. ``reset_deltas`` ends the sharing,
+    so it must run before peers' deltas fold into ``keys``.
     """
 
     def __init__(
@@ -406,7 +436,8 @@ class _ProjectionState:
             d: np.zeros((n_dims, 1 << d), dtype=np.int64) for d in self.depths
         }
         self.keys = KeyCounter(key_capacity)
-        self.keys_delta = KeyCounter(key_capacity)
+        # None while the delta is the same table as `keys` (see keys_delta).
+        self._keys_delta: Optional[KeyCounter] = None
         self.keys_local = KeyCounter(key_capacity)
         self.n_points = 0
         # -- adaptive grid state (see repro.core.adaptive) ------------------
@@ -445,6 +476,19 @@ class _ProjectionState:
             if drift_window > 0
             else None
         )
+
+    # -- key tables ---------------------------------------------------------
+
+    @property
+    def keys_delta(self) -> KeyCounter:
+        """Key increments since the last merge; ``keys`` itself while shared."""
+        return self.keys if self._keys_delta is None else self._keys_delta
+
+    def key_tables(self) -> Tuple[KeyCounter, ...]:
+        """The distinct tables a batch's keys fold into: one while shared."""
+        if self._keys_delta is None:
+            return (self.keys,)
+        return (self.keys, self._keys_delta)
 
     # -- adaptive grid ------------------------------------------------------
 
@@ -515,7 +559,8 @@ class _ProjectionState:
             for d in self.depths[:-1]:
                 table[d] = new.reshape(n_dims, 1 << d, -1).sum(axis=2)
         self.keys = _rebin_key_counter(self.keys, maps)
-        self.keys_delta = _rebin_key_counter(self.keys_delta, maps)
+        if self._keys_delta is not None:
+            self._keys_delta = _rebin_key_counter(self._keys_delta, maps)
         self.keys_local = _rebin_key_counter(self.keys_local, maps)
         if self.drift is not None:
             self.drift.rebin(maps)
@@ -529,7 +574,9 @@ class _ProjectionState:
         return True
 
     def reset_deltas(self) -> None:
-        """Fold the merged deltas into the own-history ledger, then zero them."""
+        """Fold the shipped deltas into the own-history ledger, then zero
+        them. This ends key-table sharing, so call it before folding
+        peers' deltas into ``keys``."""
         for d in self.depths:
             self.hist_local[d] += self.hist_delta[d]
             self.hist_delta[d][...] = 0
@@ -538,7 +585,7 @@ class _ProjectionState:
             dk["keys"], dk["counts"],
             evicted_keys=dk["evicted_keys"], evicted_points=dk["evicted_points"],
         )
-        self.keys_delta = KeyCounter(self.key_capacity)
+        self._keys_delta = KeyCounter(self.key_capacity)
 
     def rebuild_from_local(self) -> None:
         """Reset to "nothing merged yet": state := own history, all of it
@@ -560,7 +607,7 @@ class _ProjectionState:
             evicted_keys=dk["evicted_keys"], evicted_points=dk["evicted_points"],
         )
         self.keys = own_keys
-        self.keys_delta = own_keys.copy()
+        self._keys_delta = None  # all of it pending: delta == history again
         self.keys_local = KeyCounter(self.key_capacity)
 
 
@@ -846,15 +893,13 @@ class StreamingKeyBin2:
             for d in state.depths:
                 state.hist[d] += res.hist[d]
                 state.hist_delta[d] += res.hist[d]
-            if res.key_codes is not None:
-                width = state.space.n_dims
-                state.keys.merge_encoded(res.key_codes, res.key_counts, width=width)
-                state.keys_delta.merge_encoded(
-                    res.key_codes, res.key_counts, width=width
-                )
-            else:
-                state.keys.merge_arrays(res.key_rows, res.key_counts)
-                state.keys_delta.merge_arrays(res.key_rows, res.key_counts)
+            for table in state.key_tables():
+                if res.key_codes is not None:
+                    table.merge_encoded(
+                        res.key_codes, res.key_counts, width=state.space.n_dims
+                    )
+                else:
+                    table.merge_arrays(res.key_rows, res.key_counts)
             state.n_points += x.shape[0]
             self._feed_drift(idx, state, res.hist[state.depths[-1]], x.shape[0])
 
@@ -912,8 +957,8 @@ class StreamingKeyBin2:
                     accumulate_histogram(b, 1 << d, out=state.hist_delta[d])
             with trace.span("keys"):
                 deep_u8 = deep.astype(np.uint8)
-                state.keys.update(deep_u8)
-                state.keys_delta.update(deep_u8)
+                for table in state.key_tables():
+                    table.update(deep_u8)
             state.n_points += x.shape[0]
             if state.drift is not None:
                 batch_hist = np.zeros_like(state.hist[deepest])
@@ -1011,6 +1056,14 @@ class StreamingKeyBin2:
                 "per projection.",
                 ("projection",),
             )
+            # Key eviction: the share of points the capped key table has
+            # dropped, which the published cell table no longer holds.
+            evicted = reg.gauge(
+                "stream_key_evicted_fraction",
+                "Fraction of accumulated points evicted from the deep-key "
+                "table by its capacity cap, per projection.",
+                ("projection",),
+            )
             deepest = self.candidate_depths[-1]
             for idx, st in enumerate(self._states):
                 h = st.hist[deepest]
@@ -1018,6 +1071,10 @@ class StreamingKeyBin2:
                 if total:
                     edge = int(h[:, 0].sum() + h[:, -1].sum())
                     gauge.labels(projection=str(idx)).set(edge / total)
+                if st.n_points:
+                    evicted.labels(projection=str(idx)).set(
+                        st.keys.evicted_points / st.n_points
+                    )
         if publish_to is not None and self.model_ is not None:
             publish_to.publish(self.model_)
         return self
@@ -1254,7 +1311,8 @@ class StreamingKeyBin2:
                     st.hist_delta[d] = np.asarray(sd["hist_delta"][d], dtype=np.int64)
                     st.hist_local[d] = np.asarray(sd["hist_local"][d], dtype=np.int64)
                 st.keys = KeyCounter.from_state_dict(sd["keys"])
-                st.keys_delta = KeyCounter.from_state_dict(sd["keys_delta"])
+                if not _same_key_table(sd["keys_delta"], sd["keys"]):
+                    st._keys_delta = KeyCounter.from_state_dict(sd["keys_delta"])
                 st.keys_local = KeyCounter.from_state_dict(sd["keys_local"])
                 st.n_points = int(sd["n_points"])
                 # v2 adaptive/drift fields; v1 checkpoints fall back to the

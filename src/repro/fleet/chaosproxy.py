@@ -40,7 +40,7 @@ import asyncio
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ServeError, ValidationError
 
@@ -275,6 +275,8 @@ class ChaosProxy:
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._live_writers: set = set()
+        # Per-connection handler and pump tasks, cancelled by stop().
+        self._tasks: Set[asyncio.Task] = set()
         self._lock = threading.Lock()
 
     # -- imperative faults ---------------------------------------------------
@@ -317,17 +319,29 @@ class ChaosProxy:
         self.bound_port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop listening, reset every live connection and wait for all
+        of its tasks, so none is left pending when the loop closes."""
         if self._server is None:
             return
         self._server.close()
-        await self._server.wait_closed()
         self._kill_live()
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await self._server.wait_closed()
         self._server = None
+
+    def _track(self, task: asyncio.Task) -> asyncio.Task:
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
 
     # -- data path -----------------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        self._track(asyncio.current_task())
         self.accepted += 1
         conn = self.accepted
         stats = self.counters.setdefault(
@@ -350,12 +364,12 @@ class ChaosProxy:
             return
         chaos = _ConnChaos(self.plan, conn)
         self._live_writers.update((writer, up_writer))
-        pump_up = asyncio.ensure_future(
+        pump_up = self._track(asyncio.ensure_future(
             self._pump_raw(reader, up_writer, stats)
-        )
-        pump_down = asyncio.ensure_future(
+        ))
+        pump_down = self._track(asyncio.ensure_future(
             self._pump_lines(up_reader, writer, conn, chaos, stats)
-        )
+        ))
         try:
             # Either direction dying tears down both: the wire protocol
             # is strictly request/response, so a half-open proxy conn

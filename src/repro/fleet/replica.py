@@ -427,8 +427,23 @@ class ReplicaSupervisor:
             name=f"fleet-{rep.replica_id}-stdout", daemon=True,
         )
         rep.drain.start()
-        if not rep.port_event.wait(self.startup_timeout) or rep.port is None:
+        eof = rep.port_event.wait(self.startup_timeout)
+        if rep.port is None:
+            # The event also fires at stdout EOF, which a child that exits
+            # early reaches long before the timeout.
+            code = None
+            if eof:
+                try:
+                    code = rep.proc.wait(timeout=self.startup_timeout)
+                except subprocess.TimeoutExpired:
+                    pass
             self.kill(rep.replica_id)
+            if code is not None:
+                raise ServeError(
+                    f"replica {rep.replica_id} failed to announce a port: it "
+                    f"exited with code {code} before announcing one; "
+                    f"output:\n{self.diagnostics(rep.replica_id)}"
+                )
             raise ServeError(
                 f"replica {rep.replica_id} failed to announce a port within "
                 f"{self.startup_timeout}s; output:\n{self.diagnostics(rep.replica_id)}"

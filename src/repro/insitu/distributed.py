@@ -214,6 +214,10 @@ def consolidate_streaming_state(
         evictions_before = sum(st.keys.evicted_keys for st in skb._states)
         cells_folded = 0
         for proj_idx, st in enumerate(skb._states):
+            # Ledger the own delta first: until a state's first merge its
+            # keys_delta is the `keys` table itself, which the peer folds
+            # below change.
+            st.reset_deltas()
             for rank_idx, rank_payload in enumerate(gathered):
                 if rank_idx == comm.rank:
                     continue  # own delta is already in st.keys via partial_fit
@@ -222,7 +226,6 @@ def consolidate_streaming_state(
                 st.keys.merge_arrays(
                     keys, counts, evicted_keys=ev_keys, evicted_points=ev_points
                 )
-            st.reset_deltas()
         # --- points seen: delta allreduce, folded the same way ---
         seen_inc = int(
             comm.allreduce(np.array([skb.n_seen_delta_], dtype=np.int64))[0]

@@ -6,6 +6,8 @@ instead of amplifying when every failover would fail anyway.
 
 from __future__ import annotations
 
+import asyncio
+import json
 import time
 
 import pytest
@@ -22,6 +24,7 @@ from repro.fleet import (
     router_in_thread,
 )
 from repro.fleet.chaosproxy import (
+    ChaosProxy,
     DelayLines,
     Partition,
     ResetAt,
@@ -166,6 +169,27 @@ class TestDataPath:
                              backoff=0.01, jitter=0.0) as client:
                 assert client.predict(x[0]).label >= 0
             assert proxy.proxy.accepted >= 2
+
+    def test_stop_leaves_no_connection_task_pending(self, one_server):
+        # stop() with a live connection must cancel and await the
+        # connection's handler and pump tasks; otherwise the loop closes
+        # with them pending ("Task was destroyed but it is pending!").
+        async def scenario():
+            proxy = ChaosProxy(*one_server.address)
+            await proxy.start()
+            reader, writer = await asyncio.open_connection(
+                proxy.host, proxy.bound_port
+            )
+            writer.write(b'{"op": "healthz"}\n')
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"] is True
+            await proxy.stop()
+            left = [t for t in asyncio.all_tasks()
+                    if t is not asyncio.current_task()]
+            writer.close()
+            return left
+
+        assert asyncio.run(scenario()) == []
 
 
 class TestRouterUnderPartition:

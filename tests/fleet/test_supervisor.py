@@ -7,6 +7,8 @@ load), so these tests keep fleets to 1–2 replicas; the fleet CI job and
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import ConnectionLostError, ServeError, ValidationError
@@ -96,5 +98,21 @@ def test_process_startup_failure_surfaces_diagnostics(tmp_path):
     try:
         with pytest.raises(ServeError, match="failed to announce a port"):
             sup.start()
+    finally:
+        sup.stop()
+
+
+def test_replica_that_exits_early_is_not_reported_as_a_timeout(tmp_path):
+    # A child that dies before announcing its port must fail the start as
+    # soon as it exits, and say so, instead of waiting out the timeout.
+    timeout = 60.0
+    sup = ReplicaSupervisor(str(tmp_path / "missing.json"), n_replicas=1,
+                            mode="process", startup_timeout=timeout)
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(ServeError,
+                           match=r"exited with code [1-9]\d* before"):
+            sup.start()
+        assert time.monotonic() - t0 < timeout / 4
     finally:
         sup.stop()

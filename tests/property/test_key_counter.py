@@ -1,0 +1,150 @@
+"""KeyCounter folds against an oracle of the splice-merge implementation.
+
+The oracle below keeps the key counter's earlier fold verbatim: a
+``searchsorted`` plus two ``np.insert`` splices to merge, and a stable
+argsort of the counts to evict. ``KeyCounter`` now merges the two sorted
+runs in one pass and evicts by a count threshold; these properties pin
+the two to the same codes, counts and eviction totals after every fold,
+including ties at the eviction threshold, tiny capacities that overflow
+on every fold, and counts near 10⁹.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.streaming import KeyCounter
+
+COMMON = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class _SpliceOracle:
+    """The earlier uint64 fold: splice merge, stable-argsort eviction."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.codes = None
+        self.counts = np.empty(0, dtype=np.int64)
+        self.evicted_keys = 0
+        self.evicted_points = 0
+
+    def fold(self, codes, counts):
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        agg = np.zeros(uniq.shape[0], dtype=np.int64)
+        np.add.at(agg, inverse, counts)
+        self._merge_sorted(uniq, agg)
+        if self.codes.shape[0] > self.capacity:
+            self._evict()
+
+    def _merge_sorted(self, ucodes, ucounts):
+        if self.codes is None or self.codes.shape[0] == 0:
+            self.codes = ucodes.copy()
+            self.counts = ucounts.astype(np.int64, copy=True)
+            return
+        idx = np.searchsorted(self.codes, ucodes)
+        in_bounds = idx < self.codes.shape[0]
+        present = np.zeros(ucodes.shape[0], dtype=bool)
+        present[in_bounds] = self.codes[idx[in_bounds]] == ucodes[in_bounds]
+        if present.all():
+            self.counts[idx] += ucounts
+            return
+        self.counts[idx[present]] += ucounts[present]
+        miss = ~present
+        self.codes = np.insert(self.codes, idx[miss], ucodes[miss])
+        self.counts = np.insert(self.counts, idx[miss], ucounts[miss])
+
+    def _evict(self):
+        order = np.argsort(self.counts, kind="stable")
+        n_drop = self.codes.shape[0] - self.capacity // 2
+        drop = order[:n_drop]
+        self.evicted_keys += int(n_drop)
+        self.evicted_points += int(self.counts[drop].sum())
+        keep = np.ones(self.codes.shape[0], dtype=bool)
+        keep[drop] = False
+        self.codes = self.codes[keep]
+        self.counts = self.counts[keep]
+
+
+# A small code alphabet (so batches revisit codes) that includes both ends
+# of the uint64 range; counts mix small tied values with values near 1e9.
+_codes = st.one_of(
+    st.integers(0, 24),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]),
+)
+_counts = st.one_of(st.integers(1, 3), st.integers(1, 10**9))
+_batch = st.lists(st.tuples(_codes, _counts), min_size=1, max_size=24)
+
+
+def _arrays(batch):
+    codes = np.array([c for c, _ in batch], dtype=np.uint64)
+    counts = np.array([n for _, n in batch], dtype=np.int64)
+    return codes, counts
+
+
+def _assert_same(kc, oracle):
+    assert np.array_equal(kc._codes, oracle.codes)
+    assert kc._codes.dtype == oracle.codes.dtype
+    assert np.array_equal(kc._counts, oracle.counts)
+    assert kc._counts.dtype == np.int64
+    assert kc.evicted_keys == oracle.evicted_keys
+    assert kc.evicted_points == oracle.evicted_points
+
+
+@COMMON
+@given(st.integers(1, 8), st.lists(_batch, min_size=1, max_size=12),
+       st.booleans())
+def test_fold_matches_splice_oracle(capacity, batches, presorted):
+    kc = KeyCounter(capacity)
+    oracle = _SpliceOracle(capacity)
+    for batch in batches:
+        codes, counts = _arrays(batch)
+        if presorted:
+            # The fused kernels' handoff: strictly increasing unique codes.
+            uniq, inverse = np.unique(codes, return_inverse=True)
+            agg = np.zeros(uniq.shape[0], dtype=np.int64)
+            np.add.at(agg, inverse, counts)
+            codes, counts = uniq, agg
+        kc.merge_encoded(codes, counts, width=8)
+        oracle.fold(codes, counts)
+        _assert_same(kc, oracle)
+        assert len(kc) <= capacity
+
+
+@COMMON
+@given(st.integers(1, 8), st.integers(2, 40), st.integers(1, 3))
+def test_threshold_ties_drop_in_key_order(capacity, n_keys, count):
+    # Every count equal: the whole table ties at the threshold, so the
+    # kept cells are exactly the highest-keyed ones.
+    codes = np.arange(n_keys, dtype=np.uint64)[::-1].copy()
+    counts = np.full(n_keys, count, dtype=np.int64)
+    kc = KeyCounter(capacity)
+    oracle = _SpliceOracle(capacity)
+    kc.merge_encoded(codes, counts, width=8)
+    oracle.fold(codes, counts)
+    _assert_same(kc, oracle)
+    if n_keys > capacity:
+        kept = capacity // 2
+        assert kc._codes.tolist() == list(range(n_keys - kept, n_keys))
+
+
+@COMMON
+@given(st.integers(1, 8), st.lists(_batch, min_size=1, max_size=6))
+def test_huge_counts_allocate_by_table_size_only(capacity, batches):
+    # Counts near 1e9 must not allocate anything sized by the count
+    # (an unclipped bincount over counts would take gigabytes).
+    kc = KeyCounter(capacity)
+    tracemalloc.start()
+    try:
+        for batch in batches:
+            codes, counts = _arrays(batch)
+            kc.merge_encoded(codes, counts + 10**9, width=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
