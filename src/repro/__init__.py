@@ -17,8 +17,8 @@ core       the KeyBin2 algorithm (batch, streaming, distributed, KeyBin1)
 comm       SPMD message-passing substrate (thread/process/MPI executors)
 kernels    data-parallel compute kernels (the GPU substitute)
 baselines  k-means++, parallel k-means, DBSCAN, PDSDBSCAN, X-means
-metrics    pair precision/recall/F1, NMI, ARI, purity, CH, run CIs
-data       synthetic generators (Gaussians, boxes, rings, correlated, streams)
+metrics    pair precision/recall/F1, NMI, ARI, purity, run CIs
+data       synthetic generators (Gaussians, correlated, streams)
 proteins   synthetic folding trajectories + Ramachandran encoding (§5)
 insitu     fingerprints, stability scoring, metastable segments (§5)
 serve      online model serving (registry/hot-swap, micro-batching, TCP)

@@ -48,12 +48,6 @@ from repro.comm.ring import (
     ring_allgather,
     ring_pass,
 )
-from repro.comm.tree import (
-    tree_allreduce,
-    tree_barrier,
-    tree_bcast,
-    tree_reduce,
-)
 
 __all__ = [
     "Communicator",
@@ -81,8 +75,4 @@ __all__ = [
     "ring_reduce_scatter",
     "ring_allgather",
     "ring_pass",
-    "tree_allreduce",
-    "tree_barrier",
-    "tree_bcast",
-    "tree_reduce",
 ]

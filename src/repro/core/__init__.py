@@ -19,8 +19,7 @@ from repro.core.projection import (
     target_dimension,
     projection_matrix,
 )
-from repro.core.binning import SpaceRange, format_key
-from repro.core.histogram import HistogramSet
+from repro.core.binning import SpaceRange
 from repro.core.smoothing import moving_average, paper_window, local_slopes
 from repro.core.partitioning import find_cuts, CutDiagnostics
 from repro.core.collapse import collapse_dimensions, uniformity_statistic
@@ -37,8 +36,6 @@ __all__ = [
     "target_dimension",
     "projection_matrix",
     "SpaceRange",
-    "format_key",
-    "HistogramSet",
     "moving_average",
     "paper_window",
     "local_slopes",

@@ -1,4 +1,4 @@
-"""Space ranges and key formatting (paper §3, step 2).
+"""Space ranges for binning (paper §3, step 2).
 
 Binning happens over a *predetermined* range ``[r_min, r_max]`` per
 dimension. In batch mode the range is measured from the data (with a safety
@@ -11,14 +11,13 @@ boundary bins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.util.validation import check_array_2d, check_finite
 
-__all__ = ["SpaceRange", "format_key"]
+__all__ = ["SpaceRange"]
 
 #: Width given to a dimension whose observed span is zero (constant value);
 #: keeps bin arithmetic finite and puts the constant in a middle bin.
@@ -111,14 +110,3 @@ class SpaceRange:
         if arr.ndim != 2 or arr.shape[0] != 2:
             raise ValidationError("expected a (2 × N) bounds array")
         return cls(arr[0], arr[1])
-
-
-def format_key(bins: np.ndarray, depth: int) -> str:
-    """Human-readable key: zero-padded bin labels concatenated across dims.
-
-    Mirrors the paper's example — a point in bin 35 of dim 1, 64 of dim 2
-    and 6 of dim 3 has key ``"356406"``.
-    """
-    bins = np.asarray(bins).ravel()
-    width = len(str((1 << depth) - 1))
-    return "".join(str(int(b)).zfill(width) for b in bins)

@@ -1299,8 +1299,12 @@ class StreamingKeyBin2:
             states: List[_ProjectionState] = []
             for sd in payload["states"]:
                 space = SpaceRange(sd["r_min"], sd["r_max"])
+                # An unpickled array carries its own dtype instance; asarray
+                # swaps in numpy's shared one, so a re-save memoizes a single
+                # float64 dtype as the original save did.
+                matrix = sd["matrix"]
                 st = _ProjectionState(
-                    sd["matrix"],
+                    None if matrix is None else np.asarray(matrix, dtype=np.float64),
                     space,
                     sd["depths"],
                     sd["key_capacity"],
@@ -1318,7 +1322,13 @@ class StreamingKeyBin2:
                 # v2 adaptive/drift fields; v1 checkpoints fall back to the
                 # fixed-range interpretation (level-0 grid == the stored
                 # space, need envelope == the grid, no sketches/detector).
-                if sd.get("base_r_min") is not None:
+                # Until a rebin, the base range is the `space` object itself
+                # (see _ProjectionState.__init__); restore that aliasing so
+                # the state pickles the range once, as it did before saving.
+                if sd.get("base_r_min") is not None and not (
+                    np.array_equal(sd["base_r_min"], sd["r_min"])
+                    and np.array_equal(sd["base_r_max"], sd["r_max"])
+                ):
                     st.base_space = SpaceRange(sd["base_r_min"], sd["base_r_max"])
                 st.levels = np.asarray(
                     sd.get("levels", np.zeros(space.n_dims)), dtype=np.int64

@@ -11,7 +11,6 @@ replica     ReplicaSupervisor: spawn/monitor/restart local replicas
 router      FleetRouter: p2c routing, probing, failover
 rollout     staged canary → percentage → fleet model promotion
 journal     crash-safe rollout WAL + restart recovery (fleet-recover)
-chaosproxy  deterministic TCP fault injection for partial-failure tests
 bench       scaling + zero-downtime-reload benchmark (fleet-bench)
 
 Quickstart::
@@ -30,12 +29,6 @@ or from the command line: ``python -m repro fleet --model model.json``.
 from __future__ import annotations
 
 from repro.fleet.bench import run_fleet_bench
-from repro.fleet.chaosproxy import (
-    ChaosPlan,
-    ChaosProxy,
-    ChaosProxyHandle,
-    chaos_proxy_in_thread,
-)
 from repro.fleet.journal import (
     JournalError,
     RolloutJournal,
@@ -49,9 +42,6 @@ from repro.fleet.rollout import RolloutConfig, RolloutError, RolloutManager
 from repro.fleet.router import FleetRouter, RouterHandle, router_in_thread
 
 __all__ = [
-    "ChaosPlan",
-    "ChaosProxy",
-    "ChaosProxyHandle",
     "FleetRouter",
     "JournalError",
     "ReplicaSupervisor",
@@ -62,7 +52,6 @@ __all__ = [
     "RouterHandle",
     "TenantQuotaPolicy",
     "TenantQuotas",
-    "chaos_proxy_in_thread",
     "plan_recovery",
     "reconcile_replica",
     "recover_fleet",

@@ -7,7 +7,9 @@ independent. This package reproduces that structure with vectorized NumPy;
 the fused path walks the points in fixed-size chunks that mirror a GPU
 grid — chunks are processed independently, so the same decomposition
 would map 1:1 onto real CUDA blocks, and the working set stays
-cache-sized. Outputs can be preallocated and are written in place.
+cache-sized. Chunking lives in the fused driver alone; there is no
+separate block executor. Outputs can be preallocated and are written in
+place.
 
 Two execution paths coexist:
 
@@ -29,7 +31,6 @@ Two execution paths coexist:
 
 from __future__ import annotations
 
-from repro.kernels.engine import KernelEngine, DEFAULT_BLOCK_SIZE
 from repro.kernels.backend import (
     BACKEND_ENV_VAR,
     KernelBackend,
@@ -48,7 +49,7 @@ from repro.kernels.keys import (
     pack_keys,
     unpack_keys,
 )
-from repro.kernels.histogram import accumulate_histogram, accumulate_histograms
+from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.fused import (
     FusedResult,
     FusedStateSpec,
@@ -63,8 +64,6 @@ from repro.kernels.fused import (
 from repro.kernels.labels import interval_id_table, intervals_for_bins
 
 __all__ = [
-    "KernelEngine",
-    "DEFAULT_BLOCK_SIZE",
     "BACKEND_ENV_VAR",
     "KernelBackend",
     "NumpyBackend",
@@ -80,7 +79,6 @@ __all__ = [
     "pack_keys",
     "unpack_keys",
     "accumulate_histogram",
-    "accumulate_histograms",
     "FusedResult",
     "FusedStateSpec",
     "PointBins",

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["accumulate_histogram", "accumulate_histograms"]
+__all__ = ["accumulate_histogram"]
 
 
 def accumulate_histogram(
@@ -56,21 +56,3 @@ def accumulate_histogram(
     flat = bins.astype(np.int64, copy=False) + offsets
     out += np.bincount(flat.ravel(), minlength=n_dims * n_bins).reshape(n_dims, n_bins)
     return out
-
-
-def accumulate_histograms(
-    bins_by_depth: dict[int, np.ndarray],
-    out: Optional[dict[int, np.ndarray]] = None,
-) -> dict[int, np.ndarray]:
-    """Accumulate histograms for every depth in one call.
-
-    ``bins_by_depth`` maps depth → (M × N) bin indices (as produced by
-    :func:`repro.kernels.keys.bin_indices_at_depths`).
-    """
-    result = out if out is not None else {}
-    for depth, bins in bins_by_depth.items():
-        n_bins = 1 << depth
-        result[depth] = accumulate_histogram(
-            bins, n_bins, out=result.get(depth)
-        )
-    return result

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.metrics.pairs import pair_confusion, pair_precision_recall_f1, PairScores
 from repro.metrics.external import purity, normalized_mutual_info, adjusted_rand_index
-from repro.metrics.dispersion import calinski_harabasz_points
 from repro.metrics.stats import mean_ci, RunAggregate
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "purity",
     "normalized_mutual_info",
     "adjusted_rand_index",
-    "calinski_harabasz_points",
     "mean_ci",
     "RunAggregate",
 ]

@@ -17,7 +17,7 @@ from repro.proteins.ramachandran import (
     region_center,
 )
 from repro.proteins.trajectory import TrajectorySimulator, Trajectory
-from repro.proteins.encode import encode_frames, one_hot_encode
+from repro.proteins.encode import encode_frames
 from repro.proteins.model_library import TrajectorySpec, model_library, library_summary
 from repro.proteins.rmsd import (
     angular_rmsd,
@@ -32,7 +32,6 @@ __all__ = [
     "TrajectorySimulator",
     "Trajectory",
     "encode_frames",
-    "one_hot_encode",
     "TrajectorySpec",
     "model_library",
     "library_summary",

@@ -4,8 +4,7 @@
 omega … we can associate each amino acid residue with one of six types of
 secondary structures." A trajectory frame thus becomes a length-
 ``n_residues`` vector of secondary-structure codes — the representation
-KeyBin2 clusters. A one-hot expansion is also provided for algorithms that
-assume continuous geometry (k-means).
+KeyBin2 clusters.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.proteins.ramachandran import SecondaryStructure, classify_torsions
 
-__all__ = ["encode_frames", "one_hot_encode"]
+__all__ = ["encode_frames"]
 
 N_CLASSES = len(SecondaryStructure)
 
@@ -34,21 +33,3 @@ def encode_frames(angles: np.ndarray) -> np.ndarray:
         )
     codes = classify_torsions(angles[..., 0], angles[..., 1], angles[..., 2])
     return codes.astype(np.float64)
-
-
-def one_hot_encode(codes: np.ndarray) -> np.ndarray:
-    """Expand (n_frames × n_residues) codes into (n_frames × n_residues·7).
-
-    One block of 7 indicator columns per residue, ordered by residue.
-    """
-    codes = np.asarray(codes)
-    if codes.ndim != 2:
-        raise ValidationError("codes must be (n_frames × n_residues)")
-    int_codes = codes.astype(np.int64)
-    if int_codes.min() < 0 or int_codes.max() >= N_CLASSES:
-        raise ValidationError(f"codes must lie in [0, {N_CLASSES})")
-    n_frames, n_residues = int_codes.shape
-    out = np.zeros((n_frames, n_residues * N_CLASSES), dtype=np.float64)
-    cols = np.arange(n_residues) * N_CLASSES + int_codes
-    out[np.arange(n_frames)[:, None], cols] = 1.0
-    return out

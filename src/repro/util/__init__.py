@@ -1,16 +1,9 @@
-"""Shared utilities: RNG handling, validation, timing, chunking, logging."""
+"""Shared utilities: RNG handling, validation and chunking."""
 
 from __future__ import annotations
 
 from repro.util.rng import as_generator, spawn_generators, seed_sequence_for_rank
-from repro.util.validation import (
-    check_array_2d,
-    check_finite,
-    check_positive_int,
-    check_probability,
-    check_in_range,
-)
-from repro.util.timers import Timer
+from repro.util.validation import check_array_2d, check_finite
 from repro.util.chunking import chunk_slices, balanced_counts
 
 __all__ = [
@@ -19,10 +12,6 @@ __all__ = [
     "seed_sequence_for_rank",
     "check_array_2d",
     "check_finite",
-    "check_positive_int",
-    "check_probability",
-    "check_in_range",
-    "Timer",
     "chunk_slices",
     "balanced_counts",
 ]

@@ -7,19 +7,11 @@ well-formed arrays.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = [
-    "check_array_2d",
-    "check_finite",
-    "check_positive_int",
-    "check_probability",
-    "check_in_range",
-]
+__all__ = ["check_array_2d", "check_finite"]
 
 
 def check_array_2d(
@@ -56,50 +48,3 @@ def check_finite(x: np.ndarray, name: str = "X") -> np.ndarray:
         bad = int(np.size(x) - np.count_nonzero(np.isfinite(x)))
         raise ValidationError(f"{name} contains {bad} non-finite value(s) (NaN/Inf)")
     return x
-
-
-def check_positive_int(value, name: str, *, minimum: int = 1) -> int:
-    """Validate an integer parameter that must be >= ``minimum``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {type(value).__name__}")
-    value = int(value)
-    if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def check_probability(value, name: str) -> float:
-    """Validate a float in the closed interval [0, 1]."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a float in [0, 1]") from exc
-    if not (0.0 <= value <= 1.0):
-        raise ValidationError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def check_in_range(
-    value,
-    name: str,
-    *,
-    low: Optional[float] = None,
-    high: Optional[float] = None,
-    inclusive: bool = True,
-) -> float:
-    """Validate a scalar against an optional [low, high] range."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a number") from exc
-    if not np.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-    if low is not None:
-        ok = value >= low if inclusive else value > low
-        if not ok:
-            raise ValidationError(f"{name} must be {'>=' if inclusive else '>'} {low}, got {value}")
-    if high is not None:
-        ok = value <= high if inclusive else value < high
-        if not ok:
-            raise ValidationError(f"{name} must be {'<=' if inclusive else '<'} {high}, got {value}")
-    return value

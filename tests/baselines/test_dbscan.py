@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.dbscan import DBSCAN, NOISE, GridIndex
-from repro.data.shapes import moons, ring_clusters
 from repro.errors import ValidationError
 from repro.metrics.external import adjusted_rand_index
+from tests.data.shapes import moons, ring_clusters
 
 
 class TestGridIndex:

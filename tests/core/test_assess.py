@@ -14,7 +14,7 @@ from repro.core.primary import GlobalClusterTable, PrimaryPartition
 from repro.errors import ValidationError
 from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices
-from repro.metrics.dispersion import calinski_harabasz_points
+from tests.metrics.dispersion import calinski_harabasz_points
 
 
 class TestMarginalPercentileBin:

@@ -1,9 +1,9 @@
-"""Tests for SpaceRange and key formatting."""
+"""Tests for SpaceRange."""
 
 import numpy as np
 import pytest
 
-from repro.core.binning import SpaceRange, format_key
+from repro.core.binning import SpaceRange
 from repro.errors import ValidationError
 
 
@@ -73,23 +73,3 @@ class TestSpaceRange:
         sr = SpaceRange(np.zeros(1), np.ones(1))
         with pytest.raises(Exception):
             sr.r_min = np.array([5.0])
-
-
-class TestFormatKey:
-    def test_paper_example(self):
-        # Paper: bin 35 / 64 / 06 → key "356406" (2-digit labels: depth 7
-        # would need 3 digits, so the example corresponds to ≤ 99 bins).
-        key = format_key(np.array([35, 64, 6]), depth=6)
-        # depth 6 → max label 63 → width 2; 64 overflows a real depth-6
-        # space but formatting is positional, not validating.
-        assert key == "356406"
-
-    def test_depth6_two_digit(self):
-        assert format_key(np.array([35, 6]), depth=6) == "3506"
-
-    def test_single_dim(self):
-        assert format_key(np.array([3]), depth=3) == "3"
-
-    def test_zero_padding_width(self):
-        # depth 4 → max label 15 → width 2
-        assert format_key(np.array([1, 15]), depth=4) == "0115"

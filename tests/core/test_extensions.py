@@ -1,13 +1,11 @@
 """Tests for the optional/extension features: the KDE partitioner
-alternative (§3.2) and the privacy utilities (§1)."""
+alternative (§3.2) and automatic depth selection."""
 
 import numpy as np
 import pytest
 
 from repro.core import KeyBin2
-from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts, kde_density
-from repro.core.privacy import histogram_anonymity, reconstruction_ambiguity
 from repro.errors import ValidationError
 from repro.metrics.pairs import pair_precision_recall_f1
 
@@ -54,51 +52,6 @@ class TestKDEPartitioner:
             KeyBin2(smoother="wavelet")
         with pytest.raises(ValidationError):
             find_cuts(np.ones(8), smoother="loess")
-
-
-class TestPrivacyUtilities:
-    def test_reconstruction_ambiguity_is_bin_width(self):
-        space = SpaceRange(np.array([0.0, -10.0]), np.array([1.0, 10.0]))
-        amb = reconstruction_ambiguity(space, depth=4)
-        assert amb.tolist() == [1.0 / 16, 20.0 / 16]
-
-    def test_deeper_bins_less_ambiguity(self):
-        space = SpaceRange(np.zeros(1), np.ones(1))
-        assert reconstruction_ambiguity(space, 6)[0] < reconstruction_ambiguity(space, 3)[0]
-
-    def test_ambiguity_never_zero(self):
-        space = SpaceRange(np.zeros(1), np.ones(1))
-        assert reconstruction_ambiguity(space, 31)[0] > 0
-
-    def test_anonymity_stats(self):
-        counts = np.array([[0, 5, 1, 10]])
-        stats = histogram_anonymity(counts)
-        assert stats["min_occupancy"] == 1.0
-        assert stats["singleton_fraction"] == pytest.approx(1 / 3)
-
-    def test_anonymity_empty(self):
-        stats = histogram_anonymity(np.zeros((2, 4)))
-        assert stats["min_occupancy"] == 0.0
-
-    def test_histograms_cannot_distinguish_permutations(self, rng):
-        """The core non-invertibility fact: any within-bin rearrangement of
-        the data produces identical published histograms."""
-        from repro.kernels.histogram import accumulate_histogram
-        from repro.kernels.keys import bin_indices
-
-        x = rng.random((500, 3))
-        space = SpaceRange.from_data(x)
-        bins = bin_indices(x, space.r_min, space.r_max, 4)
-        h1 = accumulate_histogram(bins, 16)
-        # Jitter every point within its bin: histograms must be identical.
-        width = space.span / 16
-        jitter = (rng.random((500, 3)) - 0.5) * width * 0.9
-        centers = space.r_min + (bins + 0.5) * width
-        x2 = centers + jitter
-        bins2 = bin_indices(x2, space.r_min, space.r_max, 4)
-        h2 = accumulate_histogram(bins2, 16)
-        assert np.array_equal(h1, h2)
-        assert not np.allclose(x, x2)  # yet the data is different
 
 
 class TestAutoDepths:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.data.correlated import correlated_clusters
 from repro.data.gaussians import gaussian_mixture
-from repro.data.shapes import box_clusters, moons, ring_clusters
 from repro.data.streams import (
     BatchStream,
     DriftingStream,
@@ -15,6 +14,7 @@ from repro.data.streams import (
     distributed_partitions,
 )
 from repro.errors import ValidationError
+from tests.data.shapes import box_clusters, moons, ring_clusters
 
 
 class TestGaussianMixture:

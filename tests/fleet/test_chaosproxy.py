@@ -17,21 +17,18 @@ from repro.errors import (
     FleetUnavailableError,
     ValidationError,
 )
-from repro.fleet import (
+from repro.fleet import ReplicaSupervisor, router_in_thread
+from repro.serve import ModelRegistry, ServeClient, serve_in_thread
+from tests.fleet.chaosproxy import (
     ChaosPlan,
-    ReplicaSupervisor,
-    chaos_proxy_in_thread,
-    router_in_thread,
-)
-from repro.fleet.chaosproxy import (
     ChaosProxy,
     DelayLines,
     Partition,
     ResetAt,
     SlowLoris,
     TruncateAt,
+    chaos_proxy_in_thread,
 )
-from repro.serve import ModelRegistry, ServeClient, serve_in_thread
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import KeyCounter, StreamingKeyBin2
+from repro.data.streams import RangeGrowthStream
 from repro.errors import CheckpointError
 from repro.insitu.checkpoint import CheckpointManager, common_checkpoint_round
 from repro.insitu.distributed import run_distributed_insitu
@@ -58,6 +59,21 @@ class TestStateRoundTrip:
                 np.testing.assert_array_equal(a.hist[d], b.hist[d])
                 np.testing.assert_array_equal(a.hist_delta[d], b.hist_delta[d])
                 np.testing.assert_array_equal(a.hist_local[d], b.hist_local[d])
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_save_load_save_is_byte_identical(self, tmp_path, adaptive):
+        """A restored instance writes the checkpoint it was restored from."""
+        skb = StreamingKeyBin2(seed=5, n_projections=4,
+                               candidate_depths=(4, 5), adaptive=adaptive)
+        for x, _ in RangeGrowthStream(n_batches=3, batch_size=300, n_dims=6,
+                                      growth=2.0, seed=4):
+            skb.partial_fit(x)
+        rebins = sum(st.rebin_count for st in skb._states)
+        assert (rebins > 0) == adaptive  # adaptive: base range != grid range
+        first, second = tmp_path / "a.kb2", tmp_path / "b.kb2"
+        skb.save_state(first)
+        StreamingKeyBin2.load_state(first).save_state(second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_key_counter_state_dict_round_trip(self, rng):
         rows = rng.integers(0, 5, (80, 3)).astype(np.uint8)

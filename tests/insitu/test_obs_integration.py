@@ -135,35 +135,6 @@ def test_stream_counters(obs_run):
     assert reg.get("stream_refreshes_total").value == 3  # one per rank
 
 
-def test_kernel_launches_counted():
-    import numpy as np
-
-    from repro.kernels.engine import KernelEngine
-
-    reg = MetricsRegistry()
-    previous = set_default_registry(reg)
-    try:
-        engine = KernelEngine(block_size=10)
-
-        def double(block):
-            return block * 2
-
-        def block_sum(block):
-            return block.sum()
-
-        engine.map(double, np.ones((25, 3)))
-        engine.reduce(block_sum, np.ones((25, 3)),
-                      combine=lambda a, b: a + b)
-    finally:
-        set_default_registry(previous)
-    samples = _samples(reg, "kernel_launches_total")
-    assert {s["labels"]["kernel"]: s["value"] for s in samples} == {
-        "double": 3.0,      # 25 rows / block_size 10 -> 3 blocks each
-        "block_sum": 3.0,
-    }
-    assert engine.launches == 6  # legacy attribute still counts
-
-
 def test_ring_algo_labeled(obs_run):
     """A ring-reduce run records under algo="ring" without disturbing
 

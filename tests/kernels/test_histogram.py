@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.kernels.histogram import accumulate_histogram, accumulate_histograms
+from repro.kernels.histogram import accumulate_histogram
 
 
 class TestAccumulateHistogram:
@@ -47,21 +47,3 @@ class TestAccumulateHistogram:
     def test_1d_rejected(self):
         with pytest.raises(ValidationError):
             accumulate_histogram(np.zeros(3, dtype=np.int32), 4)
-
-
-class TestAccumulateHistograms:
-    def test_multi_depth(self, rng):
-        from repro.kernels.keys import bin_indices_at_depths
-
-        x = rng.random((80, 2))
-        bins = bin_indices_at_depths(x, [0, 0], [1, 1], [2, 4])
-        hists = accumulate_histograms(bins)
-        assert hists[2].shape == (2, 4)
-        assert hists[4].shape == (2, 16)
-        assert hists[2].sum() == hists[4].sum() == 160
-
-    def test_accumulates_into_out(self, rng):
-        bins = {2: rng.integers(0, 4, (10, 1)).astype(np.int32)}
-        out = accumulate_histograms(bins)
-        out2 = accumulate_histograms(bins, out=out)
-        assert out2[2].sum() == 20

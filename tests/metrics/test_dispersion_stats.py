@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.metrics.dispersion import calinski_harabasz_points
 from repro.metrics.stats import RunAggregate, mean_ci
+from tests.metrics.dispersion import calinski_harabasz_points
 
 
 class TestPointCH:

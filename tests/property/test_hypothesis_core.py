@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.binning import SpaceRange
-from repro.core.histogram import HistogramSet
 from repro.core.partitioning import find_cuts
 from repro.core.smoothing import local_slopes, moving_average
 from repro.kernels.keys import bin_indices, pack_keys, prefix_bins, unpack_keys
@@ -91,38 +90,6 @@ class TestKeyPackingProperties:
         keys = pack_keys(bins, 4)
         uniq_rows = np.unique(bins, axis=0).shape[0]
         assert np.unique(keys).size == uniq_rows
-
-
-class TestHistogramSetProperties:
-    @COMMON
-    @given(
-        hnp.arrays(
-            dtype=np.float64,
-            shape=st.tuples(st.integers(4, 60), st.just(2)),
-            elements=st.floats(-100, 100, allow_nan=False),
-        ),
-        st.integers(1, 5),
-    )
-    def test_any_split_merges_to_whole(self, x, split_at):
-        sr = SpaceRange.from_data(x, margin=0.05)
-        k = min(split_at, x.shape[0] - 1)
-        a = HistogramSet.from_points(x[:k], sr, [3])
-        b = HistogramSet.from_points(x[k:], sr, [3])
-        whole = HistogramSet.from_points(x, sr, [3])
-        assert (a + b) == whole
-
-    @COMMON
-    @given(
-        hnp.arrays(
-            dtype=np.float64,
-            shape=st.tuples(st.integers(2, 50), st.just(3)),
-            elements=st.floats(-10, 10, allow_nan=False),
-        )
-    )
-    def test_buffer_roundtrip(self, x):
-        sr = SpaceRange.from_data(x, margin=0.05)
-        h = HistogramSet.from_points(x, sr, [2, 4])
-        assert HistogramSet.from_buffer(h.to_buffer(), 3, [2, 4]) == h
 
 
 class TestSmoothingProperties:

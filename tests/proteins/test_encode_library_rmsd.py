@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.proteins.encode import N_CLASSES, encode_frames, one_hot_encode
+from repro.proteins.encode import N_CLASSES, encode_frames
 from repro.proteins.model_library import (
     N_TRAJECTORIES,
     RESIDUES_RANGE,
@@ -39,22 +39,6 @@ class TestEncode:
             encode_frames(rng.random((10, 8)))
         with pytest.raises(ValidationError):
             encode_frames(rng.random((10, 8, 2)))
-
-    def test_one_hot_shape_and_sums(self, rng):
-        codes = rng.integers(0, N_CLASSES, (15, 6)).astype(float)
-        oh = one_hot_encode(codes)
-        assert oh.shape == (15, 6 * N_CLASSES)
-        assert np.all(oh.sum(axis=1) == 6)
-
-    def test_one_hot_positions(self):
-        codes = np.array([[2, 0]])
-        oh = one_hot_encode(codes)
-        assert oh[0, 2] == 1.0
-        assert oh[0, N_CLASSES + 0] == 1.0
-
-    def test_one_hot_out_of_range(self):
-        with pytest.raises(ValidationError):
-            one_hot_encode(np.array([[99]]))
 
 
 class TestModelLibrary:

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.util.validation import (
-    check_array_2d,
-    check_finite,
-    check_in_range,
-    check_positive_int,
-    check_probability,
-)
+from repro.util.validation import check_array_2d, check_finite
 
 
 class TestCheckArray2D:
@@ -62,55 +56,3 @@ class TestCheckFinite:
     def test_inf_rejected(self):
         with pytest.raises(ValidationError):
             check_finite(np.array([np.inf, 1.0]))
-
-
-class TestCheckPositiveInt:
-    def test_ok(self):
-        assert check_positive_int(3, "x") == 3
-
-    def test_numpy_int_ok(self):
-        assert check_positive_int(np.int64(5), "x") == 5
-
-    def test_bool_rejected(self):
-        with pytest.raises(ValidationError):
-            check_positive_int(True, "x")
-
-    def test_float_rejected(self):
-        with pytest.raises(ValidationError):
-            check_positive_int(3.0, "x")
-
-    def test_below_minimum(self):
-        with pytest.raises(ValidationError):
-            check_positive_int(0, "x", minimum=1)
-
-
-class TestCheckProbability:
-    @pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
-    def test_ok(self, v):
-        assert check_probability(v, "p") == v
-
-    @pytest.mark.parametrize("v", [-0.1, 1.1])
-    def test_out_of_range(self, v):
-        with pytest.raises(ValidationError):
-            check_probability(v, "p")
-
-    def test_non_numeric(self):
-        with pytest.raises(ValidationError):
-            check_probability("half", "p")
-
-
-class TestCheckInRange:
-    def test_bounds_inclusive(self):
-        assert check_in_range(1.0, "x", low=1.0, high=2.0) == 1.0
-
-    def test_bounds_exclusive(self):
-        with pytest.raises(ValidationError):
-            check_in_range(1.0, "x", low=1.0, inclusive=False)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValidationError):
-            check_in_range(float("nan"), "x")
-
-    def test_high_violation(self):
-        with pytest.raises(ValidationError):
-            check_in_range(3.0, "x", high=2.0)
