@@ -17,8 +17,7 @@ from repro.core.assess import histogram_ch_index
 from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
-from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices
+from repro.kernels.fused import FusedStateSpec, fused_bin_points
 
 
 def test_fig2_experiment(benchmark):
@@ -48,8 +47,10 @@ def test_assessment_cost_independent_of_points(benchmark):
              rng.normal(8, 1, (n_points // 2, 2))]
         )
         space = SpaceRange.from_data(x)
-        bins = bin_indices(x, space.r_min, space.r_max, 6)
-        counts = accumulate_histogram(bins, 64)
+        (points,) = fused_bin_points(
+            x, [FusedStateSpec(None, space.r_min, space.r_max, (6,))]
+        )
+        counts, bins = points.deep, points.rows.T
         cuts = [find_cuts(counts[j], n_points=n_points) for j in range(2)]
         partition = PrimaryPartition(6, cuts)
         codes = partition.cell_codes(partition.intervals_for(bins))

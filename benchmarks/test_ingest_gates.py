@@ -1,0 +1,110 @@
+"""Ingest gates: fused speedup over the reference chain, adaptive overhead.
+
+Both gates time ``StreamingKeyBin2.partial_fit`` on one batch of a
+64-component gaussian mixture (50,000 × 128, 8 projections, depths
+4–7). Clusterable data is the workload the kernels serve: its occupied
+deep-key cells number about the clusters, where white noise would make
+every point its own key. Protocol: one untimed warm-up call (state
+initialization, range measurement, scratch allocation and, for numba,
+JIT compilation), then ``REPEATS`` timed calls of the same batch; the
+best one counts, the usual estimator of a shared machine's noise floor.
+State must be bit-identical before any timing counts.
+
+* ``kernels``: fused ingest is at least ``SPEEDUP_FLOOR`` (5×) faster than
+  the reference chain of ``tests/kernels/oracle.py`` on the best
+  available backend. Where the standard ``CI`` variable is set the floor
+  is ``CI_SPEEDUP_FLOOR`` (2.5×): shared 2-core runners throttle BLAS and
+  memory bandwidth unpredictably. Bit-identity holds at full strength.
+* ``adaptive``: on a stream that never leaves its range, adaptive
+  tracking costs at most ``MAX_ADAPTIVE_OVERHEAD`` (5%) over a fixed grid,
+  never rebins, and leaves the state bit-identical.
+
+Timings are meaningless under concurrent CPU load: run these alone, never
+next to a test suite.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+
+import numpy as np
+import pytest
+
+from repro.core.streaming import StreamingKeyBin2
+from repro.kernels.backend import available_backends
+from tests.kernels.oracle import reference_partial_fit
+
+N_POINTS, N_FEATURES, N_PROJECTIONS = 50_000, 128, 8
+DEPTHS = (4, 5, 6, 7)
+N_CLUSTERS, CLUSTER_STD, SEED = 64, 0.05, 0
+REPEATS = 5
+SPEEDUP_FLOOR, CI_SPEEDUP_FLOOR = 5.0, 2.5
+MAX_ADAPTIVE_OVERHEAD = 0.05
+
+BACKENDS = [name for name, ok in available_backends().items() if ok]
+
+
+@pytest.fixture(scope="module")
+def batch():
+    rng = np.random.default_rng(SEED)
+    centers = 4.0 * rng.standard_normal((N_CLUSTERS, N_FEATURES))
+    assign = rng.integers(0, N_CLUSTERS, size=N_POINTS)
+    return centers[assign] + CLUSTER_STD * rng.standard_normal(
+        (N_POINTS, N_FEATURES)
+    )
+
+
+def _model(**kw) -> StreamingKeyBin2:
+    return StreamingKeyBin2(
+        n_projections=N_PROJECTIONS, candidate_depths=DEPTHS, seed=SEED, **kw
+    )
+
+
+def _best_s(ingest, x) -> float:
+    ingest(x)  # untimed warm-up
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        ingest(x)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _assert_same_state(a: StreamingKeyBin2, b: StreamingKeyBin2) -> None:
+    assert a.n_seen_ == b.n_seen_
+    for sa, sb in zip(a._states, b._states):
+        for d in sa.depths:
+            assert np.array_equal(sa.hist[d], sb.hist[d])
+        ka, ca = sa.keys.to_arrays()
+        kb, cb = sb.keys.to_arrays()
+        assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
+
+
+def test_kernels_fused_speedup_over_reference(batch):
+    floor = CI_SPEEDUP_FLOOR if os.environ.get("CI") else SPEEDUP_FLOOR
+    ref = _model()
+    ref_best = _best_s(lambda x: reference_partial_fit(ref, x), batch)
+    speedups = {}
+    for name in BACKENDS:
+        fused = _model(backend=name)
+        fused_best = _best_s(fused.partial_fit, batch)
+        _assert_same_state(ref, fused)
+        speedups[name] = ref_best / fused_best
+        print(f"kernels: reference {ref_best * 1e3:.1f} ms, {name} "
+              f"{fused_best * 1e3:.1f} ms -> {speedups[name]:.2f}x")
+    assert max(speedups.values()) >= floor, (speedups, floor)
+
+
+def test_adaptive_overhead_on_stationary_stream(batch):
+    backend = "numba" if "numba" in BACKENDS else "numpy"
+    fixed = _model(backend=backend)
+    fixed_best = _best_s(fixed.partial_fit, batch)
+    adaptive = _model(backend=backend, adaptive=True)
+    adaptive_best = _best_s(adaptive.partial_fit, batch)
+    overhead = adaptive_best / fixed_best - 1.0
+    print(f"adaptive: fixed {fixed_best * 1e3:.1f} ms, adaptive "
+          f"{adaptive_best * 1e3:.1f} ms -> overhead {overhead:+.2%}")
+    assert sum(st.rebin_count for st in adaptive._states) == 0
+    _assert_same_state(fixed, adaptive)
+    assert overhead <= MAX_ADAPTIVE_OVERHEAD

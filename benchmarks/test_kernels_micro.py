@@ -14,10 +14,9 @@ from repro.core.assess import histogram_ch_index
 from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
-from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices, pack_keys
+from repro.kernels.fused import FusedStateSpec, fused_partial_fit
+from repro.kernels.keys import bin_indices
 from repro.kernels.labels import intervals_for_bins
-from repro.kernels.project import project_points
 
 M, N, N_RP = 50_000, 128, 8
 
@@ -50,9 +49,11 @@ def bins(projected, space):
     return bin_indices(projected, space.r_min, space.r_max, 6)
 
 
-def test_projection_kernel(benchmark, points, matrix):
-    out = benchmark(lambda: project_points(points, matrix))
-    assert out.shape == (M, N_RP)
+def test_fused_ingest_kernel(benchmark, points, matrix, space):
+    """Project, bin, histogram and key one batch: streaming ingest."""
+    spec = FusedStateSpec(matrix, space.r_min, space.r_max, (4, 6))
+    (res,) = benchmark(lambda: fused_partial_fit(points, [spec]))
+    assert res.hist[6].sum() == M * N_RP
 
 
 def test_key_assignment_kernel(benchmark, projected, space):
@@ -60,16 +61,6 @@ def test_key_assignment_kernel(benchmark, projected, space):
         lambda: bin_indices(projected, space.r_min, space.r_max, 6)
     )
     assert out.shape == (M, N_RP)
-
-
-def test_histogram_kernel(benchmark, bins):
-    counts = benchmark(lambda: accumulate_histogram(bins, 64))
-    assert counts.sum() == M * N_RP
-
-
-def test_key_packing_kernel(benchmark, bins):
-    keys = benchmark(lambda: pack_keys(bins, 6))
-    assert keys.shape == (M,)
 
 
 def test_interval_mapping_kernel(benchmark, bins):

@@ -72,7 +72,6 @@ def main() -> None:
     skb = StreamingKeyBin2(
         n_projections=6,
         candidate_depths=(4, 5, 6),
-        fused=True,
         adaptive=True,                 # no a-priori range needed
         drift_window=DRIFT_WINDOW,
         drift_threshold=0.5,

@@ -28,8 +28,7 @@ from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
 from repro.core.projection import projection_matrix
 from repro.data.correlated import correlated_clusters
-from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices
+from repro.kernels.fused import FusedStateSpec, fused_bin_points
 from repro.metrics.pairs import pair_precision_recall_f1
 
 __all__ = ["Fig1Result", "run_fig1", "Fig2Result", "run_fig2",
@@ -167,8 +166,10 @@ def run_fig2(
     y = np.concatenate(ys)
 
     space = SpaceRange.from_data(x, margin=0.05)
-    bins = bin_indices(x, space.r_min, space.r_max, depth)
-    counts = accumulate_histogram(bins, 1 << depth)
+    (points,) = fused_bin_points(
+        x, [FusedStateSpec(None, space.r_min, space.r_max, (depth,))]
+    )
+    counts, bins = points.deep, points.rows.T
 
     cuts = [find_cuts(counts[j], n_points=x.shape[0]) for j in range(2)]
     partition = PrimaryPartition(depth, cuts)

@@ -15,8 +15,6 @@ Usage::
     python -m repro fleet --model model.json --replicas 3 [--port 8900]
     python -m repro fleet-bench [--sizes 1,2,4] [--check]
     python -m repro fleet-recover --journal-dir DIR --endpoints r0=H:P,...
-    python -m repro kernels-bench [--backend numpy] [--check]
-    python -m repro drift-bench [--backend numpy] [--check]
     python -m repro obs-report [--ranks 3] [--frames 160] [--json]
     python -m repro obs-trace traces/*.jsonl [--trace ID] [--json]
     python -m repro obs-dashboard --target r0=127.0.0.1:8765 [--once|--demo]
@@ -616,115 +614,6 @@ def _run_fleet_bench(argv: List[str]) -> int:
     return 0
 
 
-def _run_kernels_bench(argv: List[str]) -> int:
-    from repro.kernels.bench import (
-        DEFAULT_OUT_PATH,
-        DEFAULT_SPEEDUP_FLOOR,
-        run_kernels_bench,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro kernels-bench",
-        description="Measure fused-vs-reference partial_fit throughput per "
-                    "kernel backend (and verify bit-identical state).",
-    )
-    parser.add_argument("--backend", action="append", default=None,
-                        metavar="NAME",
-                        help="backend to measure (repeatable; default: every "
-                             "available backend)")
-    parser.add_argument("--points", type=int, default=50_000)
-    parser.add_argument("--features", type=int, default=128)
-    parser.add_argument("--projections", type=int, default=8)
-    parser.add_argument("--depths", default="4,5,6,7",
-                        help="comma-separated candidate depths")
-    parser.add_argument("--clusters", type=int, default=64,
-                        help="gaussian-mixture components in the benchmark "
-                             "batch (clusterable data is the representative "
-                             "workload)")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timed partial_fit calls per path (best-of)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--floor", type=float, default=DEFAULT_SPEEDUP_FLOOR,
-                        help="speedup acceptance floor for --check (default "
-                             f"{DEFAULT_SPEEDUP_FLOOR}x; CI uses a lower "
-                             "explicit floor for throttled shared runners)")
-    parser.add_argument("--out", default=DEFAULT_OUT_PATH,
-                        help="results JSON path ('' = don't write)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless the best backend meets "
-                             "--floor and fused state is bit-identical to "
-                             "the reference")
-    args = parser.parse_args(argv)
-
-    results = run_kernels_bench(
-        backends=args.backend,
-        n_points=args.points,
-        n_features=args.features,
-        n_projections=args.projections,
-        depths=tuple(int(d) for d in args.depths.split(",") if d),
-        n_clusters=args.clusters,
-        repeats=args.repeats,
-        seed=args.seed,
-        floor=args.floor,
-        out_path=args.out or None,
-    )
-    if args.check and not results["passed"]:
-        return 1
-    return 0
-
-
-def _run_drift_bench(argv: List[str]) -> int:
-    from repro.kernels.bench import (
-        DEFAULT_ADAPTIVE_OVERHEAD_CEILING,
-        DEFAULT_DRIFT_OUT_PATH,
-        run_drift_bench,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro drift-bench",
-        description="Measure the adaptive range-tracking overhead of "
-                    "partial_fit on a stationary in-range stream (and verify "
-                    "adaptive state is bit-identical to fixed-range).",
-    )
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="kernel backend (default: best available)")
-    parser.add_argument("--points", type=int, default=50_000)
-    parser.add_argument("--features", type=int, default=128)
-    parser.add_argument("--projections", type=int, default=8)
-    parser.add_argument("--depths", default="4,5,6,7",
-                        help="comma-separated candidate depths")
-    parser.add_argument("--clusters", type=int, default=64)
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timed partial_fit calls per path (best-of)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-overhead", type=float,
-                        default=DEFAULT_ADAPTIVE_OVERHEAD_CEILING,
-                        help="overhead acceptance ceiling for --check "
-                             f"(default {DEFAULT_ADAPTIVE_OVERHEAD_CEILING})")
-    parser.add_argument("--out", default=DEFAULT_DRIFT_OUT_PATH,
-                        help="results JSON path ('' = don't write)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless overhead is within "
-                             "--max-overhead and state is bit-identical")
-    args = parser.parse_args(argv)
-
-    results = run_drift_bench(
-        backend=args.backend,
-        n_points=args.points,
-        n_features=args.features,
-        n_projections=args.projections,
-        depths=tuple(int(d) for d in args.depths.split(",") if d),
-        n_clusters=args.clusters,
-        repeats=args.repeats,
-        seed=args.seed,
-        max_overhead=args.max_overhead,
-        out_path=args.out or None,
-    )
-    if args.check and not results["passed"]:
-        return 1
-    return 0
-
-
 def _run_obs_report(argv: List[str]) -> int:
     from repro.obs import run_obs_report
 
@@ -976,10 +865,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_fleet_bench(argv[1:])
     if argv and argv[0] == "fleet-recover":
         return _run_fleet_recover(argv[1:])
-    if argv and argv[0] == "kernels-bench":
-        return _run_kernels_bench(argv[1:])
-    if argv and argv[0] == "drift-bench":
-        return _run_drift_bench(argv[1:])
     if argv and argv[0] == "obs-report":
         return _run_obs_report(argv[1:])
     if argv and argv[0] == "obs-trace":

@@ -22,8 +22,7 @@ from repro.core.binning import SpaceRange
 from repro.core.model import KeyBin2Model
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
 from repro.errors import NotFittedError, ValidationError
-from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices
+from repro.kernels.fused import MAX_POINT_DEPTH, FusedStateSpec, fused_bin_points
 from repro.util.validation import check_array_2d, check_finite
 
 __all__ = ["KeyBin1", "threshold_cuts"]
@@ -64,7 +63,8 @@ class KeyBin1:
     Parameters
     ----------
     depth:
-        Fixed bin-tree depth (no depth search).
+        Fixed bin-tree depth (no depth search), in [1, 16] like
+        :class:`~repro.core.estimator.KeyBin2`'s depths.
     density_threshold:
         The partitioning heuristic's knob.
     range_margin:
@@ -79,8 +79,8 @@ class KeyBin1:
         density_threshold: float = 0.05,
         range_margin: float = 0.05,
     ):
-        if depth < 1 or depth > 31:
-            raise ValidationError("depth must be in [1, 31]")
+        if depth < 1 or depth > MAX_POINT_DEPTH:
+            raise ValidationError(f"depth must be in [1, {MAX_POINT_DEPTH}]")
         self.depth = int(depth)
         self.density_threshold = float(density_threshold)
         self.range_margin = float(range_margin)
@@ -93,8 +93,10 @@ class KeyBin1:
         m, n = x.shape
         self.n_features_in_ = n
         space = SpaceRange.from_data(x, margin=self.range_margin)
-        bins = bin_indices(x, space.r_min, space.r_max, self.depth)
-        counts = accumulate_histogram(bins, 1 << self.depth)
+        (points,) = fused_bin_points(
+            x, [FusedStateSpec(None, space.r_min, space.r_max, (self.depth,))]
+        )
+        counts, bins = points.deep, points.rows.T
         cuts = [
             threshold_cuts(counts[j], self.density_threshold) for j in range(n)
         ]

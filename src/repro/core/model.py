@@ -17,7 +17,6 @@ from repro.core.binning import SpaceRange
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
 from repro.errors import NotFittedError, ValidationError
 from repro.kernels.keys import bin_indices
-from repro.kernels.project import project_points
 from repro.util.validation import check_array_2d, check_finite
 
 __all__ = ["KeyBin2Model"]
@@ -111,7 +110,7 @@ class KeyBin2Model:
             raise ValidationError(
                 f"model expects {self.projection.shape[0]} features, got {x.shape[1]}"
             )
-        return project_points(x, self.projection)
+        return x @ self.projection
 
     def cell_codes_for(self, x: np.ndarray) -> np.ndarray:
         """Grid-cell code of every point (the key → cell mapping)."""

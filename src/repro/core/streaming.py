@@ -34,10 +34,12 @@ from repro.core.model import KeyBin2Model
 from repro.core.projection import trial_matrices
 from repro.core.tail import TrialHistograms, candidate_models, select_best
 from repro.errors import NotFittedError, ValidationError
-from repro.kernels.fused import projected_bounds
-from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices, prefix_bins
-from repro.kernels.project import project_points
+from repro.kernels.fused import (
+    DEFAULT_FUSED_CHUNK,
+    FusedStateSpec,
+    fused_partial_fit,
+    projected_bounds,
+)
 from repro.obs import default_registry, trace
 from repro.util.rng import SeedLike
 from repro.util.validation import check_array_2d, check_finite
@@ -115,22 +117,19 @@ class KeyCounter:
 
     # -- folding -----------------------------------------------------------
 
-    def _fold(
-        self, codes: np.ndarray, counts: np.ndarray, sorted_unique: bool = False
-    ) -> None:
+    def _fold(self, codes: np.ndarray, counts: np.ndarray) -> None:
         """Merge (codes, counts) — codes need not be unique or sorted —
         then enforce the capacity cap.
 
-        ``sorted_unique=True`` asserts the codes are already strictly
-        increasing (``np.unique`` output); uint64 codes are otherwise
-        checked, because sorted codes take the O(K + u) merge of
-        :meth:`_merge_sorted` instead of re-sorting the whole table.
+        uint64 codes are checked for being strictly increasing (the fused
+        kernels hand them in that way), because sorted codes take the
+        O(K + u) merge of :meth:`_merge_sorted` instead of re-sorting the
+        whole table.
         """
         if codes.dtype == np.uint64:
-            if not sorted_unique:
-                sorted_unique = codes.shape[0] < 2 or bool(
-                    np.all(codes[1:] > codes[:-1])
-                )
+            sorted_unique = codes.shape[0] < 2 or bool(
+                np.all(codes[1:] > codes[:-1])
+            )
             if not sorted_unique:
                 uniq, inverse = np.unique(codes, return_inverse=True)
                 agg = np.zeros(uniq.shape[0], dtype=np.int64)
@@ -209,18 +208,6 @@ class KeyCounter:
         self._codes = self._codes[keep]
         self._counts = kept
 
-    def update(self, rows: np.ndarray) -> None:
-        """Count unique rows of an (M × D) uint8 array."""
-        rows = np.ascontiguousarray(rows, dtype=np.uint8)
-        if rows.ndim != 2:
-            raise ValidationError("KeyCounter.update needs a 2-D array")
-        self._check_width(rows.shape[1])
-        if rows.shape[0] == 0:
-            return
-        codes = self._encode_rows(rows)
-        uniq, counts = np.unique(codes, return_counts=True)
-        self._fold(uniq, counts.astype(np.int64, copy=False), sorted_unique=True)
-
     def merge_encoded(
         self, codes: np.ndarray, counts: np.ndarray, *, width: int
     ) -> "KeyCounter":
@@ -261,7 +248,7 @@ class KeyCounter:
 
         This is the one sanctioned way to merge counters across ranks: the
         capacity cap is enforced on the merged table (evicting
-        smallest-count cells exactly as :meth:`update` would), and the
+        smallest-count cells exactly as a batch fold would), and the
         source counter's ``evicted_keys``/``evicted_points`` totals are
         accumulated so the merged counter reports the *global*
         approximation, not just its own.
@@ -630,14 +617,6 @@ class StreamingKeyBin2:
     key_capacity:
         Cap on tracked occupied cells per projection (see
         :class:`KeyCounter`).
-    fused:
-        When True (default), ``partial_fit`` accumulates through the fused
-        kernel path (:mod:`repro.kernels.fused`): one batched GEMM per
-        chunk for all projections, bin + histogram + key packing in a
-        single pass, no full-size intermediates. ``False`` runs the
-        original reference kernels — bit-identical results (the
-        equivalence suite enforces this), just slower; kept as the
-        semantic baseline.
     backend:
         Kernel backend for the fused path: a name (``"numpy"``,
         ``"numba"``), a :class:`~repro.kernels.backend.KernelBackend`
@@ -694,7 +673,6 @@ class StreamingKeyBin2:
         min_support_bins: int = 3,
         min_cut_prominence: float = 0.10,
         key_capacity: int = 100_000,
-        fused: bool = True,
         backend=None,
         adaptive: bool = False,
         drift_window: int = 0,
@@ -727,7 +705,6 @@ class StreamingKeyBin2:
         self.min_support_bins = int(min_support_bins)
         self.min_cut_prominence = float(min_cut_prominence)
         self.key_capacity = int(key_capacity)
-        self.fused = bool(fused)
         self.backend = backend
         self.adaptive = bool(adaptive)
         self.drift_window = int(drift_window)
@@ -782,16 +759,15 @@ class StreamingKeyBin2:
     def partial_fit(self, x: np.ndarray) -> "StreamingKeyBin2":
         """Accumulate one batch (a single point works too — M = 1 streams)."""
         x = check_array_2d(x, "X")
-        if not self.fused or self._states is None:
+        if self._states is None:
             # The fused backends reject non-finite values per chunk (any
             # NaN/Inf input propagates to a non-finite projected
             # coordinate — IEEE inf·0 is NaN, so even a zero projection
             # weight cannot mask one), which makes a dedicated O(M·N)
-            # validation pass here pure overhead on the fused path. The
-            # first batch still takes it: range initialization reduces
-            # over x before any kernel runs.
+            # validation pass pure overhead on later batches. The first
+            # batch still takes it: range initialization reduces over x
+            # before any kernel runs.
             check_finite(x, "X")
-        if self._states is None:
             self._initialize(x)
         assert self._states is not None
         if x.shape[1] != self.n_features_in_:
@@ -800,10 +776,7 @@ class StreamingKeyBin2:
                 f"{self.n_features_in_}"
             )
         with trace.span("partial_fit"):
-            if self.fused:
-                self._accumulate_fused(x)
-            else:
-                self._accumulate_reference(x)
+            self._accumulate_fused(x)
         self.n_seen_ += x.shape[0]
         self.n_seen_delta_ += x.shape[0]
         self.n_own_ += x.shape[0]
@@ -826,10 +799,11 @@ class StreamingKeyBin2:
         """Fused accumulation: one batched GEMM per chunk for all states,
         bin + histogram + key packing in a single backend pass.
 
-        Bit-identical to :meth:`_accumulate_reference`: the batch
-        histogram is computed once and added to both the running view and
-        the consolidation delta, and keys fold through the same canonical
-        byte encoding with the same once-per-batch eviction cadence.
+        Bit-identical to the step-by-step reference chain the test suite
+        keeps as its oracle: the batch histogram is computed once and
+        added to both the running view and the consolidation delta, and
+        keys fold through the canonical byte encoding with one eviction
+        check per batch.
 
         Adaptive mode wraps the kernel in a widen-and-retry loop: results
         are batch-local, so nothing touches the accumulators until a pass
@@ -840,12 +814,6 @@ class StreamingKeyBin2:
         accumulated state is exactly rebinned, and the whole batch
         re-runs on the wider grid.
         """
-        from repro.kernels.fused import (
-            DEFAULT_FUSED_CHUNK,
-            FusedStateSpec,
-            fused_partial_fit,
-        )
-
         assert self._states is not None
 
         def run():
@@ -902,68 +870,6 @@ class StreamingKeyBin2:
                     table.merge_arrays(res.key_rows, res.key_counts)
             state.n_points += x.shape[0]
             self._feed_drift(idx, state, res.hist[state.depths[-1]], x.shape[0])
-
-    def _accumulate_reference(self, x: np.ndarray) -> None:
-        """Reference accumulation through the unfused kernels.
-
-        The semantic baseline the equivalence suite pins the fused path
-        against; also what runs with ``fused=False``.
-        """
-        assert self._states is not None
-        deepest = self.candidate_depths[-1]
-        for idx, state in enumerate(self._states):
-            with trace.span("project"):
-                projected = (
-                    x if state.matrix is None
-                    else project_points(x, state.matrix)
-                )
-            if self.adaptive:
-                lo = projected.min(axis=0)
-                hi = projected.max(axis=0)
-                state.observe(lo, hi)
-                state.feed_sketches(lo, hi)
-                if state.rebin_to(state.target_levels()):
-                    self._note_rebin(idx)
-            with trace.span("bin"):
-                # Same widen-and-retry contract as the fused path; the
-                # pre-widening above covers observed extremes, so at most
-                # the float boundary case (x == r_max) retries here.
-                while True:
-                    oor_low = np.zeros(state.space.n_dims, dtype=np.int64)
-                    oor_high = np.zeros(state.space.n_dims, dtype=np.int64)
-                    deep = bin_indices(
-                        projected, state.space.r_min, state.space.r_max,
-                        deepest, oor_low=oor_low, oor_high=oor_high,
-                    )
-                    oor_dims = (oor_low > 0) | (oor_high > 0)
-                    if oor_dims.any():
-                        state.oor_low += oor_low
-                        state.oor_high += oor_high
-                        self._note_out_of_range(idx, oor_low, oor_high)
-                    if not self.adaptive or not oor_dims.any():
-                        break
-                    if self.anticipate > 0:
-                        state.observe(*state.anticipated_need(self.anticipate))
-                    target = np.maximum(
-                        state.target_levels(),
-                        state.levels + oor_dims.astype(np.int64),
-                    )
-                    if state.rebin_to(target):
-                        self._note_rebin(idx)
-            with trace.span("histogram"):
-                for d in state.depths:
-                    b = deep if d == deepest else prefix_bins(deep, deepest, d)
-                    accumulate_histogram(b, 1 << d, out=state.hist[d])
-                    accumulate_histogram(b, 1 << d, out=state.hist_delta[d])
-            with trace.span("keys"):
-                deep_u8 = deep.astype(np.uint8)
-                for table in state.key_tables():
-                    table.update(deep_u8)
-            state.n_points += x.shape[0]
-            if state.drift is not None:
-                batch_hist = np.zeros_like(state.hist[deepest])
-                accumulate_histogram(deep, 1 << deepest, out=batch_hist)
-                self._feed_drift(idx, state, batch_hist, x.shape[0])
 
     # -- adaptive/drift telemetry ------------------------------------------
 
@@ -1131,7 +1037,7 @@ class StreamingKeyBin2:
         "n_projections", "n_components", "candidate_depths", "projection",
         "projection_factor", "range_expand", "feature_range", "collapse",
         "uniform_threshold", "min_support_bins", "min_cut_prominence",
-        "key_capacity", "fused", "backend", "adaptive", "drift_window",
+        "key_capacity", "backend", "adaptive", "drift_window",
         "drift_threshold", "anticipate",
     )
 
@@ -1289,6 +1195,9 @@ class StreamingKeyBin2:
                                   f"{payload.get('format')!r}")
         config = dict(payload["config"])
         seed = config.pop("seed", None)
+        # Checkpoints written while ingest had a second, unfused path
+        # record which one ran; both accumulate the same state.
+        config.pop("fused", None)
         skb = cls(seed=seed, **config)
         skb.n_seen_ = int(payload["n_seen"])
         skb.n_seen_delta_ = int(payload["n_seen_delta"])

@@ -60,9 +60,9 @@ class KernelBackend:
 
     Subclasses implement :meth:`fused_chunk` (and may override
     :meth:`gemm`). The contract both the driver and the equivalence suite
-    hold every backend to: outputs must be **bit-identical** to the
-    reference kernels in :mod:`repro.kernels.keys` /
-    :mod:`repro.kernels.histogram` — same float operations
+    hold every backend to: outputs must be **bit-identical** to
+    :func:`repro.kernels.keys.bin_indices` and the test suite's reference
+    chain — same float operations
     (``floor((x - r_min) * scale)`` then clip, with the shared scale from
     :func:`repro.kernels.keys.bin_scale`), no fused-multiply-add
     contraction, no fast-math reassociation.
@@ -233,7 +233,7 @@ class NumpyBackend(KernelBackend):
             finite = np.isfinite(projected)
             if not finite.all():
                 return int(np.flatnonzero(~finite.all(axis=0))[0])
-        # Same float ops as the reference bin_indices kernel, in place.
+        # Same float ops as bin_indices, in place.
         work = projected
         work -= r_min[:, None]
         work *= scale[:, None]

@@ -1,11 +1,14 @@
 """Fused projection → binning → histogram → key kernel.
 
-The reference streaming path materializes, per batch and per projection:
-the full projected array, the full deep bin-index array, one shifted copy
-per shallower depth, and a uint8 key copy — four full-size intermediates
-whose memory traffic dominates ``partial_fit``. This module fuses the
-whole pipeline into one chunked pass, the communication-avoiding batched-
-BLAS formulation of the kernel-k-means literature applied to KeyBin2:
+Streaming ingest written step by step materializes, per batch and per
+projection: the full projected array, the full deep bin-index array, one
+shifted copy per shallower depth, and a uint8 key copy — four full-size
+intermediates whose memory traffic would dominate ``partial_fit``. This
+module fuses the whole pipeline into one chunked pass, the
+communication-avoiding batched-BLAS formulation of the kernel-k-means
+literature applied to KeyBin2. It is the only ingest path; the test
+suite keeps the step-by-step chain (``tests/kernels/oracle.py``) as the
+oracle it is held to:
 
 * **One transposed GEMM per chunk, for all projections.** The
   per-projection matrices are concatenated column-wise and the product is
@@ -15,7 +18,7 @@ BLAS formulation of the kernel-k-means literature applied to KeyBin2:
   of the workspace. One caveat kept honest: on some small shapes BLAS
   dispatches different microkernels for the batched and per-state
   products, so an individual dot product may round 1 ulp differently
-  than the reference's per-state GEMM. That difference is invisible
+  than the oracle's per-state GEMM. That difference is invisible
   downstream unless a projected value lies within an ulp of a bin
   boundary — measure zero for points in generic position, systematic
   only for a single-point stream whose derived range centers on the
@@ -26,7 +29,7 @@ BLAS formulation of the kernel-k-means literature applied to KeyBin2:
   byte-packs each sample's deep key — without materializing any
   full-batch intermediate. The float arithmetic is the shared
   :func:`repro.kernels.keys.bin_scale` recipe, so outputs stay
-  bit-identical to the reference kernels.
+  bit-identical to the oracle.
 * **Histograms from the key table, not the points.** For states whose
   keys fit one uint64 code (≤ 8 projected dimensions), the deepest
   histogram is derived after the chunk loop from the unique keys and
@@ -76,7 +79,6 @@ __all__ = [
     "fused_bin_points",
     "fused_partial_fit",
     "prefix_histograms",
-    "project_bin_count",
     "projected_bounds",
 ]
 
@@ -441,9 +443,9 @@ def fused_partial_fit(
 
     This is the multi-state driver ``StreamingKeyBin2.partial_fit`` uses:
     all states with a projection matrix share one stacked GEMM per chunk.
-    Emits the same ``project``/``bin``/``histogram``/``keys`` trace spans
-    as the reference path, so phase attribution in the observability
-    report is backend-agnostic.
+    Emits ``project``/``bin``/``histogram``/``keys`` trace spans, the same
+    on every backend, so phase attribution in the observability report is
+    backend-agnostic.
 
     ``track_bounds=True`` additionally records each state's observed
     projected minima/maxima (``obs_lo``/``obs_hi`` on the result) — the
@@ -637,33 +639,3 @@ def fused_bin_points(
         PointBins(p.hist_flat.reshape(p.n_dims, p.n_bins), p.rows_t)
         for p in prepared
     ]
-
-
-def project_bin_count(
-    x: np.ndarray,
-    matrix: Optional[np.ndarray],
-    r_min: np.ndarray,
-    r_max: np.ndarray,
-    depths: Sequence[int],
-    backend: Union[None, str, KernelBackend] = None,
-    chunk_size: Optional[int] = DEFAULT_FUSED_CHUNK,
-) -> FusedResult:
-    """Fused GEMM → bin → histogram → key pass for one projection state.
-
-    The single-state public entry point: per chunk it projects, derives
-    deepest-depth bin indices, accumulates the histogram and packs deep
-    keys, never materializing a full projected or bin-index array. Returns
-    a :class:`FusedResult`; bit-identical to running the reference
-    kernels (``project_points`` → ``bin_indices`` → ``prefix_bins`` →
-    ``accumulate_histogram`` → key counting) on the same inputs.
-    """
-    spec = FusedStateSpec(
-        matrix=matrix,
-        r_min=np.asarray(r_min, dtype=np.float64),
-        r_max=np.asarray(r_max, dtype=np.float64),
-        depths=tuple(int(d) for d in depths),
-    )
-    (result,) = fused_partial_fit(
-        x, [spec], backend=backend, chunk_size=chunk_size
-    )
-    return result

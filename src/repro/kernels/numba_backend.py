@@ -59,9 +59,9 @@ def _compiled_kernel():  # pragma: no cover - requires numba
         for i in range(m):
             code = np.uint64(0)
             for j in range(n):
-                # Identical op sequence to the reference kernel: subtract,
+                # Identical op sequence to bin_indices: subtract,
                 # scale, floor, then clamp in float (an overflow to ±inf
-                # clamps like the reference's np.clip does).
+                # clamps like its np.clip does).
                 v = (projected[j, i] - r_min[j]) * scale[j]
                 v = np.floor(v)
                 if v < 0.0:

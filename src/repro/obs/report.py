@@ -304,7 +304,9 @@ def stream_table(
     reg: MetricsRegistry, edge_warn: float = EDGE_BIN_WARN_FRACTION
 ) -> str:
     """Render open-world stream health: out-of-range rows, grid rebins,
-    drift scores, responses, and edge-bin saturation.
+    drift scores, responses, edge-bin saturation, and the share of
+    points each projection's capped key table has evicted
+    (``stream_key_evicted_fraction``).
 
     Emits an explicit WARNING line when any projection's edge-bin mass
     fraction (``stream_edge_bin_fraction``) exceeds ``edge_warn`` — the
@@ -364,6 +366,13 @@ def stream_table(
                 "real structure; enable adaptive binning or widen "
                 "feature_range"
             )
+    evicted = {
+        s["labels"]["projection"]: float(s["value"])
+        for s in _family_values(reg, "stream_key_evicted_fraction")
+    }
+    if evicted:
+        detail = "  ".join(f"proj{p}={v:.4f}" for p, v in sorted(evicted.items()))
+        lines.append(f"  key-table evicted point fraction: {detail}")
     if not lines:
         return "  (no stream range/drift events)"
     return "\n".join(lines)

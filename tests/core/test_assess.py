@@ -12,8 +12,8 @@ from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
 from repro.errors import ValidationError
-from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices
+from tests.kernels.oracle import accumulate_histogram
 from tests.metrics.dispersion import calinski_harabasz_points
 
 

@@ -1,9 +1,9 @@
-"""Batch and SPMD fits ingest through the fused kernels only.
+"""Fits and streaming ingest run through the fused kernels only.
 
-* *Guard.* With the reference ingest kernels (``project_points``,
-  ``bin_indices``, ``accumulate_histogram``) patched to raise everywhere
-  they are reachable, ``KeyBin2.fit`` and a 2-rank ``fit_distributed``
-  still run.
+* *Guard.* With ``bin_indices``, the one-array binning helper ``predict``
+  uses, patched to raise everywhere it is reachable, ``KeyBin2.fit``, a
+  2-rank ``fit_distributed`` and ``StreamingKeyBin2.partial_fit`` plus
+  ``refresh`` (fixed and adaptive grids) still run.
 * *Non-finite input.* NaN and Inf rows still raise ``ValidationError``
   naming the row, in batch and on the SPMD rank that holds them.
 * *Constant collectives.* At 2 ranks, the messages a rank sends outside
@@ -20,17 +20,10 @@ import repro.core.distributed as distributed
 from repro.comm.spmd import run_spmd
 from repro.core.distributed import fit_distributed, keybin2_spmd
 from repro.core.estimator import KeyBin2
+from repro.core.streaming import StreamingKeyBin2
 from repro.data.gaussians import gaussian_mixture
 from repro.errors import RankFailedError, ValidationError
-from repro.kernels.histogram import accumulate_histogram
 from repro.kernels.keys import bin_indices
-from repro.kernels.project import project_points
-
-REFERENCE_INGEST = {
-    "project_points": project_points,
-    "bin_indices": bin_indices,
-    "accumulate_histogram": accumulate_histogram,
-}
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +34,16 @@ def data():
 
 @pytest.fixture
 def no_reference_ingest(monkeypatch):
-    """Make every ``repro`` module's handle on a reference kernel raise."""
+    """Make every ``repro`` module's handle on ``bin_indices`` raise."""
 
-    def forbidden(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"fit reached the reference kernel {name}")
-        return call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ingest reached bin_indices")
 
     for module in list(sys.modules.values()):
         if not getattr(module, "__name__", "").startswith("repro"):
             continue
-        for name, kernel in REFERENCE_INGEST.items():
-            if getattr(module, name, None) is kernel:
-                monkeypatch.setattr(module, name, forbidden(name))
+        if getattr(module, "bin_indices", None) is bin_indices:
+            monkeypatch.setattr(module, "bin_indices", forbidden)
 
 
 class TestGuard:
@@ -66,11 +56,21 @@ class TestGuard:
                               n_projections=3, seed=0)
         assert res.concatenated_labels().shape == (data.shape[0],)
 
-    def test_guard_bites(self, data, no_reference_ingest):
-        from repro.kernels import project as project_module
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_streaming_ingest_avoids_reference_kernels(
+        self, data, no_reference_ingest, adaptive
+    ):
+        skb = StreamingKeyBin2(n_projections=3, adaptive=adaptive, seed=0)
+        for batch in np.array_split(data, 3):
+            skb.partial_fit(batch)
+        skb.refresh()
+        assert skb.model_.n_clusters >= 1
+        assert skb.n_seen_ == data.shape[0]
 
-        with pytest.raises(AssertionError, match="project_points"):
-            project_module.project_points(data, np.eye(data.shape[1]))
+    def test_guard_bites(self, data, no_reference_ingest):
+        kb = KeyBin2(n_projections=3, seed=0).fit(data)
+        with pytest.raises(AssertionError, match="bin_indices"):
+            kb.predict(data)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

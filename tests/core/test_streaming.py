@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import KeyCounter, StreamingKeyBin2
+from tests.kernels.oracle import fold_rows
 from repro.data.gaussians import gaussian_mixture
 from repro.data.streams import BatchStream, DriftingStream
 from repro.errors import NotFittedError, ValidationError
@@ -14,7 +15,7 @@ class TestKeyCounter:
     def test_counts_unique_rows(self, rng):
         rows = rng.integers(0, 4, (100, 3)).astype(np.uint8)
         kc = KeyCounter()
-        kc.update(rows)
+        fold_rows(kc, rows)
         keys, counts = kc.to_arrays()
         assert counts.sum() == 100
         assert keys.shape[0] == np.unique(rows, axis=0).shape[0]
@@ -22,10 +23,10 @@ class TestKeyCounter:
     def test_incremental_equals_batch(self, rng):
         rows = rng.integers(0, 4, (90, 2)).astype(np.uint8)
         a = KeyCounter()
-        a.update(rows)
+        fold_rows(a, rows)
         b = KeyCounter()
         for i in range(0, 90, 7):
-            b.update(rows[i : i + 7])
+            fold_rows(b, rows[i : i + 7])
         ka, ca = a.to_arrays()
         kb, cb = b.to_arrays()
         da = {bytes(k): c for k, c in zip(ka, ca)}
@@ -36,12 +37,12 @@ class TestKeyCounter:
         kc = KeyCounter(capacity=10)
         # One heavy key plus many singletons.
         heavy = np.zeros((50, 2), dtype=np.uint8)
-        kc.update(heavy)
+        fold_rows(kc, heavy)
         singles = np.stack(
             [np.arange(1, 41, dtype=np.uint8), np.arange(1, 41, dtype=np.uint8)],
             axis=1,
         )
-        kc.update(singles)
+        fold_rows(kc, singles)
         keys, counts = kc.to_arrays()
         assert len(kc) <= 10
         assert kc.evicted_keys > 0
@@ -50,25 +51,25 @@ class TestKeyCounter:
 
     def test_width_change_rejected(self):
         kc = KeyCounter()
-        kc.update(np.zeros((2, 3), dtype=np.uint8))
+        fold_rows(kc, np.zeros((2, 3), dtype=np.uint8))
         with pytest.raises(ValidationError):
-            kc.update(np.zeros((2, 4), dtype=np.uint8))
+            fold_rows(kc, np.zeros((2, 4), dtype=np.uint8))
 
     def test_empty_update_noop(self):
         kc = KeyCounter()
-        kc.update(np.zeros((0, 3), dtype=np.uint8))
+        fold_rows(kc, np.zeros((0, 3), dtype=np.uint8))
         assert len(kc) == 0
 
     def test_merge_arrays_equals_pooled_update(self, rng):
         rows_a = rng.integers(0, 4, (80, 3)).astype(np.uint8)
         rows_b = rng.integers(0, 4, (60, 3)).astype(np.uint8)
         a = KeyCounter()
-        a.update(rows_a)
+        fold_rows(a, rows_a)
         b = KeyCounter()
-        b.update(rows_b)
+        fold_rows(b, rows_b)
         a.merge_arrays(*b.to_arrays())
         pooled = KeyCounter()
-        pooled.update(np.concatenate([rows_a, rows_b]))
+        fold_rows(pooled, np.concatenate([rows_a, rows_b]))
         da = {bytes(k): c for k, c in zip(*a.to_arrays())}
         dp = {bytes(k): c for k, c in zip(*pooled.to_arrays())}
         assert da == dp
@@ -76,18 +77,18 @@ class TestKeyCounter:
     def test_merge_arrays_enforces_capacity(self):
         """A merge that overflows the cap must evict, not silently grow."""
         a = KeyCounter(capacity=10)
-        a.update(np.arange(8, dtype=np.uint8).reshape(-1, 1))
+        fold_rows(a, np.arange(8, dtype=np.uint8).reshape(-1, 1))
         b = KeyCounter()
-        b.update(np.arange(100, 108, dtype=np.uint8).reshape(-1, 1))
+        fold_rows(b, np.arange(100, 108, dtype=np.uint8).reshape(-1, 1))
         a.merge_arrays(*b.to_arrays())
         assert len(a) <= 10
         assert a.evicted_keys > 0
 
     def test_merge_arrays_accumulates_peer_evictions(self):
         a = KeyCounter()
-        a.update(np.zeros((5, 2), dtype=np.uint8))
+        fold_rows(a, np.zeros((5, 2), dtype=np.uint8))
         b = KeyCounter(capacity=4)
-        b.update(np.arange(20, dtype=np.uint8).reshape(-1, 2))  # forces evictions
+        fold_rows(b, np.arange(20, dtype=np.uint8).reshape(-1, 2))  # forces evictions
         assert b.evicted_points > 0
         a.merge_arrays(
             *b.to_arrays(),
@@ -110,7 +111,7 @@ class TestKeyCounter:
 
     def test_merge_arrays_width_mismatch_rejected(self):
         a = KeyCounter()
-        a.update(np.zeros((3, 2), dtype=np.uint8))
+        fold_rows(a, np.zeros((3, 2), dtype=np.uint8))
         with pytest.raises(ValidationError):
             a.merge_arrays(np.zeros((2, 3), dtype=np.uint8), np.ones(2, dtype=np.int64))
 
@@ -125,11 +126,11 @@ class TestKeyCounter:
         must evict the same cells (ties broken on key bytes)."""
         rows = np.arange(40, dtype=np.uint8).reshape(-1, 1)  # all count 1
         a = KeyCounter(capacity=30)
-        a.update(rows[:20])
-        a.update(rows[20:])  # overflow evicts here, insertion order 0..39
+        fold_rows(a, rows[:20])
+        fold_rows(a, rows[20:])  # overflow evicts here, insertion order 0..39
         b = KeyCounter(capacity=30)
-        b.update(rows[20:])
-        b.update(rows[:20])  # same contents, insertion order 20..39,0..19
+        fold_rows(b, rows[20:])
+        fold_rows(b, rows[:20])  # same contents, insertion order 20..39,0..19
         da = {bytes(k): c for k, c in zip(*a.to_arrays())}
         db = {bytes(k): c for k, c in zip(*b.to_arrays())}
         assert da == db

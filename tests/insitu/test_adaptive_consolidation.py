@@ -34,7 +34,6 @@ def _make_skb(**kw) -> StreamingKeyBin2:
     kw.setdefault("n_projections", 3)
     kw.setdefault("candidate_depths", DEPTHS)
     kw.setdefault("seed", 0)
-    kw.setdefault("fused", True)
     # Distributed adaptive binning needs every rank on the same *base*
     # grid — chain levels are only comparable relative to a shared
     # level-0 span, so the base must come from config, not from each
@@ -275,7 +274,7 @@ class TestWireFormat:
             rng = np.random.default_rng(comm.rank)
             skb = StreamingKeyBin2(n_projections=3,
                                    candidate_depths=DEPTHS,
-                                   fused=True, seed=0)
+                                   seed=0)
             skb.partial_fit(rng.normal(size=(200, 6)))
             consolidate_streaming_state(comm, skb)
 

@@ -1,5 +1,6 @@
 """Checkpoint/restore: exact round trips, corruption detection, resume."""
 
+import pickle
 import struct
 
 import numpy as np
@@ -11,6 +12,8 @@ from repro.errors import CheckpointError
 from repro.insitu.checkpoint import CheckpointManager, common_checkpoint_round
 from repro.insitu.distributed import run_distributed_insitu
 from repro.proteins.trajectory import TrajectorySimulator
+from tests.core.test_streaming_keys import _assert_same_state
+from tests.kernels.oracle import fold_rows
 
 PARAMS = {"feature_range": (0.0, 1.0), "candidate_depths": (4, 5)}
 
@@ -19,6 +22,14 @@ def _fitted(rng, n=120, seed=7):
     skb = StreamingKeyBin2(seed=seed, **PARAMS)
     skb.partial_fit(rng.random((n, 3)))
     return skb
+
+
+def _stored(path):
+    """(format version, payload) of a checkpoint file."""
+    raw = path.read_bytes()
+    off = len(StreamingKeyBin2._CKPT_MAGIC)
+    (version,) = struct.unpack_from("<I", raw, off)
+    return version, pickle.loads(raw[off + 44:])
 
 
 class TestStateRoundTrip:
@@ -75,10 +86,48 @@ class TestStateRoundTrip:
         StreamingKeyBin2.load_state(first).save_state(second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_checkpoint_naming_an_ingest_path_still_loads(
+        self, tmp_path, monkeypatch, fused
+    ):
+        """Version-2 checkpoints written while ``fused`` was an option
+        carry it in their config; they load, continue exactly, and a
+        re-save drops the entry without a format change."""
+        data = np.random.default_rng(11).random((300, 3))
+        straight = StreamingKeyBin2(seed=3, **PARAMS)
+        straight.partial_fit(data[:150])
+        straight.partial_fit(data[150:])
+        straight.refresh()
+
+        state_dict = StreamingKeyBin2.state_dict
+
+        def naming_the_path(skb):
+            payload = state_dict(skb)
+            payload["config"]["fused"] = fused
+            return payload
+
+        old = tmp_path / "old.kb2"
+        with monkeypatch.context() as m:
+            m.setattr(StreamingKeyBin2, "state_dict", naming_the_path)
+            StreamingKeyBin2(seed=3, **PARAMS).partial_fit(data[:150]).save_state(old)
+        assert _stored(old)[1]["config"]["fused"] is fused
+
+        restored = StreamingKeyBin2.load_state(old)
+        restored.partial_fit(data[150:])
+        restored.refresh()
+        assert restored.model_.fingerprint() == straight.model_.fingerprint()
+        _assert_same_state(restored.state_dict(), straight.state_dict())
+
+        resaved = tmp_path / "new.kb2"
+        restored.save_state(resaved)
+        version, payload = _stored(resaved)
+        assert version == _stored(old)[0] == 2
+        assert "fused" not in payload["config"]
+
     def test_key_counter_state_dict_round_trip(self, rng):
         rows = rng.integers(0, 5, (80, 3)).astype(np.uint8)
         kc = KeyCounter(capacity=20)
-        kc.update(rows)
+        fold_rows(kc, rows)
         back = KeyCounter.from_state_dict(kc.state_dict())
         ka, ca = kc.to_arrays()
         kb, cb = back.to_arrays()

@@ -11,12 +11,14 @@ from repro.kernels.fused import (
     fused_bin_points,
     fused_partial_fit,
     prefix_histograms,
-    project_bin_count,
     projected_bounds,
 )
-from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices, prefix_bins
-from repro.kernels.project import project_points
+from tests.kernels.oracle import (
+    accumulate_histogram,
+    bin_indices,
+    prefix_bins,
+    project_points,
+)
 
 AVAILABLE_BACKENDS = [name for name, ok in available_backends().items() if ok]
 
@@ -42,6 +44,14 @@ def _reference(x, matrix, r_min, r_max, depths):
     return hist, rows, counts
 
 
+def fused_one(x, matrix, r_min, r_max, depths, **kwargs):
+    """``fused_partial_fit`` over one state."""
+    (res,) = fused_partial_fit(
+        x, [FusedStateSpec(matrix, r_min, r_max, depths)], **kwargs
+    )
+    return res
+
+
 def _spec_for(x, matrix, depths, rng_margin=0.25):
     projected = x if matrix is None else x @ matrix
     r_min = projected.min(axis=0) - rng_margin
@@ -55,7 +65,7 @@ class TestProjectBinCount:
         x = rng.standard_normal((257, 12))
         matrix = rng.standard_normal((12, 4))
         r_min, r_max = _spec_for(x, matrix, (3, 5))
-        res = project_bin_count(
+        res = fused_one(
             x, matrix, r_min, r_max, (3, 5), backend="numpy",
             chunk_size=chunk_size,
         )
@@ -69,7 +79,7 @@ class TestProjectBinCount:
     def test_no_projection_matrix(self, rng):
         x = rng.standard_normal((64, 3))
         r_min, r_max = _spec_for(x, None, (4,))
-        res = project_bin_count(x, None, r_min, r_max, (4,), backend="numpy")
+        res = fused_one(x, None, r_min, r_max, (4,), backend="numpy")
         hist, rows, counts = _reference(x, None, r_min, r_max, (4,))
         assert np.array_equal(res.hist[4], hist[4])
         assert np.array_equal(res.key_rows, rows)
@@ -79,7 +89,7 @@ class TestProjectBinCount:
         x = rng.standard_normal((120, 16))
         matrix = rng.standard_normal((16, 10))  # > 8 dims: no uint64 code
         r_min, r_max = _spec_for(x, matrix, (2, 3))
-        res = project_bin_count(x, matrix, r_min, r_max, (2, 3), backend="numpy")
+        res = fused_one(x, matrix, r_min, r_max, (2, 3), backend="numpy")
         assert res.key_codes is None
         hist, rows, counts = _reference(x, matrix, r_min, r_max, (2, 3))
         assert np.array_equal(res.key_rows, rows)
@@ -90,7 +100,7 @@ class TestProjectBinCount:
     def test_empty_batch(self, rng):
         x = np.empty((0, 5))
         matrix = rng.standard_normal((5, 2))
-        res = project_bin_count(x, matrix, [-1, -1], [1, 1], (3,), backend="numpy")
+        res = fused_one(x, matrix, [-1, -1], [1, 1], (3,), backend="numpy")
         assert res.n_rows == 0
         assert res.key_rows.shape[0] == 0
         assert res.key_counts.shape == (0,)
@@ -101,7 +111,7 @@ class TestProjectBinCount:
         x = rng.standard_normal((90, 6))
         matrix = rng.standard_normal((6, 5))
         r_min, r_max = _spec_for(x, matrix, (4,))
-        res = project_bin_count(x, matrix, r_min, r_max, (4,), backend="numpy")
+        res = fused_one(x, matrix, r_min, r_max, (4,), backend="numpy")
         assert np.array_equal(decode_key_codes(res.key_codes, 5), res.key_rows)
 
     def test_nan_input_raises_with_row_index(self, rng):
@@ -109,14 +119,14 @@ class TestProjectBinCount:
         x[23, 1] = np.nan
         matrix = rng.standard_normal((4, 2))
         with pytest.raises(ValidationError, match="row 23"):
-            project_bin_count(x, matrix, [-9, -9], [9, 9], (3,), backend="numpy")
+            fused_one(x, matrix, [-9, -9], [9, 9], (3,), backend="numpy")
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_inf_input_raises(self, rng, bad):
         x = rng.standard_normal((40, 4))
         x[7, 0] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            project_bin_count(x, None, [-9] * 4, [9] * 4, (3,), backend="numpy")
+            fused_one(x, None, [-9] * 4, [9] * 4, (3,), backend="numpy")
 
 
 class TestFusedPartialFit:

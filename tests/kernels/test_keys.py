@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.kernels.keys import (
-    bin_indices,
+from repro.kernels.keys import bin_indices
+from tests.kernels.oracle import (
     bin_indices_at_depths,
     pack_keys,
     prefix_bins,
     unpack_keys,
 )
+from tests.kernels.test_fused import fused_one
 
 
 class TestBinIndices:
@@ -71,12 +72,10 @@ class TestBinIndices:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_on_fused_path(self, rng, bad):
         # The same batch must be rejected by the fused kernel path too.
-        from repro.kernels.fused import project_bin_count
-
         x = rng.random((20, 3))
         x[11, 2] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            project_bin_count(
+            fused_one(
                 x, None, [0.0] * 3, [1.0] * 3, (4,), backend="numpy"
             )
 

@@ -8,7 +8,8 @@ import pytest
 from repro.errors import ValidationError
 from repro.kernels.backend import NumpyBackend, available_backends, get_backend
 from repro.kernels.fused import FusedStateSpec, fused_partial_fit
-from repro.kernels.keys import bin_scale, bin_indices
+from repro.kernels.keys import bin_scale
+from tests.kernels.oracle import bin_indices
 
 DEPTH = 4
 N_BINS = 1 << DEPTH

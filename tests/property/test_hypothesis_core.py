@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts
 from repro.core.smoothing import local_slopes, moving_average
-from repro.kernels.keys import bin_indices, pack_keys, prefix_bins, unpack_keys
+from repro.kernels.keys import bin_indices
+from tests.kernels.oracle import pack_keys, prefix_bins, unpack_keys
 
 COMMON = settings(
     max_examples=40,
