@@ -28,8 +28,10 @@ Single-cluster models score ``-inf`` (nothing to rate).
 Array form and cost. Every interval of every dimension gets one global
 id, so a bin→interval id table turns the per-interval statistics into one
 ``bincount`` (masses, within-dispersions) and one ``reduceat`` pair
-(modes) over the (n_dims × B) histogram: O(n_dims·B) per candidate, plus
-an O(|Q|·n_dims) gather over the occupied cells. Counts are whole
+(modes) over the (n_dims × B) histogram: O(n_dims·B), plus an
+O(|Q|·n_dims) gather over the occupied cells. :func:`histogram_ch_scores`
+makes that one pass over the stacked rows of many candidates at one
+depth, and each candidate pays only its gather. Counts are whole
 numbers, so every sum (below 2^53) is exact in float64 and the scores are
 bit-identical to the per-interval loop this replaced (kept in the tests as
 the oracle).
@@ -38,14 +40,17 @@ the oracle).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.kernels.labels import interval_id_table
 
-__all__ = ["histogram_ch_index", "marginal_percentile_bin", "interval_stats"]
+__all__ = [
+    "histogram_ch_index", "histogram_ch_scores", "marginal_percentile_bin",
+    "interval_stats",
+]
 
 
 def marginal_percentile_bin(counts: np.ndarray, percentile: float = 50.0) -> int:
@@ -144,35 +149,66 @@ def histogram_ch_index(
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 2:
         raise ValidationError("counts must be (n_dims × B)")
-    n_dims, n_bins = counts.shape
+    n_dims = counts.shape[0]
     if len(cuts) != n_dims:
         raise ValidationError(f"need one cut array per dimension ({n_dims})")
     cells = np.asarray(cell_intervals, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != n_dims:
         raise ValidationError("cell_intervals must be (|Q| × n_dims)")
-    n_clusters = cells.shape[0]
-    if n_clusters < 2:
+    if cells.shape[0] < 2:
         return float("-inf")
 
     cuts = [np.asarray(c, dtype=np.int64).ravel() for c in cuts]
     n_intervals = np.array([c.size + 1 for c in cuts])
     if (cells < 0).any() or (cells >= n_intervals).any():
         raise ValidationError("cell interval index out of range")
+    return histogram_ch_scores(counts, cuts, [0], [cells], paper_exact)[0]
+
+
+def histogram_ch_scores(
+    counts: np.ndarray,
+    cuts: Sequence[np.ndarray],
+    first_rows: Sequence[int],
+    cell_intervals: Sequence[np.ndarray],
+    paper_exact: bool = False,
+) -> List[float]:
+    """:func:`histogram_ch_index` of many candidates over one histogram stack.
+
+    ``counts`` stacks the (kept) rows of every candidate at one depth and
+    ``cuts`` holds one cut array per row; candidate ``i`` owns the
+    ``cell_intervals[i].shape[1]`` rows from ``first_rows[i]``. The
+    interval statistics of every row come from one pass, and each score
+    then gathers its candidate's occupied cells. Cells are trusted to be
+    in range (the tail decodes them from cell codes).
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    n_bins = counts.shape[1]
     modes, masses, within, offsets = _interval_stats_rows(counts, cuts)
     centre = _percentile_bins(counts, 50.0)
-    idx = cells + offsets
-    # Counts are whole numbers, so every term and partial sum is an exact
-    # integer in float64 (below 2^53): the order of summation cannot
-    # change the result.
-    w_q = float(within[idx].sum())
-    b_q = float(((modes[idx] - centre) ** 2 * masses[idx]).sum())
+    scores = []
+    for first, cells in zip(first_rows, cell_intervals):
+        n_clusters, n_dims = cells.shape
+        if n_clusters < 2:
+            scores.append(float("-inf"))
+            continue
+        rows = slice(first, first + n_dims)
+        idx = cells + offsets[rows]
+        # Counts are whole numbers, so every term and partial sum is an
+        # exact integer in float64 (below 2^53): the order of summation
+        # cannot change the result.
+        w_q = float(within[idx].sum())
+        b_q = float(((modes[idx] - centre[rows]) ** 2 * masses[idx]).sum())
+        scores.append(_ch_value(w_q, b_q, n_dims * n_bins, n_clusters, paper_exact))
+    return scores
 
+
+def _ch_value(w_q: float, b_q: float, total_bins: int, n_clusters: int,
+              paper_exact: bool) -> float:
+    """Eq. 2a from the dispersions of ``n_clusters`` >= 2 clusters."""
     if w_q <= 0.0:
         # Perfectly tight clusters: infinitely good separation unless the
         # between term is also zero (all mass in one spot).
         return float("inf") if b_q > 0 else float("-inf")
-
-    total_bins = n_dims * n_bins
     shape_factor = (total_bins - n_clusters) / (n_clusters - 1)
     if n_clusters > 2:
         log_factor = math.log2(n_clusters - 1)

@@ -21,8 +21,10 @@ collectives as its three hooks:
    the deepest table, so they never travel,
 4. every rank partitions the identical global histograms — cut finding
    is deterministic, so no cuts travel,
-5. each candidate's occupied-cell table is unioned (tiny: a few ints per
-   cluster) and the global table broadcast, so labels are consistent
+5. the occupied-cell tables of every (trial, depth) candidate are
+   unioned at once (tiny: a few ints per cluster): **one** gather to the
+   master, which merges each candidate's tables in rank order, and
+   **one** broadcast of the global tables, so labels are consistent
    across ranks,
 6. the CH score is computed from the global histogram; the best-scoring
    candidate wins on every rank simultaneously (same data ⇒ same
@@ -33,9 +35,9 @@ equals the one :class:`~repro.core.estimator.KeyBin2` fits on the pooled
 data. The only payloads proportional to anything are the histograms —
 t · N_rp · 2^D integers per rank — which is the paper's O(K·N_rp·B)
 communication claim, without the factor 2 of sending every depth;
-``comm.traffic`` measures it. The bounds and histogram collectives run
-once per fit whatever the number of trials; only the table unions run
-per (trial, depth) candidate.
+``comm.traffic`` measures it. The bounds, histogram and table
+collectives each run once per fit whatever the number of trials and
+depths: at 2 ranks, rank 0 sends 5 messages per fit.
 """
 
 from __future__ import annotations
@@ -92,17 +94,20 @@ def _consolidate_histograms(
     ]
 
 
-def _union_tables(comm: Communicator, local: GlobalClusterTable) -> GlobalClusterTable:
-    """Union of the occupied cells of every rank, on every rank."""
-    tables = comm.gather((local.codes, local.sizes), root=0)
+def _union_tables(
+    comm: Communicator, local: List[GlobalClusterTable]
+) -> List[GlobalClusterTable]:
+    """Union of the occupied cells of every rank, for every candidate's
+    table at once: one gather and one broadcast per fit."""
+    gathered = comm.gather([(t.codes, t.sizes) for t in local], root=0)
     payload = None
     if comm.rank == 0:
-        merged = local
-        for peer_codes, peer_sizes in tables[1:]:
-            merged = merged.merge(GlobalClusterTable(peer_codes, peer_sizes))
-        payload = (merged.codes, merged.sizes)
-    codes, sizes = comm.bcast(payload, root=0)
-    return GlobalClusterTable(codes, sizes)
+        payload = []
+        for i, merged in enumerate(local):
+            for peer in gathered[1:]:
+                merged = merged.merge(GlobalClusterTable(*peer[i]))
+            payload.append((merged.codes, merged.sizes))
+    return [GlobalClusterTable(codes, sizes) for codes, sizes in comm.bcast(payload, root=0)]
 
 
 def keybin2_spmd(
@@ -149,17 +154,17 @@ def keybin2_spmd(
     if int(n_check[0]) != n or int(-n_check[1]) != n:
         raise ValidationError("all ranks must hold the same number of features")
 
-    chosen, _ = estimator._fit_trials(
+    model, labels, _ = estimator._fit_trials(
         x_local,
         int(comm.allreduce(x_local.shape[0])),
         merge_bounds=lambda bounds: _merge_bounds(comm, bounds),
         merge_tables=lambda tables: _consolidate_histograms(
             comm, tables, consolidation
         ),
-        union_table=lambda table: _union_tables(comm, table),
+        union_tables=lambda tables: _union_tables(comm, tables),
         meta={"consolidation": consolidation, "ranks": comm.size},
     )
-    return chosen.model.table.lookup(chosen.codes), chosen.model
+    return labels, model
 
 
 class DistributedFitResult:

@@ -28,6 +28,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +38,7 @@ from repro.core.collapse import collapse_dimensions
 from repro.core.model import KeyBin2Model
 from repro.core.primary import GlobalClusterTable
 from repro.core.projection import PROJECTION_KINDS, trial_matrices
-from repro.core.tail import Candidate, TrialHistograms, candidate_models, select_best
+from repro.core.tail import TrialHistograms, candidate_models, select_best
 from repro.errors import NotFittedError, ValidationError
 from repro.kernels.fused import (
     MAX_POINT_DEPTH,
@@ -155,11 +156,9 @@ class KeyBin2:
         """Learn a clustering of ``x`` (M × N)."""
         x = check_array_2d(x, "X", min_rows=2)
         self.n_features_in_ = x.shape[1]
-        chosen, self.trials_ = self._fit_trials(x, x.shape[0])
-        self.model_ = chosen.model
-        self.labels_ = chosen.model.table.lookup(chosen.codes)
-        self.score_ = chosen.model.score
-        self.n_clusters_ = chosen.model.n_clusters
+        self.model_, self.labels_, self.trials_ = self._fit_trials(x, x.shape[0])
+        self.score_ = self.model_.score
+        self.n_clusters_ = self.model_.n_clusters
         return self
 
     def _fit_trials(
@@ -168,11 +167,13 @@ class KeyBin2:
         n_points: int,
         merge_bounds: Callable[[List[np.ndarray]], List[np.ndarray]] = _unchanged,
         merge_tables: Callable[[List[np.ndarray]], List[np.ndarray]] = _unchanged,
-        union_table: Optional[Callable[[GlobalClusterTable], GlobalClusterTable]] = None,
+        union_tables: Optional[
+            Callable[[List[GlobalClusterTable]], List[GlobalClusterTable]]
+        ] = None,
         meta: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[Candidate, List[TrialResult]]:
-        """Fit every bootstrap trial over ``x``; return the selected
-        candidate and the per-trial summaries.
+    ) -> Tuple[KeyBin2Model, np.ndarray, List[TrialResult]]:
+        """Fit every bootstrap trial over ``x``; return the selected model,
+        the labels of ``x`` under it and the per-trial summaries.
 
         Batch and SPMD fits both run this; SPMD passes its collectives as
         the three hooks, and ``x`` is then one rank's shard of the
@@ -186,9 +187,10 @@ class KeyBin2:
            each point's deep bins and the deepest histogram;
            ``merge_tables`` sums the list of deepest tables, and the
            shallower depths are reshape-sums of it;
-        3. per trial, collapse and the shared tail; ``union_table``
-           merges each candidate's cell table. Only the running best
-           keeps its per-point codes.
+        3. per trial, collapse; then one call of the shared tail for every
+           trial, where ``union_tables`` merges every candidate's cell
+           table at once. Candidates keep no per-point codes: only the
+           winner's are computed, once, to label ``x``.
         """
         depths = resolve_depths(self.candidate_depths, n_points)
         self._resolved_depths = depths
@@ -206,9 +208,7 @@ class KeyBin2:
         ])
         deep_tables = merge_tables([p.deep for p in points])
 
-        trials: List[TrialResult] = []
-        overflowed: List[tuple] = []
-        finalists: List[Candidate] = []
+        inputs: List[TrialHistograms] = []
         for t in range(len(matrices)):
             hist = prefix_histograms(deep_tables[t], depths)
             if self.collapse:
@@ -220,37 +220,33 @@ class KeyBin2:
             else:
                 kept = np.ones(hist[depths[-1]].shape[0], dtype=bool)
             # The trial's keys are the deep bins of its kept dimensions,
-            # one row per point; its bins die here, its codes with the
-            # candidates that lose.
-            keys = points[t].rows[kept].T
-            points[t] = None
-            inputs = TrialHistograms(
-                hist=hist, kept=kept, keys=keys, key_weights=None,
+            # one column per point; its other bins die here.
+            inputs.append(TrialHistograms(
+                hist=hist, kept=kept, keys=points[t].rows[kept], key_weights=None,
                 matrix=matrices[t], space=spaces[t], n_points=n_points,
                 meta={"trial": t, **(meta or {})},
-            )
-            candidates = candidate_models(
-                [inputs], depths, overflowed,
-                min_prominence=self.min_cut_prominence, smoother=self.smoother,
-                union_table=union_table,
-            )
-            if not candidates:  # every depth's grid overflowed int64 codes
-                continue
-            best = select_best(candidates, overflowed)
-            model = best.model
-            trials.append(
-                TrialResult(
-                    trial=t,
-                    depth=model.depth,
-                    score=model.score,
-                    n_clusters=model.n_clusters,
-                    n_kept_dims=int(model.kept_dims.sum()),
-                )
-            )
-            # Only the running best keeps its per-point codes: holding every
-            # trial's until the end would cost O(t·M) memory.
-            finalists = [select_best(finalists + [best], overflowed)]
-        return select_best(finalists, overflowed), trials
+            ))
+            points[t] = None
+        overflowed: List[tuple] = []
+        candidates = candidate_models(
+            inputs, depths, overflowed,
+            min_prominence=self.min_cut_prominence, smoother=self.smoother,
+            union_tables=union_tables,
+        )
+        best = select_best(candidates, overflowed)
+        trials = []
+        for t, models in groupby(candidates, key=lambda m: m.meta["trial"]):
+            model = select_best(list(models), overflowed)
+            trials.append(TrialResult(
+                trial=t,
+                depth=model.depth,
+                score=model.score,
+                n_clusters=model.n_clusters,
+                n_kept_dims=int(model.kept_dims.sum()),
+            ))
+        keys = inputs[best.meta["trial"]].keys
+        labels = best.table.lookup(best.partition.codes_for_bins(keys.T, depths[-1]))
+        return best, labels, trials
 
     # -- inference ------------------------------------------------------------------
 

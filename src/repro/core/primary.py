@@ -24,9 +24,9 @@ __all__ = ["PrimaryPartition", "GlobalClusterTable", "MAX_CELLS", "cell_space_er
 
 #: Largest interval grid whose cells all get distinct int64 codes.
 MAX_CELLS = int(np.iinfo(np.int64).max)
-#: ``from_points`` tallies codes densely while their range is at most this
-#: many values per point: the bincount array then stays a small multiple of
-#: the input, and a linear pass beats a sort.
+#: ``from_points`` tallies codes, and ``lookup`` labels them, through a dense
+#: array while their range is at most this many values per point: the array
+#: then stays a small multiple of the input, and a linear pass beats a sort.
 DENSE_CODES_PER_POINT = 4
 
 
@@ -151,11 +151,14 @@ class PrimaryPartition:
                 f"expected (M × {self.n_dims}) bins, got {bins.shape}"
             )
         table = self.code_table(bin_depth)
-        codes = np.zeros(bins.shape[0], dtype=np.int64)
         # One whole-column gather per dimension: faster than one flat
         # gather, which needs an (M × n_dims) int64 index array. A
         # dimension without cuts adds zero to every code.
-        for j in np.flatnonzero(self.n_intervals > 1):
+        cut_dims = np.flatnonzero(self.n_intervals > 1)
+        if cut_dims.size == 0:
+            return np.zeros(bins.shape[0], dtype=np.int64)
+        codes = table[cut_dims[0]].take(bins[:, cut_dims[0]])
+        for j in cut_dims[1:]:
             codes += table[j].take(bins[:, j])
         return codes
 
@@ -190,20 +193,21 @@ class GlobalClusterTable:
     ) -> "GlobalClusterTable":
         """Build the table from the per-point cell codes seen during fit.
 
-        ``weights`` gives each code's multiplicity (a key's point count);
-        by default every code counts once. Codes spanning no more than
-        :data:`DENSE_CODES_PER_POINT` values per point are tallied with a
-        dense ``bincount``; sparser ones are sorted with ``np.unique``.
-        Either way the table is the same.
+        ``weights`` gives each code's multiplicity (a key's point count,
+        always positive); by default every code counts once. Codes
+        spanning no more than :data:`DENSE_CODES_PER_POINT` values per
+        point are tallied with one dense ``bincount``; sparser ones are
+        sorted with ``np.unique``. Either way the table is the same.
         """
         codes = np.asarray(codes_of_points, dtype=np.int64).ravel()
-        if codes.size and codes.min() >= 0 and codes.max() < DENSE_CODES_PER_POINT * codes.size:
-            tally = np.bincount(codes)
+        if _dense(codes):
+            # Weighted sums below 2^53 are exact in float64, and positive
+            # weights make the occupied cells the nonzero sums.
+            tally = np.bincount(
+                codes, None if weights is None else np.asarray(weights, dtype=np.int64)
+            )
             occupied = np.flatnonzero(tally)
-            if weights is None:
-                return cls(occupied, tally[occupied])
-            sums = np.bincount(codes, weights=np.asarray(weights, dtype=np.int64))
-            return cls(occupied, sums[occupied].astype(np.int64))
+            return cls(occupied, tally[occupied].astype(np.int64))
         if weights is None:
             occupied, sizes = np.unique(codes, return_counts=True)
             return cls(occupied, sizes)
@@ -217,10 +221,21 @@ class GlobalClusterTable:
         return int(self.codes.size)
 
     def lookup(self, codes_of_points: np.ndarray) -> np.ndarray:
-        """Labels in ``[0, n_clusters)``; ``-1`` marks unseen cells."""
+        """Labels in ``[0, n_clusters)``; ``-1`` marks unseen cells.
+
+        Many codes spanning no more than :data:`DENSE_CODES_PER_POINT`
+        values per code map through a dense position array, one gather;
+        others (a one-row predict among them) take a binary search each.
+        """
         pts = np.asarray(codes_of_points, dtype=np.int64)
         if self.codes.size == 0:
             return np.full(pts.shape, -1, dtype=np.int64)
+        if pts.size > 1 and _dense(pts.ravel()):
+            top = int(pts.max())
+            lo, hi = np.searchsorted(self.codes, [0, top + 1])
+            position = np.full(top + 1, -1, dtype=np.int64)
+            position[self.codes[lo:hi]] = np.arange(lo, hi)
+            return position[pts]
         pos = np.searchsorted(self.codes, pts)
         pos_clipped = np.clip(pos, 0, self.codes.size - 1)
         hit = self.codes[pos_clipped] == pts
@@ -241,6 +256,16 @@ class GlobalClusterTable:
             return GlobalClusterTable(codes, sizes)
         codes = np.unique(all_codes)
         return GlobalClusterTable(codes)
+
+
+def _dense(codes: np.ndarray) -> bool:
+    """Whether 1-D ``codes`` span at most :data:`DENSE_CODES_PER_POINT`
+    non-negative values per code, so an array over their range stays a
+    small multiple of the input and a linear pass beats a sort."""
+    return bool(
+        codes.size and codes.min() >= 0
+        and codes.max() < DENSE_CODES_PER_POINT * codes.size
+    )
 
 
 def cell_space_error(overflowed: Sequence[tuple]) -> ValidationError:

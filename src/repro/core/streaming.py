@@ -100,12 +100,15 @@ class KeyCounter:
             return buf.view(">u8").ravel().astype(np.uint64, copy=False)
         return rows.view([("", np.uint8)] * w).ravel().copy()
 
-    def _decode_codes(self, codes: np.ndarray) -> np.ndarray:
+    def _key_bytes(self) -> np.ndarray:
+        """(K × width) uint8 view of the table's keys, in code order."""
         w = self._width
-        assert w is not None
+        assert w is not None and self._codes is not None
         if w <= 8:
-            return codes.astype(">u8").view(np.uint8).reshape(-1, 8)[:, :w].copy()
-        return codes.view(np.uint8).reshape(-1, w).copy()
+            # Key byte j is byte 7 − j of the little-endian code.
+            raw = self._codes.astype("<u8", copy=False).view(np.uint8)
+            return raw.reshape(-1, 8)[:, ::-1][:, :w]
+        return self._codes.view(np.uint8).reshape(-1, w)
 
     def _check_width(self, width: int) -> None:
         if self._width is None:
@@ -274,7 +277,16 @@ class KeyCounter:
         byte-lexicographic key order."""
         if self._codes is None or self._codes.shape[0] == 0 or self._width is None:
             return np.empty((0, 0), dtype=np.uint8), np.empty(0, dtype=np.int64)
-        return self._decode_codes(self._codes), self._counts.copy()
+        return self._key_bytes().copy(), self._counts.copy()
+
+    def columns(self, dims: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """((len(dims) × K) uint8 bins of key dimensions ``dims``, one
+        contiguous row per dimension, and the (K,) counts), decoded in
+        one gather from the codes, in the order of :meth:`to_arrays`."""
+        dims = np.asarray(dims, dtype=np.intp)
+        if self._codes is None or self._codes.shape[0] == 0 or self._width is None:
+            return np.empty((dims.size, 0), dtype=np.uint8), np.empty(0, dtype=np.int64)
+        return self._key_bytes().T[dims], self._counts.copy()
 
     def state_dict(self) -> Dict[str, Any]:
         """Checkpointable plain representation (see :meth:`from_state_dict`)."""
@@ -988,9 +1000,9 @@ class StreamingKeyBin2:
     def _refresh_models(self):
         """Score every (projection, depth) candidate; return the selected model.
 
-        All projections go through the shared tail at once, so each depth
-        is one stacked :func:`find_cuts` call over every projection's kept
-        dimensions.
+        All projections go through the shared tail at once, phase by
+        phase; each projection's keys are decoded once, dimension-major,
+        straight from its counter's codes.
         """
         assert self._states is not None
         states = self._states
@@ -1008,10 +1020,9 @@ class StreamingKeyBin2:
             ]
         trials = []
         for trial, (st, k) in enumerate(zip(states, kept)):
-            deep_keys, key_counts = st.keys.to_arrays()
+            deep_keys, key_counts = st.keys.columns(np.flatnonzero(k))
             trials.append(TrialHistograms(
-                hist=st.hist, kept=k,
-                keys=deep_keys[:, k] if deep_keys.size else deep_keys,
+                hist=st.hist, kept=k, keys=deep_keys,
                 key_weights=key_counts, matrix=st.matrix, space=st.space,
                 n_points=st.n_points,
                 meta={"trial": trial, "streaming": True,
@@ -1021,7 +1032,7 @@ class StreamingKeyBin2:
         candidates = candidate_models(
             trials, depths, overflowed, min_prominence=self.min_cut_prominence
         )
-        return select_best(candidates, overflowed).model
+        return select_best(candidates, overflowed)
 
     # -- checkpointing -------------------------------------------------------
 

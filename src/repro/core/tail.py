@@ -6,9 +6,21 @@ kept dimension's histogram into primary clusters, map every key through
 the cuts to its cell, score the occupied cells with the histogram CH
 index (eqs. 2a–2c), and keep the best (projection, depth) candidate.
 
-:func:`candidate_models` does the first three steps for any number of
-trials at once, with one stacked :func:`find_cuts` call per depth;
-:func:`select_best` is the one selection rule.
+:func:`candidate_models` runs these steps phase by phase over every
+(trial, depth) candidate at once:
+
+1. *cuts* — one stacked :func:`find_cuts` call per depth over the kept
+   rows of every trial;
+2. *cell tables* — :func:`cell_table` builds each candidate's table in
+   one linear pass over its trial's dimension-major keys, and keeps no
+   per-key codes;
+3. *union* — the optional ``union_tables`` hook sees every candidate's
+   table in one call (SPMD: one gather and one broadcast per fit);
+4. *scores* — one interval-statistics pass per depth scores every
+   trial's candidate (:func:`histogram_ch_scores`).
+
+:func:`select_best` is the one selection rule. A caller that labels its
+points computes the winner's codes once, after selection.
 """
 
 from __future__ import annotations
@@ -18,14 +30,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.assess import histogram_ch_index
+from repro.core.assess import histogram_ch_scores
 from repro.core.binning import SpaceRange
 from repro.core.model import KeyBin2Model
 from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition, cell_space_error
 from repro.obs import trace
 
-__all__ = ["TrialHistograms", "Candidate", "candidate_models", "select_best"]
+__all__ = ["TrialHistograms", "cell_table", "candidate_models", "select_best"]
 
 
 @dataclass
@@ -39,11 +51,12 @@ class TrialHistograms:
     kept:
         Boolean mask of the dimensions that survived collapsing.
     keys:
-        (K × n_kept) deepest-depth bins of the kept dimensions: one row
-        per point (batch, SPMD) or per distinct key (streaming).
+        (n_kept × K) deepest-depth bins of the kept dimensions, one
+        contiguous row per dimension: one column per point (batch, SPMD)
+        or per distinct key (streaming).
     key_weights:
-        Points behind each key row, when the rows are distinct keys;
-        ``None`` when every row is one point.
+        Points behind each key column, when the columns are distinct
+        keys; ``None`` when every column is one point.
     matrix, space, n_points, meta:
         The model context: projection matrix, binning range, points behind
         the histograms and model bookkeeping (``meta["trial"]`` is the
@@ -60,18 +73,26 @@ class TrialHistograms:
     meta: Dict[str, Any]
 
 
-@dataclass
-class Candidate:
-    """A scored (projection, depth) model and the cell code of every key row.
+def cell_table(
+    partition: PrimaryPartition,
+    keys: np.ndarray,
+    weights: Optional[np.ndarray],
+    bin_depth: int,
+) -> GlobalClusterTable:
+    """The occupied cells of ``partition`` under (n_dims × K) ``keys``
+    binned at ``bin_depth``, each weighted by ``weights`` (default 1).
 
-    Codes are kept only when the rows are points (``key_weights`` is
-    ``None``), whose labels the caller reads from them; weighted rows are
-    distinct keys, which nothing labels, so their codes are dropped once
-    the table is built.
+    A grid of one cell needs no pass over the keys: its table is that
+    cell holding the total weight.
     """
-
-    model: KeyBin2Model
-    codes: Optional[np.ndarray]
+    if keys.size == 0:  # no keys survived (pathological key capacity)
+        return GlobalClusterTable(np.empty(0, dtype=np.int64))
+    if partition.n_cells == 1:
+        total = keys.shape[1] if weights is None else int(weights.sum())
+        return GlobalClusterTable(np.zeros(1, dtype=np.int64), np.array([total]))
+    return GlobalClusterTable.from_points(
+        partition.codes_for_bins(keys.T, bin_depth), weights
+    )
 
 
 def candidate_models(
@@ -80,71 +101,81 @@ def candidate_models(
     overflowed: List[tuple],
     min_prominence: float = 0.10,
     smoother: str = "ma",
-    union_table: Optional[Callable[[GlobalClusterTable], GlobalClusterTable]] = None,
-) -> List[Candidate]:
+    union_tables: Optional[
+        Callable[[List[GlobalClusterTable]], List[GlobalClusterTable]]
+    ] = None,
+) -> List[KeyBin2Model]:
     """Every trial's scored candidate at every depth, in (trial, depth) order.
 
     ``depths`` is sorted; keys are binned at its deepest entry. Each depth
     is one stacked :func:`find_cuts` call over the kept rows of every
     trial, with the window of the largest ``n_points``. A candidate whose
     cell grid overflows int64 codes is skipped and recorded in
-    ``overflowed`` as ``(trial, kept, partition)``. ``union_table``, when
-    given, replaces each cell table before scoring (the SPMD union of
-    occupied cells across ranks); it runs in the same order on every rank.
+    ``overflowed`` as ``(trial, kept, partition)``. ``union_tables``, when
+    given, replaces the list of every candidate's cell table before
+    scoring (the SPMD union of occupied cells across ranks); it is called
+    once, with the same candidates on every rank.
     """
     deepest = depths[-1]
     bounds = np.cumsum([0] + [int(t.kept.sum()) for t in trials])
-    found: Dict[tuple, Candidate] = {}
+    stacks: Dict[int, np.ndarray] = {}
+    cuts: Dict[int, list] = {}
+    partitions: Dict[tuple, PrimaryPartition] = {}
     for d in depths:
         with trace.span("cuts"):
+            stacks[d] = np.concatenate([t.hist[d][t.kept] for t in trials])
             # The window depends only on the bin count and the point
             # count, so one call serves every trial.
-            cuts = find_cuts(
-                np.concatenate([t.hist[d][t.kept] for t in trials]),
+            cuts[d] = find_cuts(
+                stacks[d],
                 n_points=max(t.n_points for t in trials),
                 min_prominence=min_prominence,
                 smoother=smoother,
             )
-        with trace.span("cell_table"):
-            tables = {}
             for i, t in enumerate(trials):
-                partition = PrimaryPartition(d, cuts[bounds[i]:bounds[i + 1]])
-                if not partition.codes_fit:
+                partition = PrimaryPartition(d, cuts[d][bounds[i]:bounds[i + 1]])
+                if partition.codes_fit:
+                    partitions[d, i] = partition
+                else:
                     overflowed.append((t.meta["trial"], t.kept, partition))
-                    continue
-                if t.keys.size:
-                    codes = partition.codes_for_bins(t.keys, deepest)
-                    table = GlobalClusterTable.from_points(codes, t.key_weights)
-                else:  # no keys survived (pathological key capacity)
-                    codes = np.empty(0, dtype=np.int64)
-                    table = GlobalClusterTable(codes)
-                if union_table is not None:
-                    table = union_table(table)
-                tables[i] = (partition, table, codes if t.key_weights is None else None)
+    tables: List[GlobalClusterTable] = []
+    for d in depths:
+        with trace.span("cell_table"):
+            tables += [
+                cell_table(p, trials[i].keys, trials[i].key_weights, deepest)
+                for (dd, i), p in partitions.items() if dd == d
+            ]
+    if union_tables is not None:
+        with trace.span("union"):
+            tables = union_tables(tables)
+    table_of = dict(zip(partitions, tables))
+    found: Dict[tuple, KeyBin2Model] = {}
+    for d in depths:
         with trace.span("score"):
-            for i, (partition, table, codes) in tables.items():
+            here = [i for dd, i in partitions if dd == d]
+            scores = histogram_ch_scores(
+                stacks[d], cuts[d], [bounds[i] for i in here],
+                [partitions[d, i].decode_cells(table_of[d, i].codes) for i in here],
+            )
+            for i, score in zip(here, scores):
                 t = trials[i]
-                score = histogram_ch_index(
-                    t.hist[d][t.kept],
-                    partition.cuts,
-                    partition.decode_cells(table.codes),
-                )
-                model = KeyBin2Model(
+                found[i, d] = KeyBin2Model(
                     projection=t.matrix,
                     space=t.space,
-                    partition=partition,
+                    partition=partitions[d, i],
                     kept_dims=t.kept,
-                    table=table,
+                    table=table_of[d, i],
                     score=score,
                     depth=d,
                     n_points_fit=t.n_points,
                     meta=dict(t.meta),
                 )
-                found[i, d] = Candidate(model, codes)
     return [found[key] for key in sorted(found)]
 
 
-def select_best(candidates: Sequence[Candidate], overflowed: Sequence[tuple]) -> Candidate:
+def select_best(
+    candidates: Sequence[KeyBin2Model], overflowed: Sequence[tuple]
+) -> KeyBin2Model:
     """The one selection rule: the highest-scoring multi-cluster candidate,
     the first in order on ties; the first candidate when none has two
     clusters. With no candidates at all, raises the cell-space error
@@ -152,10 +183,8 @@ def select_best(candidates: Sequence[Candidate], overflowed: Sequence[tuple]) ->
     """
     if not candidates:
         raise cell_space_error(overflowed)
-    best: Optional[Candidate] = None
-    for cand in candidates:
-        if cand.model.n_clusters >= 2 and (
-            best is None or cand.model.score > best.model.score
-        ):
-            best = cand
+    best: Optional[KeyBin2Model] = None
+    for model in candidates:
+        if model.n_clusters >= 2 and (best is None or model.score > best.score):
+            best = model
     return best if best is not None else candidates[0]

@@ -769,7 +769,11 @@ class FleetRouter:
         if len(healthy) == 1:
             return healthy[0]
         a, b = self._rng.sample(healthy, 2)
-        return a if a.score <= b.score else b
+        # Scores less than one request apart tie, and the random sample
+        # order breaks the tie: an EWMA hint a few hundredths higher must
+        # not starve a replica. A refusal adds a whole request to the
+        # hint, so a refusing replica still loses the pair.
+        return b if b.score <= a.score - 1.0 else a
 
     async def _forward(self, state: ReplicaState, line: bytes) -> bytes:
         """One request → one replica; returns the raw response line.

@@ -6,9 +6,10 @@
   ``refresh`` (fixed and adaptive grids) still run.
 * *Non-finite input.* NaN and Inf rows still raise ``ValidationError``
   naming the row, in batch and on the SPMD rank that holds them.
-* *Constant collectives.* At 2 ranks, the messages a rank sends outside
-  the per-candidate cell-table unions do not depend on the number of
-  trials: the bounds and the histograms each travel in one collective.
+* *Constant collectives.* At 2 ranks, the messages a rank sends do not
+  depend on the number of trials or candidate depths: the bounds, the
+  histograms and the cell tables of every candidate each travel in one
+  collective, and rank 0 sends at most 8 messages per fit.
 """
 
 import sys
@@ -16,7 +17,6 @@ import sys
 import numpy as np
 import pytest
 
-import repro.core.distributed as distributed
 from repro.comm.spmd import run_spmd
 from repro.core.distributed import fit_distributed, keybin2_spmd
 from repro.core.estimator import KeyBin2
@@ -99,33 +99,17 @@ class TestNonFiniteInput:
         assert err.value.rank == 1
 
 
-def _messages(x, n_projections, monkeypatch):
-    """Per-rank (messages outside table unions, union calls) of a 2-rank fit."""
-    union_messages = [0, 0]
-    union_calls = [0, 0]
-    union = distributed._union_tables
-
-    def counted(comm, table):
-        before = comm.traffic.messages_sent
-        merged = union(comm, table)
-        union_messages[comm.rank] += comm.traffic.messages_sent - before
-        union_calls[comm.rank] += 1
-        return merged
-
-    monkeypatch.setattr(distributed, "_union_tables", counted)
-    res = fit_distributed(np.array_split(x, 2), executor="thread",
-                          n_projections=n_projections, seed=0)
-    return [
-        (t["messages_sent"] - union_messages[r], union_calls[r])
-        for r, t in enumerate(res.traffic)
-    ]
+def _messages(x, **options):
+    """Messages each rank sends in a 2-rank fit."""
+    res = fit_distributed(np.array_split(x, 2), executor="thread", seed=0,
+                          **options)
+    return [t["messages_sent"] for t in res.traffic]
 
 
-def test_bounds_and_histogram_messages_do_not_scale_with_trials(data, monkeypatch):
-    four = _messages(data, 4, monkeypatch)
-    eight = _messages(data, 8, monkeypatch)
-    for rank in range(2):
-        assert four[rank][0] == eight[rank][0], rank
-        # One union per (trial, depth) candidate: 4 default depths.
-        assert four[rank][1] == 4 * 4
-        assert eight[rank][1] == 8 * 4
+def test_bounds_and_histogram_messages_do_not_scale_with_trials(data):
+    # The bounds, the histograms and every candidate's cell table each
+    # travel in one collective, whatever the number of candidates.
+    four = _messages(data, n_projections=4)
+    assert _messages(data, n_projections=8) == four
+    assert _messages(data, n_projections=4, candidate_depths=(3, 4, 5)) == four
+    assert four[0] <= 8

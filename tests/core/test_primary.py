@@ -112,6 +112,20 @@ class TestGlobalClusterTable:
         assert dense.sizes.tolist() == sparse.sizes.tolist()
         assert (dense.codes * 1_000_003).tolist() == sparse.codes.tolist()
 
+    def test_lookup_dense_and_sparse_agree(self, rng):
+        # Table codes below, inside and above the query range; queries
+        # dense enough for the position-array path, in a 2-D shape.
+        t = GlobalClusterTable(np.array([-7, 0, 3, 11, 40, 10**9]))
+        queries = rng.integers(0, 60, (20, 20))
+        position = {code: i for i, code in enumerate(t.codes.tolist())}
+        want = [[position.get(q, -1) for q in row] for row in queries.tolist()]
+        assert t.lookup(queries).tolist() == want
+        # The same cells spread out take the binary-search path.
+        spread = GlobalClusterTable(t.codes * 1_000_003)
+        assert spread.lookup(queries * 1_000_003).tolist() == want
+        assert t.lookup(np.array([3])).tolist() == [2]
+        assert t.lookup(np.array([4])).tolist() == [-1]
+
 
 def _three_modes_per_dim(n_dims, n_points=3000, seed=0):
     """Every dimension has three well-separated modes, so every dimension

@@ -116,6 +116,18 @@ def test_plain_predict_is_relayed_unparsed(monkeypatch):
     assert router.probe_rows(2, 2) == [[0.5, 1.5], [0.5, 1.5]]
 
 
+def test_near_equal_load_hints_share_traffic():
+    # With nothing outstanding, a hint a few hundredths higher is a tie,
+    # not a loss: both replicas get a fair share of the picks.
+    router = FleetRouter([("r0", "127.0.0.1", 1), ("r1", "127.0.0.1", 2)],
+                         seed=0)
+    router._states["r0"].load_hint = 0.07
+    router._states["r1"].load_hint = 0.0
+    picks = [router._pick(()).id for _ in range(400)]
+    assert picks.count("r0") >= 100
+    assert picks.count("r1") >= 100
+
+
 def test_refusing_replica_does_not_attract_traffic(fleet_model,
                                                    small_gaussians):
     # r0 admits one request, then sheds every other one at once. Sheds

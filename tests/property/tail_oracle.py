@@ -180,6 +180,21 @@ def histogram_ch_index(
     return (b_q / w_q) * shape_factor * log_factor
 
 
+def histogram_ch_scores(counts, cuts, first_rows, cell_intervals, paper_exact=False):
+    """Drop-in for :func:`repro.core.assess.histogram_ch_scores`: one
+    :func:`histogram_ch_index` per candidate, on its own rows."""
+    counts = np.asarray(counts, dtype=np.float64)
+    return [
+        histogram_ch_index(
+            counts[first:first + cells.shape[1]],
+            cuts[first:first + cells.shape[1]],
+            cells,
+            paper_exact=paper_exact,
+        )
+        for first, cells in zip(first_rows, cell_intervals)
+    ]
+
+
 # -- cell tables --------------------------------------------------------------
 
 
@@ -203,3 +218,9 @@ def from_points(codes_of_points: np.ndarray, weights: Optional[np.ndarray] = Non
     sizes = np.zeros(uniq.size, dtype=np.int64)
     np.add.at(sizes, inverse, 1 if weights is None else np.asarray(weights, np.int64))
     return GlobalClusterTable(uniq, sizes)
+
+
+def cell_table(partition, keys: np.ndarray, weights: Optional[np.ndarray], bin_depth: int):
+    """Drop-in for :func:`repro.core.tail.cell_table`: every key's code,
+    then :func:`from_points`, whatever the grid size."""
+    return from_points(codes_for_bins(partition, keys.T, bin_depth), weights)

@@ -148,3 +148,22 @@ def test_huge_counts_allocate_by_table_size_only(capacity, batches):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@COMMON
+@given(st.integers(1, 12), st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_columns_are_the_transposed_key_rows(width, n_keys, seed):
+    """Narrow (uint64) and wide (bytes) keys decode to the rows of
+    ``to_arrays``, one contiguous row per chosen dimension."""
+    rng = np.random.default_rng(seed)
+    kc = KeyCounter(capacity=10_000)
+    kc.merge_arrays(rng.integers(0, 256, (n_keys, width)).astype(np.uint8),
+                    rng.integers(1, 9, n_keys))
+    dims = np.flatnonzero(rng.random(width) < 0.6)
+    keys, counts = kc.to_arrays()
+    cols, col_counts = kc.columns(dims)
+    assert cols.dtype == np.uint8 and cols.flags.c_contiguous
+    assert cols.shape == (dims.size, len(kc))
+    if n_keys:
+        assert np.array_equal(cols, keys[:, dims].T)
+    assert np.array_equal(col_counts, counts)

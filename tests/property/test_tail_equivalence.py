@@ -3,10 +3,12 @@
 ``tail_oracle`` keeps the loop forms of cut finding, interval statistics,
 bin→interval mapping and table building. Here the runtime versions must
 reproduce them exactly: the same cuts, the same CH scores to the last bit,
-the same cell tables, and, with the oracle patched into the shared tail
-(``repro.core.tail``, which every fit path calls), the same model
-fingerprints.
+the same cell tables, and, with the oracle patched into every entry point
+of the shared tail (``repro.core.tail``, which every fit path calls), the
+same model fingerprints.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.tail as tail_mod
-from repro.core.assess import histogram_ch_index, interval_stats, marginal_percentile_bin
+from repro.core.assess import (
+    histogram_ch_index,
+    histogram_ch_scores,
+    interval_stats,
+    marginal_percentile_bin,
+)
 from repro.core.distributed import fit_distributed
 from repro.core.estimator import KeyBin2
 from repro.core.partitioning import find_cuts
@@ -98,6 +105,25 @@ class TestScoring:
         want = oracle.histogram_ch_index(counts, cuts, cells, paper_exact=paper_exact)
         assert repr(got) == repr(want)
 
+    @COMMON
+    @given(histogram_stacks(), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_stacked_scores_match_oracle(self, counts, n_cells, seed):
+        """Candidates over consecutive row ranges of one stack score as
+        each would alone."""
+        rng = np.random.default_rng(seed)
+        cuts = find_cuts(counts)
+        n_rows = counts.shape[0]
+        inner = rng.choice(np.arange(1, n_rows), rng.integers(0, n_rows), replace=False)
+        edges = [0, *np.sort(inner).tolist(), n_rows]
+        spans = list(zip(edges[:-1], edges[1:]))
+        cells = [_random_cells(rng, cuts[lo:hi], n_cells) for lo, hi in spans]
+        got = histogram_ch_scores(counts, cuts, [lo for lo, _ in spans], cells)
+        want = [
+            oracle.histogram_ch_index(counts[lo:hi], cuts[lo:hi], c)
+            for (lo, hi), c in zip(spans, cells)
+        ]
+        assert repr(got) == repr(want)
+
 
 class TestCellTables:
     @COMMON
@@ -132,14 +158,25 @@ class TestCellTables:
 
 @pytest.fixture
 def patch_oracle(monkeypatch):
-    """Return a function that swaps every tail helper for its oracle."""
+    """Return a function that swaps every tail entry point for its oracle
+    and returns the calls each oracle has taken since."""
+    calls = Counter()
+
+    def counted(fn):
+        def oracle_call(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return oracle_call
 
     def apply():
-        monkeypatch.setattr(tail_mod, "find_cuts", oracle.find_cuts)
-        monkeypatch.setattr(tail_mod, "histogram_ch_index", oracle.histogram_ch_index)
-        monkeypatch.setattr(PrimaryPartition, "codes_for_bins", oracle.codes_for_bins)
-        monkeypatch.setattr(GlobalClusterTable, "from_points",
-                            staticmethod(oracle.from_points))
+        monkeypatch.setattr(tail_mod, "find_cuts", counted(oracle.find_cuts))
+        monkeypatch.setattr(tail_mod, "cell_table", counted(oracle.cell_table))
+        monkeypatch.setattr(tail_mod, "histogram_ch_scores",
+                            counted(oracle.histogram_ch_scores))
+        monkeypatch.setattr(PrimaryPartition, "codes_for_bins",
+                            counted(oracle.codes_for_bins))
+        return calls
 
     return apply
 
@@ -166,5 +203,23 @@ def _fits(x, seed):
 def test_fit_paths_match_oracle(patch_oracle, seed):
     x, _ = gaussian_mixture(n_points=3000, n_dims=12, n_clusters=4, seed=seed)
     fast = _fits(x, seed)
-    patch_oracle()
+    calls = patch_oracle()
     assert _fits(x, seed) == fast
+    # The patch bites: the fits reached every patched entry point
+    # (codes_for_bins through the batch and SPMD labels).
+    assert set(calls) == {"find_cuts", "cell_table", "histogram_ch_scores",
+                          "codes_for_bins"}
+
+
+def test_single_cell_table_is_the_all_zero_codes_table():
+    """The one-cell shortcut equals tallying every key into code 0."""
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 1 << 7, (3, 500)).astype(np.uint8)
+    partition = PrimaryPartition(5, [np.empty(0, dtype=np.int64)] * 3)
+    assert partition.n_cells == 1
+    for weights in (None, rng.integers(1, 50, 500)):
+        got = tail_mod.cell_table(partition, keys, weights, 7)
+        want = GlobalClusterTable.from_points(np.zeros(500, dtype=np.int64), weights)
+        assert np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.sizes, want.sizes)
+        assert got.sizes.dtype == want.sizes.dtype
