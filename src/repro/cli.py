@@ -474,7 +474,7 @@ def _run_fleet(argv: List[str]) -> int:
             print("ops: predict, model-info, stats, metrics, healthz, "
                   "fleet-status"
                   + (", reload (staged rollout), rollback, shutdown"
-                     if handle.router.allow_admin else ""))
+                     if handle.server.allow_admin else ""))
             exit_code = 0
             try:
                 started = time.monotonic()
@@ -503,7 +503,7 @@ def _run_fleet(argv: List[str]) -> int:
                         rhost, rport = next(
                             (h, p) for r, h, p in sup.endpoints() if r == rid
                         )
-                        handle.set_endpoint(rid, rhost, rport)
+                        handle.call(handle.server.set_endpoint(rid, rhost, rport))
                         print(f"restarted dead replica {rid} "
                               f"-> {rhost}:{rport}", flush=True)
             except KeyboardInterrupt:  # pragma: no cover - interactive only
@@ -516,7 +516,7 @@ def _run_fleet(argv: List[str]) -> int:
                     rhost, rport = next(
                         (h, p) for r, h, p in sup.endpoints() if r == rid
                     )
-                    handle.set_endpoint(rid, rhost, rport)
+                    handle.call(handle.server.set_endpoint(rid, rhost, rport))
                 from repro.fleet.journal import _probe_fingerprints
 
                 final = _probe_fingerprints(sup.endpoints(), timeout=5.0)

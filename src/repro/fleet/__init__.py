@@ -8,7 +8,7 @@ unchanged so every client and load tool drives a fleet transparently:
 
 quotas      per-tenant token-bucket quotas ahead of replica admission
 replica     ReplicaSupervisor: spawn/monitor/restart local replicas
-router      FleetRouter: p2c routing, probing, failover
+router      FleetRouter: p2c routing, probing, failover (a serve LineServer)
 rollout     staged canary → percentage → fleet model promotion
 journal     crash-safe rollout WAL + restart recovery (fleet-recover)
 bench       scaling + zero-downtime-reload benchmark (fleet-bench)
@@ -39,7 +39,7 @@ from repro.fleet.journal import (
 from repro.fleet.quotas import TenantQuotaPolicy, TenantQuotas
 from repro.fleet.replica import ReplicaSupervisor
 from repro.fleet.rollout import RolloutConfig, RolloutError, RolloutManager
-from repro.fleet.router import FleetRouter, RouterHandle, router_in_thread
+from repro.fleet.router import FleetRouter, router_in_thread
 
 __all__ = [
     "FleetRouter",
@@ -49,7 +49,6 @@ __all__ = [
     "RolloutError",
     "RolloutJournal",
     "RolloutManager",
-    "RouterHandle",
     "TenantQuotaPolicy",
     "TenantQuotas",
     "plan_recovery",

@@ -3,8 +3,10 @@
 The :class:`FleetRouter` is an asyncio TCP front-end that speaks the
 *exact* :mod:`repro.serve` newline-delimited JSON protocol, so every
 existing client, load generator, and test drives a fleet the same way it
-drives a single server. Behind the socket it adds the three things one
-``ModelServer`` cannot do for itself:
+drives a single server; it runs on the server's line-protocol core
+(:class:`~repro.serve.server.LineServer`), so bind, admin gate, drain on
+stop and thread launcher are one code. Behind the socket it adds the
+three things one ``ModelServer`` cannot do for itself:
 
 * **capacity-aware load balancing** — power-of-two-choices over a score
   combining the router's own per-replica in-flight count (exact, free)
@@ -43,7 +45,6 @@ import asyncio
 import json
 import math
 import random
-import threading
 import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -55,13 +56,13 @@ from repro.errors import (
     ValidationError,
 )
 from repro.fleet.quotas import TenantQuotas
-from repro.obs import default_registry, render_json, render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.reqtrace import NOOP_SPAN, get_tracer, inject
 from repro.serve.admission import RetryBudget
 from repro.serve.client import PROBE_TIMEOUT_S, async_probe
+from repro.serve.server import LineServer, ServerHandle, json_line, metrics_payload
 
-__all__ = ["FleetRouter", "RouterHandle", "router_in_thread"]
+__all__ = ["FleetRouter", "router_in_thread"]
 
 #: Byte prefixes sniffed instead of parsing: the predict op every client
 #: in this repo serializes first, and a success response.
@@ -72,6 +73,15 @@ _OK_PREFIX = b'{"ok": true'
 #: never parsed for it.
 _SAMPLE_EVERY = 16
 _SAMPLE_MAX_BYTES = 4096
+#: Consecutive probe/transport failures that eject a replica from rotation,
+#: and consecutive probe successes that re-admit it.
+EJECT_AFTER = 2
+READMIT_AFTER = 2
+#: Router sockets per replica; excess requests wait for a free one.
+POOL_SIZE = 16
+CONNECT_TIMEOUT_S = 2.0
+#: Longest the router waits for a replica's reply to one forwarded line.
+FORWARD_TIMEOUT_S = 30.0
 
 
 class _Conn:
@@ -92,14 +102,11 @@ class _ConnPool:
     which is itself a capacity signal upstream (outstanding grows).
     """
 
-    def __init__(self, host: str, port: int, limit: int = 16,
-                 connect_timeout: float = 2.0):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.limit = int(limit)
-        self.connect_timeout = float(connect_timeout)
         self._free: deque = deque()
-        self._sem = asyncio.Semaphore(self.limit)
+        self._sem = asyncio.Semaphore(POOL_SIZE)
         self._closed = False
 
     async def acquire(self) -> _Conn:
@@ -113,7 +120,7 @@ class _ConnPool:
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(self.host, self.port),
-                self.connect_timeout,
+                CONNECT_TIMEOUT_S,
             )
         except (OSError, asyncio.TimeoutError) as exc:
             self._sem.release()
@@ -153,12 +160,11 @@ class _ConnPool:
 class ReplicaState:
     """Routing-side view of one replica: endpoint, health, load."""
 
-    def __init__(self, replica_id: str, host: str, port: int,
-                 pool_size: int = 16):
+    def __init__(self, replica_id: str, host: str, port: int):
         self.id = replica_id
         self.host = host
         self.port = port
-        self.pool = _ConnPool(host, port, limit=pool_size)
+        self.pool = _ConnPool(host, port)
         self.healthy = True
         self.consecutive_failures = 0
         self.readmit_streak = 0
@@ -174,11 +180,11 @@ class ReplicaState:
         """Lower is better. Exact local count plus the polled hint."""
         return self.outstanding + self.load_hint
 
-    def reset_endpoint(self, host: str, port: int, pool_size: int) -> None:
+    def reset_endpoint(self, host: str, port: int) -> None:
         self.pool.close_all()
         self.host = host
         self.port = port
-        self.pool = _ConnPool(host, port, limit=pool_size)
+        self.pool = _ConnPool(host, port)
         self.consecutive_failures = 0
         self.readmit_streak = 0
         self.load_hint = 0.0
@@ -198,7 +204,7 @@ class ReplicaState:
         }
 
 
-class FleetRouter:
+class FleetRouter(LineServer):
     """Asyncio TCP router over a fixed set of model-server replicas.
 
     Parameters
@@ -209,20 +215,17 @@ class FleetRouter:
         router's lifetime (health ejection is temporary removal from
         rotation, not membership change); a restarted replica re-enters
         via :meth:`set_endpoint` under its old id.
-    host, port:
-        Bind address of the router itself (``port=0`` → ephemeral).
+    host, port, allow_admin:
+        As for :class:`~repro.serve.server.LineServer`; ``reload`` runs a
+        staged rollout.
     quotas:
         Per-tenant :class:`~repro.fleet.quotas.TenantQuotas` enforced
         before any replica is consulted.
-    allow_admin:
-        Gate for ``reload`` (staged rollout), ``rollback`` and
-        ``shutdown`` — same loopback-only default as the single server.
-    eject_after, readmit_after:
-        Consecutive probe/transport failures before a replica leaves
-        rotation; consecutive probe successes before it returns.
+    probe_interval_s:
+        Seconds between health-probe rounds over every replica.
     max_failovers:
         Transport-failure retries per predict (distinct replicas).
-    retry_budget_ratio, retry_budget_min, retry_budget_window_s:
+    retry_budget_ratio, retry_budget_min:
         Fleet-wide windowed retry budget
         (:class:`~repro.serve.admission.RetryBudget`): failover retries
         across *all* requests may not exceed ``max(min, ratio ×
@@ -235,9 +238,12 @@ class FleetRouter:
         the rollout engine write-ahead journals every transition and the
         journal's recorded artifact becomes the fleet's source of truth
         for crash recovery (see :mod:`repro.fleet.journal`).
+
+    Timeouts, ejection streaks and pool size are the module constants;
+    rollout stages are the :class:`~repro.fleet.rollout.RolloutConfig` ones.
     """
 
-    _LOOPBACK_HOSTS = frozenset({"127.0.0.1", "::1", "localhost"})
+    kind = "router"
 
     def __init__(
         self,
@@ -247,67 +253,38 @@ class FleetRouter:
         quotas: Optional[TenantQuotas] = None,
         allow_admin: Optional[bool] = None,
         probe_interval_s: float = 0.25,
-        probe_timeout_s: float = PROBE_TIMEOUT_S,
-        eject_after: int = 2,
-        readmit_after: int = 2,
         max_failovers: int = 2,
         retry_budget_ratio: float = 0.2,
         retry_budget_min: int = 3,
-        retry_budget_window_s: float = 10.0,
-        pool_size: int = 16,
-        forward_timeout_s: float = 30.0,
-        rollout_config=None,
         journal=None,
-        registry: Optional[MetricsRegistry] = None,
         seed: int = 0,
     ):
         if not replicas:
             raise ValidationError("router needs at least one replica")
-        self.host = host
-        self.port = port
-        self.allow_admin = (
-            host in self._LOOPBACK_HOSTS if allow_admin is None else allow_admin
-        )
-        self.pool_size = int(pool_size)
+        super().__init__(host, port, allow_admin)
         self._states: Dict[str, ReplicaState] = {}
         for replica_id, rhost, rport in replicas:
             if replica_id in self._states:
                 raise ValidationError(f"duplicate replica id {replica_id!r}")
-            self._states[replica_id] = ReplicaState(
-                replica_id, rhost, int(rport), pool_size=self.pool_size
-            )
+            self._states[replica_id] = ReplicaState(replica_id, rhost, int(rport))
         self.quotas = quotas if quotas is not None else TenantQuotas()
         self.probe_interval_s = float(probe_interval_s)
-        self.probe_timeout_s = float(probe_timeout_s)
-        self.eject_after = int(eject_after)
-        self.readmit_after = int(readmit_after)
         self.max_failovers = int(max_failovers)
         self.retry_budget = RetryBudget(
-            ratio=retry_budget_ratio,
-            min_retries=retry_budget_min,
-            window_s=retry_budget_window_s,
+            ratio=retry_budget_ratio, min_retries=retry_budget_min
         )
-        self.forward_timeout_s = float(forward_timeout_s)
         self._rng = random.Random(seed)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._init_metrics()
         # Rollout engine (lazy import to avoid a module cycle).
-        from repro.fleet.rollout import RolloutConfig, RolloutManager
+        from repro.fleet.rollout import RolloutManager
 
         self.journal = journal
-        self.rollout = RolloutManager(
-            self,
-            rollout_config if rollout_config is not None else RolloutConfig(),
-            journal=journal,
-        )
+        self.rollout = RolloutManager(self, journal=journal)
         self._sample_rows: deque = deque(maxlen=64)
         self._sample_tick = 0
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._shutdown: Optional[asyncio.Event] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._writers: set = set()
         self._admin_lock: Optional[asyncio.Lock] = None
-        self.bound_port: Optional[int] = None
         self.started_at = time.time()
 
     # -- metrics -------------------------------------------------------------
@@ -367,7 +344,7 @@ class FleetRouter:
         # Per-replica health gauges: enough signal on the dashboard to
         # answer "why was this replica ejected" without reading logs —
         # the probe outcome stream, the failure streak that crossed
-        # eject_after, and the EWMA load hint feeding the balancer.
+        # EJECT_AFTER, and the EWMA load hint feeding the balancer.
         self._m_probe = reg.counter(
             "fleet_probe_total",
             "Health probes per replica, by outcome (ok / fail / draining).",
@@ -424,54 +401,31 @@ class FleetRouter:
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ServeError("router already started")
-        self._shutdown = asyncio.Event()
+    async def on_start(self) -> None:
         self._admin_lock = asyncio.Lock()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.bound_port = self._server.sockets[0].getsockname()[1]
         self._health_task = asyncio.ensure_future(self._health_loop())
 
-    async def serve_until_shutdown(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._shutdown is not None
-        await self._shutdown.wait()
-        await self.stop()
-
-    async def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        for writer in list(self._writers):
-            writer.close()
+    async def on_stop(self) -> None:
+        assert self._health_task is not None
+        self._health_task.cancel()
+        try:
+            await self._health_task
+        except asyncio.CancelledError:
+            pass
         for state in self._states.values():
             state.pool.close_all()
-        self._server = None
-        if self._shutdown is not None:
-            self._shutdown.set()
 
     async def set_endpoint(self, replica_id: str, host: str, port: int) -> None:
         """Point an existing replica id at a new host:port (post-restart).
 
         Routing counters stay keyed by the same id; health state resets
-        and the probe loop re-admits it as soon as it answers.
+        and the probe loop re-admits it as soon as it answers. Other
+        threads run it through :meth:`ServerHandle.call`.
         """
         state = self._states.get(replica_id)
         if state is None:
             raise ValidationError(f"unknown replica {replica_id!r}")
-        state.reset_endpoint(host, int(port), self.pool_size)
+        state.reset_endpoint(host, int(port))
 
     # -- health --------------------------------------------------------------
 
@@ -490,9 +444,7 @@ class FleetRouter:
 
     async def _probe_one(self, state: ReplicaState) -> None:
         try:
-            payload = await async_probe(
-                state.host, state.port, self.probe_timeout_s
-            )
+            payload = await async_probe(state.host, state.port, PROBE_TIMEOUT_S)
             if payload.get("status") == "draining":
                 raise ServeError("replica is draining")
         except (ConnectionLostError, ServeError, ValueError):
@@ -515,7 +467,7 @@ class FleetRouter:
         self._m_consec_failures.labels(replica=state.id).set(
             state.consecutive_failures
         )
-        if state.healthy and state.consecutive_failures >= self.eject_after:
+        if state.healthy and state.consecutive_failures >= EJECT_AFTER:
             state.healthy = False
             state.ejections += 1
             self._m_ejections.labels(replica=state.id).inc()
@@ -531,7 +483,7 @@ class FleetRouter:
         self._m_consec_failures.labels(replica=state.id).set(0)
         if not state.healthy:
             state.readmit_streak += 1
-            if state.readmit_streak >= self.readmit_after:
+            if state.readmit_streak >= READMIT_AFTER:
                 state.healthy = True
                 state.readmit_streak = 0
                 state.readmissions += 1
@@ -544,30 +496,6 @@ class FleetRouter:
                 })
 
     # -- request path --------------------------------------------------------
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line or not line.endswith(b"\n"):
-                    break
-                response, stop_after = await self._route_line(line)
-                writer.write(response)
-                await writer.drain()
-                if stop_after:
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # client vanished
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     def _inspect(self, line: bytes) -> Tuple[Optional[str], Optional[Dict]]:
         """Cheap op sniff; full JSON parse only when routing needs fields.
@@ -613,9 +541,9 @@ class FleetRouter:
             payload["err"] = err
         if retryable:
             payload["retryable"] = True
-        return json.dumps(payload).encode("utf-8") + b"\n"
+        return json_line(payload)
 
-    async def _route_line(self, line: bytes) -> Tuple[bytes, bool]:
+    async def answer(self, line: bytes) -> Tuple[bytes, bool]:
         op, request = self._inspect(line)
         if op is None:
             return self._error_bytes("malformed JSON request"), False
@@ -629,11 +557,9 @@ class FleetRouter:
             return self._op_metrics(), False
         if op == "fleet-status":
             return self._op_fleet_status(), False
-        if op in ("reload", "rollback", "shutdown") and not self.allow_admin:
-            return self._error_bytes(
-                f"admin op {op!r} is disabled on this router "
-                "(non-loopback bind without allow_admin)"
-            ), False
+        refusal = self.admin_refusal(op)
+        if refusal:
+            return self._error_bytes(refusal), False
         if op == "reload":
             return await self._op_reload(request), False
         if op == "rollback":
@@ -697,7 +623,7 @@ class FleetRouter:
                 if fwd_span.context is not None:
                     payload = dict(request)
                     inject(payload, fwd_span)
-                    send_line = json.dumps(payload).encode("utf-8") + b"\n"
+                    send_line = json_line(payload)
                 state.outstanding += 1
                 t0 = time.perf_counter()
                 try:
@@ -787,7 +713,7 @@ class FleetRouter:
             conn.writer.write(line)
             await conn.writer.drain()
             response = await asyncio.wait_for(
-                conn.reader.readline(), self.forward_timeout_s
+                conn.reader.readline(), FORWARD_TIMEOUT_S
             )
         except (OSError, asyncio.TimeoutError) as exc:
             state.pool.discard(conn)
@@ -825,7 +751,7 @@ class FleetRouter:
     async def admin_request(self, state: ReplicaState,
                             payload: Dict[str, Any]) -> Dict[str, Any]:
         """Routed control-plane RPC to one specific replica (rollout path)."""
-        line = json.dumps(payload).encode("utf-8") + b"\n"
+        line = json_line(payload)
         response = await self._forward(state, line)
         return json.loads(response)
 
@@ -849,7 +775,7 @@ class FleetRouter:
                 for s in self._states.values() if s.polled
             },
         }
-        return json.dumps(payload).encode("utf-8") + b"\n"
+        return json_line(payload)
 
     async def _op_stats(self) -> bytes:
         per_replica: Dict[str, Any] = {}
@@ -862,20 +788,14 @@ class FleetRouter:
                 per_replica[state.id] = {"ok": False, "error": "unreachable"}
         payload = {"ok": True, "fleet": self.fleet_snapshot(),
                    "replicas": per_replica}
-        return json.dumps(payload).encode("utf-8") + b"\n"
+        return json_line(payload)
 
     def _op_metrics(self) -> bytes:
-        registries = [self.registry, default_registry()]
-        payload = {
-            "ok": True,
-            "prometheus": render_prometheus(registries),
-            "metrics": render_json(registries),
-        }
-        return json.dumps(payload).encode("utf-8") + b"\n"
+        return json_line({"ok": True, **metrics_payload(self.registry)})
 
     def _op_fleet_status(self) -> bytes:
         payload = {"ok": True, **self.fleet_snapshot(detail=True)}
-        return json.dumps(payload).encode("utf-8") + b"\n"
+        return json_line(payload)
 
     def fleet_snapshot(self, detail: bool = False) -> Dict[str, Any]:
         """JSON-friendly router state (the ``fleet-status`` payload)."""
@@ -918,7 +838,7 @@ class FleetRouter:
                 )
             except ServeError as exc:
                 return self._error_bytes(str(exc), err="rollout_failed")
-        return json.dumps({"ok": True, **summary}).encode("utf-8") + b"\n"
+        return json_line({"ok": True, **summary})
 
     async def _op_rollback(self, request: Optional[Dict[str, Any]]) -> bytes:
         version = None if request is None else request.get("version")
@@ -943,85 +863,15 @@ class FleetRouter:
                                      f"{results}")
         payload = {"ok": True, "version": max_version,
                    "fingerprint": fingerprint, "replicas": results}
-        return json.dumps(payload).encode("utf-8") + b"\n"
+        return json_line(payload)
 
-
-class RouterHandle:
-    """A :class:`FleetRouter` running on a daemon thread (test/bench/CLI)."""
-
-    def __init__(self, router: FleetRouter, thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop):
-        self.router = router
-        self.thread = thread
-        self._loop = loop
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        assert self.router.bound_port is not None
-        return self.router.host, self.router.bound_port
-
-    def set_endpoint(self, replica_id: str, host: str, port: int,
-                     timeout: float = 10.0) -> None:
-        """Thread-safe endpoint update (the supervisor's restart hook)."""
-        future = asyncio.run_coroutine_threadsafe(
-            self.router.set_endpoint(replica_id, host, port), self._loop
-        )
-        future.result(timeout)
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self.thread.is_alive():
-            try:
-                asyncio.run_coroutine_threadsafe(self.router.stop(), self._loop)
-            except RuntimeError:  # loop already closing on its own
-                pass
-            self.thread.join(timeout)
-        if self.thread.is_alive():  # pragma: no cover - watchdog only
-            raise ServeError("router thread failed to stop in time")
-
-    def __enter__(self) -> "RouterHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 def router_in_thread(replicas: Sequence[Tuple[str, str, int]],
-                     startup_timeout: float = 10.0,
-                     **kwargs) -> RouterHandle:
+                     **kwargs) -> ServerHandle:
     """Start a :class:`FleetRouter` on a background thread; block until bound.
 
-    The fleet twin of :func:`repro.serve.server.serve_in_thread`, with
-    the same startup-failure discipline: a bind error surfaces as
-    :class:`ServeError` here, never as a half-built handle.
+    ``kwargs`` go to :class:`FleetRouter`; see
+    :meth:`~repro.serve.server.LineServer.run_in_thread`.
     """
-    router = FleetRouter(replicas, **kwargs)
-    started = threading.Event()
-    failure: Dict[str, BaseException] = {}
-    loop_holder: Dict[str, asyncio.AbstractEventLoop] = {}
-
-    def _run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        loop_holder["loop"] = loop
-
-        async def _main():
-            await router.start()
-            started.set()  # only after a successful bind
-            await router.serve_until_shutdown()
-
-        try:
-            loop.run_until_complete(_main())
-        except BaseException as exc:  # surface bind errors to the caller
-            failure["exc"] = exc
-        finally:
-            started.set()
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="repro-fleet-router",
-                              daemon=True)
-    thread.start()
-    if not started.wait(startup_timeout):
-        raise ServeError("router failed to start within timeout")
-    if "exc" in failure:
-        raise ServeError(f"router failed to start: {failure['exc']}")
-    return RouterHandle(router, thread, loop_holder["loop"])
+    return FleetRouter(replicas, **kwargs).run_in_thread()

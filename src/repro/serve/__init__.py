@@ -9,7 +9,8 @@ registry    versioned in-process model registry with atomic hot-swap
 batcher     micro-batching queue coalescing single-point predicts
 admission   token-bucket admission control, deadlines, circuit breaker
 cache       LRU cell-code → label cache (version-keyed)
-server      stdlib-only asyncio TCP/JSON server + inference pipeline
+server      stdlib-only asyncio TCP/JSON server + inference pipeline, on
+            LineServer: the line-protocol core the fleet router shares
 client      blocking and asyncio clients for the wire protocol
 loadgen     closed/open-loop load generator + per-outcome report
 stats       serving metrics (throughput, batch histogram, hit rate)

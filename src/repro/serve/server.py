@@ -47,7 +47,8 @@ import asyncio
 import json
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from concurrent import futures
+from typing import Any, Coroutine, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.obs import (
+    MetricsRegistry,
     default_registry,
     ensure_core_series,
     render_json,
@@ -79,7 +81,31 @@ from repro.serve.cache import LabelCache
 from repro.serve.registry import ModelRecord, ModelRegistry
 from repro.serve.stats import ServeStats
 
-__all__ = ["InferenceService", "ModelServer", "ServerHandle", "serve_in_thread"]
+__all__ = ["InferenceService", "LineServer", "ModelServer", "ServerHandle",
+           "serve_in_thread"]
+
+#: Binds that serve the admin ops when ``allow_admin`` is left at ``None``.
+_LOOPBACK_HOSTS = frozenset({"127.0.0.1", "::1", "localhost"})
+#: Ops that can read a file, swap the model or stop the process. A tuple,
+#: not a set: a request's ``op`` may be any JSON value, unhashable ones too.
+_ADMIN_OPS = ("reload", "rollback", "shutdown")
+#: Longest a caller waits on a server thread to bind, to stop, or to run a
+#: coroutine handed to it.
+THREAD_TIMEOUT_S = 10.0
+
+
+def json_line(payload: Any) -> bytes:
+    """One wire frame: ``payload`` as JSON, then the newline delimiter."""
+    return json.dumps(payload).encode("utf-8") + b"\n"
+
+
+def metrics_payload(registry: MetricsRegistry) -> Dict[str, Any]:
+    """Both exposition forms over ``registry`` and the process-global one."""
+    registries = [registry, default_registry()]
+    return {
+        "prometheus": render_prometheus(registries),
+        "metrics": render_json(registries),
+    }
 
 
 class InferenceService:
@@ -145,158 +171,134 @@ class InferenceService:
         return int(labels[0]), record
 
 
-class ModelServer:
-    """Asyncio TCP server exposing a registry-backed model.
+class LineServer:
+    """Newline-delimited TCP server core of :class:`ModelServer` and the router.
+
+    One reply per request line, in order per connection. The newline is the
+    frame delimiter: a last line cut short by EOF is dropped unanswered (a
+    router could not relay it; the replica would wait out the forward
+    timeout). The base deals in bytes and never parses a line; a subclass
+    supplies :meth:`answer` and the :meth:`on_start`/:meth:`on_stop` hooks.
 
     Parameters
     ----------
-    registry:
-        Shared :class:`ModelRegistry`. Publishing to it (from streaming
-        refresh, another thread, or the ``reload`` RPC) hot-swaps what
-        this server answers with, without dropping in-flight requests.
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (see
         :attr:`bound_port` after :meth:`start`).
-    policy:
-        Micro-batching knobs (:class:`BatchPolicy`).
-    cache_size:
-        LRU label-cache entries (0 disables).
     allow_admin:
-        Whether the ``reload`` and ``shutdown`` ops are served. They let
-        any client that can reach the socket read an arbitrary filesystem
-        path or stop the process, so the default (``None``) enables them
-        only on loopback binds; pass ``True`` to enable them on an
-        exposed ``host`` (put real auth in front first) or ``False`` to
-        disable them everywhere.
-    admission:
-        :class:`AdmissionPolicy` gating ``predict`` requests (rate,
-        in-flight bound, deadline defaults). The default admits
-        everything. Only ``predict`` consults admission — ``healthz``,
-        ``metrics``, ``stats``, ``model-info`` and the admin ops always
-        bypass shedding, so an overloaded server stays observable and
-        manageable.
-    circuit_threshold, circuit_cooldown_s:
-        Circuit-breaker knobs: trip open after this many *consecutive*
-        model errors; half-open one probe after the cooldown.
+        Whether the ``reload``, ``rollback`` and ``shutdown`` ops are
+        served. They let any client that can reach the socket read an
+        arbitrary filesystem path, swap the model or stop the process, so
+        the default (``None``) enables them only on loopback binds; pass
+        ``True`` to enable them on an exposed ``host`` (put real auth in
+        front first) or ``False`` to disable them everywhere.
     drain_s:
-        Hard cutoff on the graceful drain in :meth:`stop`: after this
-        long, remaining in-flight requests are abandoned and the batcher
-        is stopped anyway.
+        Hard cutoff on :meth:`stop`'s graceful drain and connection close.
     """
 
-    _LOOPBACK_HOSTS = frozenset({"127.0.0.1", "::1", "localhost"})
+    #: Names the server in its errors and its thread.
+    kind = "server"
 
-    def __init__(
-        self,
-        registry: ModelRegistry,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        policy: Optional[BatchPolicy] = None,
-        cache_size: int = 65536,
-        allow_admin: Optional[bool] = None,
-        admission: Optional[AdmissionPolicy] = None,
-        circuit_threshold: int = 5,
-        circuit_cooldown_s: float = 1.0,
-        drain_s: float = 5.0,
-    ):
-        self.registry = registry
+    def __init__(self, host: str, port: int, allow_admin: Optional[bool],
+                 drain_s: float = 5.0):
         self.host = host
         self.port = port
         self.allow_admin = (
-            host in self._LOOPBACK_HOSTS if allow_admin is None else allow_admin
-        )
-        self.policy = policy or BatchPolicy()
-        self.stats = ServeStats()
-        self.cache = LabelCache(cache_size)
-        self.service = InferenceService(registry, cache=self.cache, stats=self.stats)
-        self.batcher = MicroBatcher(
-            self.service.predict_rows, self.policy, stats=self.stats,
-            flush_info=lambda: self.service.last_flush_info,
-        )
-        self.admission = AdmissionController(admission, stats=self.stats)
-        self.circuit = CircuitBreaker(
-            circuit_threshold, circuit_cooldown_s, stats=self.stats
+            host in _LOOPBACK_HOSTS if allow_admin is None else allow_admin
         )
         self.drain_s = float(drain_s)
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown: Optional[asyncio.Event] = None
-        self._writers: set = set()
-        self._busy = 0  # requests between dispatch start and response write
+        self._clients: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._busy = 0  # requests between line read and reply write
         self.bound_port: Optional[int] = None
+
+    async def answer(self, line: bytes) -> Tuple[bytes, bool]:
+        """Reply to one request line: ``(reply line, close after it)``."""
+        raise NotImplementedError
+
+    async def on_start(self) -> None:
+        """Start what serves requests besides the listener (before bind)."""
+
+    async def on_stop(self) -> None:
+        """Stop what :meth:`on_start` started (after the drain)."""
+
+    def admin_refusal(self, op: Any) -> Optional[str]:
+        """The error for an admin ``op`` this bind does not serve, else None."""
+        if op in _ADMIN_OPS and not self.allow_admin:
+            return (f"admin op {op!r} is disabled on this {self.kind} "
+                    "(non-loopback bind without allow_admin)")
+        return None
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
         if self._server is not None:
-            raise ServeError("server already started")
+            raise ServeError(f"{self.kind} already started")
         self._shutdown = asyncio.Event()
-        self.batcher.start()
+        await self.on_start()
         try:
             self._server = await asyncio.start_server(
                 self._handle_client, self.host, self.port
             )
         except BaseException:
-            # A failed bind must not leave the worker task pending on a
+            # A failed bind must not leave on_start's tasks pending on a
             # loop that is about to close.
-            await self.batcher.stop()
+            await self.on_stop()
             raise
         self.bound_port = self._server.sockets[0].getsockname()[1]
 
     async def serve_until_shutdown(self) -> None:
-        """Run until a ``shutdown`` RPC arrives or :meth:`stop` is called."""
+        """Run until a ``shutdown`` op arrives or the handle stops us."""
         if self._server is None:
             await self.start()
         assert self._shutdown is not None
         await self._shutdown.wait()
         await self.stop()
 
-    async def stop(self, drain_s: Optional[float] = None) -> None:
-        """Graceful drain: stop admitting, finish in-flight work, close.
+    async def stop(self) -> None:
+        """Graceful drain: stop accepting, finish in-flight work, close.
 
-        New ``predict`` requests are shed with reason ``draining`` the
-        moment this is called; requests already admitted keep flowing and
-        get their terminal responses. After ``drain_s`` (hard cutoff) the
-        remaining work is abandoned: the batcher's own stop still flushes
-        whatever it queued, so futures never hang — their responses just
-        race the connection close.
+        Requests already read keep flowing and get their replies; after
+        ``drain_s`` (hard cutoff) the rest are abandoned and their replies
+        race the connection close. Then :meth:`on_stop` runs, and every
+        client connection is closed and its handler awaited within the same
+        cutoff (Python 3.11 logs an error for a handler that the loop's
+        teardown has to cancel instead).
         """
-        if self._server is None:
+        server, self._server = self._server, None
+        if server is None:
             return
-        self.admission.start_draining()
-        self._server.close()  # no new connections
-        await self._server.wait_closed()
-        cutoff = time.monotonic() + (self.drain_s if drain_s is None else drain_s)
-        while (
-            (self.admission.in_flight > 0 or self._busy > 0)
-            and time.monotonic() < cutoff
-        ):
+        server.close()  # no new connections
+        cutoff = time.monotonic() + self.drain_s
+        while self._busy > 0 and time.monotonic() < cutoff:
             await asyncio.sleep(0.005)
-        await self.batcher.stop()  # flushes anything still pending
-        for writer in list(self._writers):
+        await self.on_stop()
+        handlers = list(self._clients.values())
+        for writer in list(self._clients):
             writer.close()
-        self._server = None
-        if self._shutdown is not None:
-            self._shutdown.set()
-
-    # -- request handling ------------------------------------------------------
+        if handlers:
+            await asyncio.wait(handlers,
+                               timeout=max(cutoff - time.monotonic(), 0.0))
+        assert self._shutdown is not None
+        self._shutdown.set()
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        self._clients[writer] = asyncio.current_task()
         try:
             while True:
                 line = await reader.readline()
-                if not line:
+                if not line.endswith(b"\n"):  # EOF, or a line EOF cut short
                     break
-                # _busy covers dispatch through response write, so a drain
-                # only proceeds once every accepted request has had its
-                # terminal response flushed to the socket.
+                # _busy covers the request until its reply is written, so a
+                # drain only proceeds once every read request has had its
+                # terminal reply flushed to the socket.
                 self._busy += 1
                 try:
-                    response = await self._dispatch(line)
-                    stop_after = response.pop("_shutdown", False)
-                    writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                    reply, stop_after = await self.answer(line)
+                    writer.write(reply)
                     await writer.drain()
                 finally:
                     self._busy -= 1
@@ -305,12 +307,156 @@ class ModelServer:
         except (ConnectionResetError, BrokenPipeError):  # client vanished
             pass
         finally:
-            self._writers.discard(writer)
+            self._clients.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    # -- thread launcher ---------------------------------------------------------
+
+    def run_in_thread(self) -> "ServerHandle":
+        """Serve on a daemon thread; block until bound.
+
+        A bind error raises :class:`ServeError` once the thread has ended.
+        """
+        bound: futures.Future = futures.Future()  # the loop, once bound
+
+        async def _main():
+            await self.start()
+            bound.set_result(asyncio.get_running_loop())
+            await self.serve_until_shutdown()
+
+        def _run() -> None:
+            try:
+                # asyncio.run cancels whatever is still pending (connection
+                # handlers past the drain) before it closes the loop, so no
+                # task outlives the thread.
+                asyncio.run(_main())
+            except BaseException as exc:  # surface bind errors to the caller
+                if not bound.done():
+                    bound.set_exception(exc)
+
+        thread = threading.Thread(target=_run, name=f"repro-{self.kind}",
+                                  daemon=True)
+        thread.start()
+        try:
+            loop = bound.result(THREAD_TIMEOUT_S)
+        except futures.TimeoutError:
+            raise ServeError(f"{self.kind} failed to start within timeout") from None
+        except Exception as exc:
+            thread.join(THREAD_TIMEOUT_S)
+            raise ServeError(f"{self.kind} failed to start: {exc}") from None
+        return ServerHandle(self, thread, loop)
+
+
+class ServerHandle:
+    """A :class:`LineServer` on a daemon thread (test/bench/CLI helper)."""
+
+    def __init__(self, server: LineServer, thread: threading.Thread,
+                 loop: asyncio.AbstractEventLoop):
+        self.server = server
+        self.thread = thread
+        self._loop = loop
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        assert self.server.bound_port is not None
+        return self.server.host, self.server.bound_port
+
+    def call(self, coro: Coroutine) -> Any:
+        """Run ``coro`` on the server's loop; return (or raise) its result."""
+        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
+        return future.result(THREAD_TIMEOUT_S)
+
+    def stop(self) -> None:
+        """Stop as the ``shutdown`` op does (drain, then close); wait for it."""
+        if self.thread.is_alive():
+            assert self.server._shutdown is not None
+            try:
+                self._loop.call_soon_threadsafe(self.server._shutdown.set)
+            except RuntimeError:  # loop already closed on its own
+                pass
+            self.thread.join(THREAD_TIMEOUT_S)
+        if self.thread.is_alive():  # pragma: no cover - watchdog only
+            raise ServeError(f"{self.server.kind} thread failed to stop in time")
+
+    def __enter__(self) -> "ServerHandle":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+
+class ModelServer(LineServer):
+    """Asyncio TCP server exposing a registry-backed model.
+
+    Parameters
+    ----------
+    registry:
+        Shared :class:`ModelRegistry`. Publishing to it (from streaming
+        refresh, another thread, or the ``reload`` RPC) hot-swaps what
+        this server answers with, without dropping in-flight requests.
+    host, port, allow_admin, drain_s:
+        As for :class:`LineServer`.
+    policy:
+        Micro-batching knobs (:class:`BatchPolicy`).
+    admission:
+        :class:`AdmissionPolicy` gating ``predict`` requests (rate,
+        in-flight bound, deadline defaults). The default admits
+        everything. Only ``predict`` consults admission — ``healthz``,
+        ``metrics``, ``stats``, ``model-info`` and the admin ops always
+        bypass shedding, so an overloaded server stays observable and
+        manageable.
+
+    The label cache and the circuit breaker run at their defaults
+    (:class:`LabelCache`, :class:`CircuitBreaker`).
+    """
+
+    def __init__(
+        self,
+        registry: ModelRegistry,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        policy: Optional[BatchPolicy] = None,
+        allow_admin: Optional[bool] = None,
+        admission: Optional[AdmissionPolicy] = None,
+        drain_s: float = 5.0,
+    ):
+        super().__init__(host, port, allow_admin, drain_s)
+        self.registry = registry
+        self.policy = policy or BatchPolicy()
+        self.stats = ServeStats()
+        self.cache = LabelCache()
+        self.service = InferenceService(registry, cache=self.cache, stats=self.stats)
+        self.batcher = MicroBatcher(
+            self.service.predict_rows, self.policy, stats=self.stats,
+            flush_info=lambda: self.service.last_flush_info,
+        )
+        self.admission = AdmissionController(admission, stats=self.stats)
+        self.circuit = CircuitBreaker(stats=self.stats)
+
+    # -- lifecycle -------------------------------------------------------------
+
+    async def on_start(self) -> None:
+        self.batcher.start()
+
+    async def on_stop(self) -> None:
+        await self.batcher.stop()  # flushes anything still pending
+
+    async def stop(self) -> None:
+        if self._server is not None:
+            # New predicts are shed with reason 'draining' from here on.
+            self.admission.start_draining()
+        await super().stop()
+
+    # -- request handling ------------------------------------------------------
+
+    async def answer(self, line: bytes) -> Tuple[bytes, bool]:
+        response = await self._dispatch(line)
+        stop_after = response.pop("_shutdown", False)
+        return json_line(response), stop_after
 
     async def _dispatch(self, line: bytes) -> Dict[str, Any]:
         try:
@@ -333,13 +479,9 @@ class ModelServer:
                 return {"ok": True, **self._metrics_payload()}
             if op == "healthz":
                 return self._op_healthz()
-            if op in ("reload", "rollback", "shutdown") and not self.allow_admin:
-                self.stats.record_error()
-                return {
-                    "ok": False,
-                    "error": f"admin op {op!r} is disabled on this server "
-                             "(non-loopback bind without allow_admin)",
-                }
+            refusal = self.admin_refusal(op)
+            if refusal:
+                raise ServeError(refusal)
             if op == "reload":
                 return await self._op_reload(request)
             if op == "rollback":
@@ -540,100 +682,17 @@ class ModelServer:
         reg.gauge(
             "serve_model_swaps_total", "Hot-swaps performed by the registry."
         ).set(self.registry.swaps)
-        registries = [reg, default_registry()]
-        return {
-            "prometheus": render_prometheus(registries),
-            "metrics": render_json(registries),
-        }
+        return metrics_payload(reg)
 
 
-class ServerHandle:
-    """A :class:`ModelServer` running on a daemon thread (test/bench helper)."""
-
-    def __init__(self, server: ModelServer, thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop):
-        self.server = server
-        self.thread = thread
-        self._loop = loop
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        assert self.server.bound_port is not None
-        return self.server.host, self.server.bound_port
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self.thread.is_alive():
-            try:
-                asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop)
-            except RuntimeError:  # loop already closing on its own
-                pass
-            self.thread.join(timeout)
-        if self.thread.is_alive():  # pragma: no cover - watchdog only
-            raise ServeError("server thread failed to stop in time")
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-def serve_in_thread(
-    registry: ModelRegistry,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    policy: Optional[BatchPolicy] = None,
-    cache_size: int = 65536,
-    startup_timeout: float = 10.0,
-    allow_admin: Optional[bool] = None,
-    admission: Optional[AdmissionPolicy] = None,
-    circuit_threshold: int = 5,
-    circuit_cooldown_s: float = 1.0,
-    drain_s: float = 5.0,
-) -> ServerHandle:
+def serve_in_thread(registry: ModelRegistry, **kwargs) -> ServerHandle:
     """Start a :class:`ModelServer` on a background thread; block until bound.
 
-    The returned handle is a context manager::
+    ``kwargs`` go to :class:`ModelServer`. The returned handle is a
+    context manager::
 
         with serve_in_thread(registry) as handle:
             client = ServeClient(*handle.address)
             ...
     """
-    server = ModelServer(registry, host=host, port=port, policy=policy,
-                         cache_size=cache_size, allow_admin=allow_admin,
-                         admission=admission,
-                         circuit_threshold=circuit_threshold,
-                         circuit_cooldown_s=circuit_cooldown_s,
-                         drain_s=drain_s)
-    started = threading.Event()
-    failure: Dict[str, BaseException] = {}
-    loop_holder: Dict[str, asyncio.AbstractEventLoop] = {}
-
-    def _run() -> None:
-        async def _main():
-            loop_holder["loop"] = asyncio.get_running_loop()
-            await server.start()
-            started.set()  # only after a successful bind
-            await server.serve_until_shutdown()
-
-        try:
-            # asyncio.run cancels whatever is still pending (connection
-            # handlers, a stop() racing a shutdown RPC) before it closes
-            # the loop, so no task outlives the thread.
-            asyncio.run(_main())
-        except BaseException as exc:  # surface bind errors to the caller
-            failure["exc"] = exc
-        finally:
-            # Released only after any failure is recorded, so the waiting
-            # caller can never observe "started" with a failed-but-silent
-            # bind (it would hand back a handle whose bound_port is None).
-            started.set()
-
-    thread = threading.Thread(target=_run, name="repro-serve", daemon=True)
-    thread.start()
-    if not started.wait(startup_timeout):
-        raise ServeError("server failed to start within timeout")
-    if "exc" in failure:
-        thread.join(startup_timeout)
-        raise ServeError(f"server failed to start: {failure['exc']}")
-    return ServerHandle(server, thread, loop_holder["loop"])
+    return ModelServer(registry, **kwargs).run_in_thread()

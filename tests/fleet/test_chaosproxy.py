@@ -211,7 +211,7 @@ class TestRouterUnderPartition:
                                 assert client.predict(x[i]).label >= 0
                             except FleetUnavailableError:
                                 pass
-                    reg = handle.router.registry
+                    reg = handle.server.registry
                     fam = reg.get("fleet_routed_total")
                     outcomes = {
                         (s["labels"]["replica"], s["labels"]["outcome"]):
@@ -240,7 +240,7 @@ class TestRouterUnderPartition:
                         for i in range(5):
                             with pytest.raises(FleetUnavailableError):
                                 client.predict(x[i])
-                    router = handle.router
+                    router = handle.server
                     # Zero budget: every predict got exactly ONE transport
                     # attempt (the free first try), never a failover storm.
                     assert router.retry_budget.exhausted >= 5

@@ -59,7 +59,7 @@ def test_crash_at_every_record_boundary_converges(cut, tmp_path, fleet_model,
         with router_in_thread(endpoints, probe_interval_s=0.05,
                               journal=crashing) as handle:
             future = asyncio.run_coroutine_threadsafe(
-                handle.router.rollout.run(model_paths["v2"]), handle._loop
+                handle.server.rollout.run(model_paths["v2"]), handle._loop
             )
             if cut < N_ROLLOUT_RECORDS:
                 with pytest.raises(InjectedFault):

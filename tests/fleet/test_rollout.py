@@ -79,7 +79,7 @@ def test_rollouts_metric_counts_outcomes(thread_fleet, model_paths,
         client.reload(model_paths["v2"])
         with pytest.raises(ServeError):
             client.reload(model_paths["bad"])
-    fam = handle.router.registry.get("fleet_rollouts_total")
+    fam = handle.server.registry.get("fleet_rollouts_total")
     outcomes = {
         s["labels"]["outcome"]: s["value"] for s in fam.snapshot()["samples"]
     }

@@ -84,7 +84,7 @@ def test_single_point_predicts_feed_canary_sample(thread_fleet,
     with ServeClient(*handle.address) as client:
         for row in sent:
             client.predict(row)
-    rows = handle.router.probe_rows(8, x.shape[1])
+    rows = handle.server.probe_rows(8, x.shape[1])
     assert len(rows) == 8
     # Live rows (the 1st, 17th and 33rd predicts), not the zero fallback.
     for row in rows:
@@ -191,7 +191,7 @@ def test_metrics_exposes_fleet_series_and_table(thread_fleet, small_gaussians):
         payload = client.request({"op": "metrics"})
     assert "fleet_routed_total" in payload["prometheus"]
     assert "fleet_routed_total" in payload["metrics"]["families"]
-    table = fleet_table(handle.router.registry)
+    table = fleet_table(handle.server.registry)
     assert "replica" in table and "ok" in table
 
 
@@ -249,7 +249,7 @@ def test_restart_readmits_under_same_id(thread_fleet, small_gaussians):
                 break
             time.sleep(0.05)
         host, port = sup.restart("r2")
-        handle.set_endpoint("r2", host, port)
+        handle.call(handle.server.set_endpoint("r2", host, port))
         deadline = time.time() + 5.0
         while time.time() < deadline:
             if client.request({"op": "healthz"})["healthy_replicas"] == 3:
@@ -319,7 +319,7 @@ def test_router_shutdown_op(fleet_model):
 def test_set_endpoint_unknown_replica(thread_fleet):
     _, handle = thread_fleet
     with pytest.raises(Exception, match="unknown replica"):
-        handle.set_endpoint("r99", "127.0.0.1", 1)
+        handle.call(handle.server.set_endpoint("r99", "127.0.0.1", 1))
 
 
 def test_dead_replica_is_typed_not_raw_reset(fleet_model, small_gaussians):
