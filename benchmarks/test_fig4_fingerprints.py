@@ -41,7 +41,7 @@ def test_stability_validation_cost(benchmark):
     spec = model_library(scale=0.05)[0]
     traj = spec.simulate()
     flat = traj.angles.reshape(traj.n_frames, -1)
-    reps = select_representatives(traj.angles, 8, seed=0)
+    reps = select_representatives(traj.angles, 8)
 
     def run():
         d = rmsd_time_series(flat, flat[reps])

@@ -22,6 +22,10 @@ from repro.util.validation import check_array_2d, check_finite
 
 __all__ = ["DBSCAN", "GridIndex"]
 
+#: Dimensionality above which the grid's 3^N stencil costs more than a
+#: brute-force distance scan.
+DENSE_DIM_LIMIT = 6
+
 NOISE = -1
 _UNVISITED = -2
 
@@ -31,17 +35,17 @@ class GridIndex:
 
     ``neighbors(i)`` returns indices within ``eps`` of point ``i`` by
     scanning the 3^N surrounding cells. For dimensionality above
-    ``dense_dim_limit`` the grid would have 3^N neighbour cells per query,
+    :data:`DENSE_DIM_LIMIT` the grid would have 3^N neighbour cells per query,
     so the index degrades to brute force — mirroring how real spatial
     indices break down in high dimensions.
     """
 
-    def __init__(self, x: np.ndarray, eps: float, dense_dim_limit: int = 6):
+    def __init__(self, x: np.ndarray, eps: float):
         if eps <= 0:
             raise ValidationError("eps must be positive")
         self.x = x
         self.eps = float(eps)
-        self.brute = x.shape[1] > dense_dim_limit
+        self.brute = x.shape[1] > DENSE_DIM_LIMIT
         if not self.brute:
             self.cells: Dict[Tuple[int, ...], List[int]] = defaultdict(list)
             keys = np.floor(x / eps).astype(np.int64)

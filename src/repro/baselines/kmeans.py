@@ -17,6 +17,9 @@ from repro.util.validation import check_array_2d, check_finite
 
 __all__ = ["kmeans_plus_plus_init", "KMeans", "lloyd_iteration"]
 
+#: Lloyd iterations stop once inertia improves by less than this fraction.
+TOL = 1e-4
+
 
 def kmeans_plus_plus_init(
     x: np.ndarray, k: int, rng: np.random.Generator
@@ -86,8 +89,9 @@ class KMeans:
         The fixed ``k`` (ground truth is supplied in the paper's runs).
     n_init:
         Independent restarts; the lowest-inertia run wins.
-    max_iter, tol:
-        Lloyd convergence controls (relative inertia improvement).
+    max_iter:
+        Lloyd iteration cap; iterations also stop once inertia improves
+        by less than :data:`TOL` (relative).
     seed:
         Reproducibility.
 
@@ -100,7 +104,6 @@ class KMeans:
         n_clusters: int,
         n_init: int = 3,
         max_iter: int = 100,
-        tol: float = 1e-4,
         seed: SeedLike = None,
     ):
         if n_clusters < 1:
@@ -110,7 +113,7 @@ class KMeans:
         self.n_clusters = int(n_clusters)
         self.n_init = int(n_init)
         self.max_iter = int(max_iter)
-        self.tol = float(tol)
+        self.tol = TOL
         self.seed = seed
         self.cluster_centers_: Optional[np.ndarray] = None
         self.labels_: Optional[np.ndarray] = None

@@ -24,6 +24,14 @@ from repro.util.validation import check_array_2d, check_finite
 
 __all__ = ["parallel_kmeans_spmd", "ParallelKMeans"]
 
+#: :class:`ParallelKMeans` runs Lloyd for at most ``MAX_ITER`` rounds,
+#: stopping early once inertia improves by less than ``TOL`` (relative),
+#: on ``EXECUTOR`` ranks that wait at most ``TIMEOUT_S`` per receive.
+MAX_ITER = 100
+TOL = 1e-4
+EXECUTOR = "thread"
+TIMEOUT_S = 600.0
+
 
 def parallel_kmeans_spmd(
     comm: Communicator,
@@ -105,20 +113,12 @@ class ParallelKMeans:
     def __init__(
         self,
         n_clusters: int,
-        max_iter: int = 100,
-        tol: float = 1e-4,
         seed: Optional[int] = 0,
         init: str = "first",
-        executor: str = "thread",
-        timeout: Optional[float] = 600.0,
     ):
         self.n_clusters = int(n_clusters)
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
         self.seed = seed
         self.init = init
-        self.executor = executor
-        self.timeout = timeout
 
     def fit(self, shards: Sequence[np.ndarray]) -> "ParallelKMeans":
         shards = [np.asarray(s) for s in shards]
@@ -127,10 +127,10 @@ class ParallelKMeans:
         results = run_spmd(
             _entry,
             len(shards),
-            executor=self.executor,
-            args=(list(shards), self.n_clusters, self.max_iter, self.tol,
+            executor=EXECUTOR,
+            args=(list(shards), self.n_clusters, MAX_ITER, TOL,
                   self.seed, self.init),
-            timeout=self.timeout,
+            timeout=TIMEOUT_S,
         )
         self.labels_ = [r[0] for r in results]
         self.cluster_centers_ = results[0][1]

@@ -15,7 +15,7 @@ brute force there (see :class:`repro.baselines.dbscan.GridIndex`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,11 @@ from repro.errors import ValidationError
 from repro.util.validation import check_array_2d, check_finite
 
 __all__ = ["DisjointSet", "PDSDBSCAN", "pdsdbscan_spmd"]
+
+#: :class:`PDSDBSCAN` runs on ``EXECUTOR`` ranks that wait at most
+#: ``TIMEOUT_S`` per receive.
+EXECUTOR = "thread"
+TIMEOUT_S = 600.0
 
 
 class DisjointSet:
@@ -184,15 +189,11 @@ class PDSDBSCAN:
         self,
         eps: float,
         min_points: int = 5,
-        executor: str = "thread",
-        timeout: Optional[float] = 600.0,
     ):
         if eps <= 0:
             raise ValidationError("eps must be positive")
         self.eps = float(eps)
         self.min_points = int(min_points)
-        self.executor = executor
-        self.timeout = timeout
 
     def fit(self, shards: Sequence[np.ndarray]) -> "PDSDBSCAN":
         shards = [np.asarray(s) for s in shards]
@@ -201,9 +202,9 @@ class PDSDBSCAN:
         results = run_spmd(
             _entry,
             len(shards),
-            executor=self.executor,
+            executor=EXECUTOR,
             args=(list(shards), self.eps, self.min_points),
-            timeout=self.timeout,
+            timeout=TIMEOUT_S,
         )
         self.labels_ = [r[0] for r in results]
         self.traffic_ = [r[1] for r in results]

@@ -20,6 +20,12 @@ from repro.util.validation import check_array_2d, check_finite
 
 __all__ = ["XMeans", "bic_score"]
 
+#: Smallest k the search starts from, and the restarts and Lloyd
+#: iterations of every inner k-means run.
+K_MIN = 1
+N_INIT = 2
+MAX_ITER = 50
+
 
 def bic_score(x: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> float:
     """BIC of a spherical-Gaussian k-means model (Pelleg & Moore eq. 2).
@@ -57,9 +63,9 @@ class XMeans:
 
     Parameters
     ----------
-    k_min, k_max:
-        Search range for the number of clusters.
-    seed, n_init, max_iter:
+    k_max:
+        Largest number of clusters searched (from :data:`K_MIN`).
+    seed:
         Passed through to the inner k-means runs.
 
     Attributes (after fit): ``n_clusters_``, ``labels_``,
@@ -68,18 +74,15 @@ class XMeans:
 
     def __init__(
         self,
-        k_min: int = 1,
         k_max: int = 32,
-        n_init: int = 2,
-        max_iter: int = 50,
         seed: SeedLike = None,
     ):
-        if k_min < 1 or k_max < k_min:
-            raise ValidationError("need 1 <= k_min <= k_max")
-        self.k_min = int(k_min)
+        if k_max < K_MIN:
+            raise ValidationError(f"need k_max >= {K_MIN}")
+        self.k_min = K_MIN
         self.k_max = int(k_max)
-        self.n_init = int(n_init)
-        self.max_iter = int(max_iter)
+        self.n_init = N_INIT
+        self.max_iter = MAX_ITER
         self.seed = seed
         self.labels_: Optional[np.ndarray] = None
 

@@ -38,6 +38,11 @@ __all__ = [
     "run_comm_volume",
 ]
 
+#: Shard-size imbalance levels the partitioning ablation sweeps.
+PARTITION_IMBALANCES = (1.0, 4.0, 16.0)
+#: Candidate depths of the communication-volume fits.
+COMM_VOLUME_DEPTHS = (3, 4, 5, 6)
+
 
 @dataclass
 class AblationResult:
@@ -45,8 +50,8 @@ class AblationResult:
 
     title: str
     sweep_name: str
-    rows: Dict[str, Dict[str, RunAggregate]] = field(default_factory=dict)
-    metrics: Sequence[str] = ("f1", "clusters", "time")
+    rows: Dict[str, Dict[str, RunAggregate]] = field(default_factory=dict, init=False)
+    metrics: Sequence[str] = field(default=("f1", "clusters", "time"), init=False)
 
     def render(self) -> str:
         table = TextTable(
@@ -61,7 +66,6 @@ class AblationResult:
 
 
 def run_ablation_partitioning(
-    imbalances: Sequence[float] = (1.0, 4.0, 16.0),
     n_points: int = 6000,
     n_dims: int = 8,
     repeats: int = 3,
@@ -76,7 +80,7 @@ def run_ablation_partitioning(
         title="Ablation A1 — partitioning: KeyBin1 threshold vs KeyBin2",
         sweep_name="config",
     )
-    for imb in imbalances:
+    for imb in PARTITION_IMBALANCES:
         concentration = 10.0 / imb  # smaller Dirichlet concentration → skew
         for algo in ("KeyBin1", "KeyBin2"):
             def body(run_seed: int) -> Dict[str, float]:
@@ -173,7 +177,7 @@ def run_ablation_nrp(
 class CommVolumeResult:
     """Measured vs predicted communication volume (DESIGN C1)."""
 
-    rows: List[Dict[str, float]] = field(default_factory=list)
+    rows: List[Dict[str, float]] = field(default_factory=list, init=False)
 
     def render(self) -> str:
         table = TextTable(
@@ -195,7 +199,6 @@ def run_comm_volume(
     n_dims: int = 128,
     points_per_rank: int = 1000,
     n_projections: int = 4,
-    candidate_depths: Sequence[int] = (3, 4, 5, 6),
     seed: int = 0,
 ) -> CommVolumeResult:
     """C1: measure per-rank traffic of the distributed fit.
@@ -210,7 +213,7 @@ def run_comm_volume(
     """
     out = CommVolumeResult()
     n_rp = target_dimension(n_dims)
-    histogram_bytes = 2 * n_rp * (1 << max(candidate_depths)) * 8 * n_projections
+    histogram_bytes = 2 * n_rp * (1 << max(COMM_VOLUME_DEPTHS)) * 8 * n_projections
     for ranks in rank_steps:
         x, y = gaussian_mixture(
             n_points=points_per_rank * ranks, n_dims=n_dims, n_clusters=4,
@@ -222,7 +225,7 @@ def run_comm_volume(
             res = fit_distributed(
                 shards, executor="thread", seed=seed,
                 n_projections=n_projections,
-                candidate_depths=tuple(candidate_depths),
+                candidate_depths=COMM_VOLUME_DEPTHS,
                 consolidation=topology,
             )
             worker_traffic = [

@@ -31,11 +31,17 @@ from repro.data.correlated import correlated_clusters
 from repro.kernels.fused import FusedStateSpec, fused_bin_points
 from repro.metrics.pairs import pair_precision_recall_f1
 
+#: Histogram bins of the 1-D class-overlap measure.
+OVERLAP_BINS = 64
+#: Random rotations Figure 1 scores, and Figure 2's binning depth.
+FIG1_ROTATIONS = 5
+FIG2_DEPTH = 6
+
 __all__ = ["Fig1Result", "run_fig1", "Fig2Result", "run_fig2",
            "class_overlap_1d"]
 
 
-def class_overlap_1d(values: np.ndarray, y: np.ndarray, n_bins: int = 64) -> float:
+def class_overlap_1d(values: np.ndarray, y: np.ndarray) -> float:
     """Histogram-intersection overlap of two classes along one axis.
 
     1.0 = the class-conditional distributions coincide (inseparable);
@@ -47,7 +53,7 @@ def class_overlap_1d(values: np.ndarray, y: np.ndarray, n_bins: int = 64) -> flo
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
         return 1.0
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, OVERLAP_BINS + 1)
     h0, _ = np.histogram(values[y == classes[0]], bins=edges, density=False)
     h1, _ = np.histogram(values[y == classes[1]], bins=edges, density=False)
     p0 = h0 / max(h0.sum(), 1)
@@ -59,11 +65,11 @@ def class_overlap_1d(values: np.ndarray, y: np.ndarray, n_bins: int = 64) -> flo
 class Fig1Result:
     """Per-projection overlaps plus KeyBin1/KeyBin2 accuracy."""
 
-    overlaps: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-    keybin1_f1: float = 0.0
-    keybin1_clusters: int = 0
-    keybin2_f1: float = 0.0
-    keybin2_clusters: int = 0
+    overlaps: Dict[str, Tuple[float, float]] = field(default_factory=dict, init=False)
+    keybin1_f1: float = field(default=0.0, init=False)
+    keybin1_clusters: int = field(default=0, init=False)
+    keybin2_f1: float = field(default=0.0, init=False)
+    keybin2_clusters: int = field(default=0, init=False)
 
     def render(self) -> str:
         table = TextTable(
@@ -87,7 +93,6 @@ class Fig1Result:
 
 def run_fig1(
     n_points: int = 3000,
-    n_projections: int = 5,
     seed: int = 1,
 ) -> Fig1Result:
     """Reproduce Figure 1's rotation study quantitatively."""
@@ -98,7 +103,7 @@ def run_fig1(
         class_overlap_1d(x[:, 1], y),
     )
     letters = "bcdef"
-    for t in range(n_projections):
+    for t in range(FIG1_ROTATIONS):
         a = projection_matrix(2, 2, seed=seed + 100 + t, kind="gaussian")
         p = x @ a
         out.overlaps[f"random ({letters[t % len(letters)]})"] = (
@@ -125,7 +130,7 @@ class Fig2Result:
     chosen_score: float = 0.0
     chosen_clusters: int = 0
     chosen_cuts: List[List[int]] = field(default_factory=list)
-    alternative_scores: Dict[str, float] = field(default_factory=dict)
+    alternative_scores: Dict[str, float] = field(default_factory=dict, init=False)
     histograms: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     f1: float = 0.0
 
@@ -147,10 +152,10 @@ class Fig2Result:
 
 def run_fig2(
     n_points: int = 6000,
-    depth: int = 6,
     seed: int = 5,
 ) -> Fig2Result:
     """Reproduce Figure 2's assessment mechanics on a 6-cluster layout."""
+    depth = FIG2_DEPTH
     # Six clusters on a 3 × 2 grid — the paper's illustrative layout.
     centers = np.array(
         [[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [0.0, 10.0], [10.0, 10.0],

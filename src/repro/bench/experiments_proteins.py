@@ -40,6 +40,9 @@ __all__ = [
     "Fig4Result", "run_fig4",
 ]
 
+#: k of Figure 3's k-means timing (the secondary-structure types).
+FIG3_KMEANS_K = 6
+
 
 @dataclass
 class Table3Result:
@@ -56,7 +59,8 @@ class Table3Result:
                 "mean": STEPS_MEAN, "stdev": STEPS_STD,
                 "min": float(STEPS_RANGE[0]), "max": float(STEPS_RANGE[1]),
             },
-        }
+        },
+        init=False,
     )
 
     def render(self) -> str:
@@ -90,7 +94,7 @@ def run_table3(scale: float = 1.0, seed: int = 20180813) -> Table3Result:
 class Fig3Result:
     """Per-trajectory clustering times (seconds)."""
 
-    rows: List[Dict[str, object]] = field(default_factory=list)
+    rows: List[Dict[str, object]] = field(default_factory=list, init=False)
 
     def totals(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
@@ -138,7 +142,6 @@ def run_fig3(
     scale: float = 0.05,
     n_trajectories: Optional[int] = None,
     dbscan_max_frames: int = 3000,
-    kmeans_k: int = 6,
     seed: int = 20180813,
 ) -> Fig3Result:
     """Reproduce Figure 3 (per-trajectory clustering time comparison).
@@ -161,7 +164,7 @@ def run_fig3(
         keybin2_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        KMeans(kmeans_k, seed=spec.seed, n_init=1).fit(features)
+        KMeans(FIG3_KMEANS_K, seed=spec.seed, n_init=1).fit(features)
         kmeans_time = time.perf_counter() - t0
 
         dbscan_time = None

@@ -42,10 +42,15 @@ __all__ = ["Table1Result", "run_table1", "Table2Result", "run_table2",
 PAPER_DIMS = (20, 80, 320, 1280)
 PAPER_RANK_STEPS = (1, 2, 4, 8, 16)
 N_TRUE_CLUSTERS = 4
+#: Minimum centre distance of the tables' mixtures, in sigma units.
+SEPARATION = 3.0
+#: The eps heuristic reads the distance to the ``EPS_KNN``-th neighbour over
+#: a subsample of ``EPS_SAMPLE`` rows.
+EPS_KNN = 4
+EPS_SAMPLE = 500
 
 
-def estimate_dbscan_eps(x: np.ndarray, k: int = 4, sample: int = 500,
-                        seed: int = 0) -> float:
+def estimate_dbscan_eps(x: np.ndarray, seed: int = 0) -> float:
     """The standard k-NN-knee eps heuristic on a subsample.
 
     This is the "optimal parameters" treatment the paper gives PDSDBSCAN;
@@ -55,7 +60,7 @@ def estimate_dbscan_eps(x: np.ndarray, k: int = 4, sample: int = 500,
     """
     rng = np.random.default_rng(seed)
     m = x.shape[0]
-    idx = rng.choice(m, size=min(sample, m), replace=False)
+    idx = rng.choice(m, size=min(EPS_SAMPLE, m), replace=False)
     sub = x[idx]
     d2 = (
         np.einsum("ij,ij->i", sub, sub)[:, None]
@@ -63,7 +68,7 @@ def estimate_dbscan_eps(x: np.ndarray, k: int = 4, sample: int = 500,
         + np.einsum("ij,ij->i", sub, sub)[None, :]
     )
     np.maximum(d2, 0, out=d2)
-    d = np.sqrt(np.sort(d2, axis=1)[:, min(k, sub.shape[0] - 1)])
+    d = np.sqrt(np.sort(d2, axis=1)[:, min(EPS_KNN, sub.shape[0] - 1)])
     eps = float(np.median(d) * 1.05)
     if eps <= 0.0:
         # Discrete/duplicated data: the k-NN distance can be exactly zero.
@@ -145,7 +150,7 @@ class Table1Result:
     n_ranks: int
     points_per_rank: int
     repeats: int
-    results: Dict[int, Dict[str, RunAggregate]] = field(default_factory=dict)
+    results: Dict[int, Dict[str, RunAggregate]] = field(default_factory=dict, init=False)
 
     def render(self) -> str:
         table = TextTable(
@@ -174,7 +179,6 @@ def run_table1(
     scale: ExperimentScale = ExperimentScale(),
     n_ranks: int = 8,
     kmeans_dim_limit: int = 160,
-    separation: float = 3.0,
     seed: int = 0,
 ) -> Table1Result:
     """Reproduce Table 1 (dimension scaling at fixed rank count)."""
@@ -192,7 +196,7 @@ def run_table1(
                     n_points=points_per_rank * n_ranks,
                     n_dims=d,
                     n_clusters=N_TRUE_CLUSTERS,
-                    separation=separation,
+                    separation=SEPARATION,
                     seed=run_seed,
                 )
                 parts = distributed_partitions(x, y, n_ranks, seed=run_seed)
@@ -229,7 +233,7 @@ class Table2Result:
     n_dims: int
     points_per_rank: int
     repeats: int
-    results: Dict[int, Dict[str, Optional[RunAggregate]]] = field(default_factory=dict)
+    results: Dict[int, Dict[str, Optional[RunAggregate]]] = field(default_factory=dict, init=False)
 
     def render(self) -> str:
         table = TextTable(
@@ -259,7 +263,6 @@ def run_table2(
     n_dims: int = 1280,
     scale: ExperimentScale = ExperimentScale(),
     dbscan_max_points: int = 2000,
-    separation: float = 3.0,
     seed: int = 0,
 ) -> Table2Result:
     """Reproduce Table 2 (weak scaling: ranks double, per-rank data fixed)."""
@@ -278,7 +281,7 @@ def run_table2(
                     n_points=points_per_rank * r,
                     n_dims=n_dims,
                     n_clusters=N_TRUE_CLUSTERS,
-                    separation=separation,
+                    separation=SEPARATION,
                     seed=run_seed,
                 )
                 parts = distributed_partitions(x, y, r, seed=run_seed)

@@ -17,6 +17,11 @@ from repro.metrics.stats import RunAggregate
 
 __all__ = ["timed", "repeat_with_seeds", "ExperimentScale"]
 
+#: Confidence level of every aggregated interval.
+CONFIDENCE = 0.95
+#: The paper's points per rank (§4), before down-scaling.
+PAPER_POINTS_PER_RANK = 80_000
+
 
 def timed(fn: Callable[[], Any]) -> Tuple[Any, float]:
     """Run ``fn`` once; return ``(result, wall_seconds)``."""
@@ -29,13 +34,12 @@ def repeat_with_seeds(
     body: Callable[[int], Dict[str, float]],
     repeats: int,
     base_seed: int = 0,
-    confidence: float = 0.95,
 ) -> RunAggregate:
     """Run ``body(seed)`` for ``repeats`` distinct seeds, aggregating the
     metric dict it returns."""
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
-    agg = RunAggregate(confidence=confidence)
+    agg = RunAggregate(confidence=CONFIDENCE)
     for r in range(repeats):
         metrics = body(base_seed + 1000 * r)
         agg.add(**metrics)
@@ -66,5 +70,5 @@ class ExperimentScale:
             max_ranks=max_ranks if max_ranks is not None else (16 if factor >= 1 else 8),
         )
 
-    def points_per_rank(self, paper_value: int = 80_000) -> int:
-        return max(200, int(round(paper_value * self.points)))
+    def points_per_rank(self) -> int:
+        return max(200, int(round(PAPER_POINTS_PER_RANK * self.points)))

@@ -25,6 +25,9 @@ from repro.errors import ValidationError
 
 __all__ = ["ScalingResult", "run_scaling", "loglog_slope"]
 
+#: Projections of every timed fit.
+SCALING_PROJECTIONS = 4
+
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log(y) vs log(x) — the empirical exponent."""
@@ -43,10 +46,10 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 class ScalingResult:
     """Measured times and fitted exponents."""
 
-    m_sweep: List[Tuple[int, float]] = field(default_factory=list)
-    n_sweep: List[Tuple[int, float]] = field(default_factory=list)
-    m_slope: float = 0.0
-    n_slope: float = 0.0
+    m_sweep: List[Tuple[int, float]] = field(default_factory=list, init=False)
+    n_sweep: List[Tuple[int, float]] = field(default_factory=list, init=False)
+    m_slope: float = field(default=0.0, init=False)
+    n_slope: float = field(default=0.0, init=False)
 
     def render(self) -> str:
         t1 = TextTable(["M (points)", "fit time (s)"],
@@ -73,7 +76,6 @@ def run_scaling(
     n_values: Sequence[int] = (32, 128, 512, 1024),
     fixed_n: int = 64,
     fixed_m: int = 8_000,
-    n_projections: int = 4,
     repeats: int = 1,
     seed: int = 0,
 ) -> ScalingResult:
@@ -86,7 +88,7 @@ def run_scaling(
         best = np.inf
         for r in range(repeats):
             x, _ = gaussian_mixture(m, n, n_clusters=4, seed=seed + r)
-            kb = KeyBin2(seed=seed, n_projections=n_projections)
+            kb = KeyBin2(seed=seed, n_projections=SCALING_PROJECTIONS)
             t0 = time.perf_counter()
             kb.fit(x)
             best = min(best, time.perf_counter() - t0)

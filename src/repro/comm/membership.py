@@ -39,20 +39,21 @@ from repro.errors import RankFailedError
 __all__ = ["agree_on_survivors", "agreement_timeout_for"]
 
 _AGREE_TAG_BASE = -450
+#: Shortest per-peer probe wait of an agreement round, in seconds.
+AGREEMENT_TIMEOUT_FLOOR_S = 2.0
 
 
-def agreement_timeout_for(comm_timeout: Optional[float], floor: float = 2.0) -> float:
+def agreement_timeout_for(comm_timeout: Optional[float]) -> float:
     """Probe timeout that safely dominates the communicator's recv timeout."""
     if comm_timeout is None:
-        return max(floor, 30.0)
-    return max(floor, comm_timeout * 1.25 + 0.5)
+        return max(AGREEMENT_TIMEOUT_FLOOR_S, 30.0)
+    return max(AGREEMENT_TIMEOUT_FLOOR_S, comm_timeout * 1.25 + 0.5)
 
 
 def agree_on_survivors(
     comm: MailboxComm,
     suspects: Iterable[int] = (),
     confirmed_dead: Iterable[int] = (),
-    probe_timeout: Optional[float] = None,
 ) -> List[int]:
     """Agree with the other survivors on who is still alive.
 
@@ -66,9 +67,9 @@ def agree_on_survivors(
         :class:`~repro.errors.RankFailedError`. They are still probed.
     confirmed_dead:
         Ranks whose death is certain (failure sentinel seen); never probed.
-    probe_timeout:
-        Per-peer wait for a view message. Defaults to
-        :func:`agreement_timeout_for` of the communicator's recv timeout.
+
+    Each peer's view message is awaited for :func:`agreement_timeout_for`
+    of the communicator's recv timeout.
 
     Returns the sorted survivor list in the communicator's numbering
     (always includes the caller). Raises
@@ -76,8 +77,7 @@ def agree_on_survivors(
     the round bound — at that point failing fast beats a split brain.
     """
     me, size = comm.rank, comm.size
-    if probe_timeout is None:
-        probe_timeout = agreement_timeout_for(comm._timeout)
+    probe_timeout = agreement_timeout_for(comm._timeout)
     dead: Set[int] = {int(r) for r in confirmed_dead}
     # Sentinels observed before the agreement started count as confirmed.
     phys_to_cur = {comm._physical[r]: r for r in range(size)}

@@ -39,6 +39,8 @@ __all__ = ["run_spmd_processes"]
 #: a silently-dead rank stay blocked before the parent's sentinel fan-out
 #: wakes them.
 _POLL_INTERVAL = 0.25
+#: How rank processes start: forked, so they inherit the parent's modules.
+START_METHOD = "fork"
 
 
 def _worker_main(
@@ -98,23 +100,21 @@ def run_spmd_processes(
     size: int,
     args: Sequence[Any] = (),
     timeout: Optional[float] = 300.0,
-    start_method: str = "fork",
     faults: Optional[Any] = None,
     return_exceptions: bool = False,
     suspicion_timeout: Optional[float] = None,
-    shm_threshold: Optional[int] = DEFAULT_SHM_THRESHOLD,
 ) -> List[Any]:
     """Execute ``fn(comm, *args)`` on ``size`` process ranks.
 
     Returns per-rank return values in rank order. Return values must be
     picklable. ``timeout`` bounds both each rank's receives and how long
     the parent waits between result arrivals. ``suspicion_timeout``
-    enables slow≠dead probing in each rank's communicator.
-    ``shm_threshold`` sets the byte floor above which top-level ndarray
-    payloads travel zero-copy through POSIX shared memory (``None``
-    disables the shm path entirely).
+    enables slow≠dead probing in each rank's communicator. Top-level
+    ndarray payloads of at least :data:`~repro.comm.shm.DEFAULT_SHM_THRESHOLD`
+    bytes travel zero-copy through POSIX shared memory.
     """
-    ctx = mp.get_context(start_method)
+    shm_threshold = DEFAULT_SHM_THRESHOLD
+    ctx = mp.get_context(START_METHOD)
     inboxes = [ctx.Queue() for _ in range(size)]
     result_queue = ctx.Queue()
 

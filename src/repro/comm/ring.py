@@ -30,14 +30,14 @@ __all__ = ["ring_pass", "ring_reduce_scatter", "ring_allgather", "ring_allreduce
 _RING_TAG = -201
 
 
-def ring_pass(comm: Communicator, obj: Any, shift: int = 1, tag: int = _RING_TAG) -> Any:
-    """Send ``obj`` to ``(rank + shift) % size`` and return what arrives here."""
+def ring_pass(comm: Communicator, obj: Any) -> Any:
+    """Send ``obj`` to ``(rank + 1) % size`` and return what arrives here."""
     size = comm.size
     if size == 1:
         return obj
-    dest = (comm.rank + shift) % size
-    source = (comm.rank - shift) % size
-    return comm.sendrecv(obj, dest=dest, source=source, tag=tag)
+    dest = (comm.rank + 1) % size
+    source = (comm.rank - 1) % size
+    return comm.sendrecv(obj, dest=dest, source=source, tag=_RING_TAG)
 
 
 def _check_buffer(comm: Communicator, buf: np.ndarray) -> np.ndarray:

@@ -44,8 +44,8 @@ class TrafficStats:
     messages_received: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
-    by_peer_sent: Dict[int, int] = field(default_factory=dict)
-    by_peer_received: Dict[int, int] = field(default_factory=dict)
+    by_peer_sent: Dict[int, int] = field(default_factory=dict, init=False)
+    by_peer_received: Dict[int, int] = field(default_factory=dict, init=False)
 
     def record_send(self, peer: int, nbytes: int) -> None:
         self.messages_sent += 1

@@ -21,7 +21,7 @@ from repro.core.projection import (
 )
 from repro.core.binning import SpaceRange
 from repro.core.smoothing import moving_average, paper_window, local_slopes
-from repro.core.partitioning import find_cuts, CutDiagnostics
+from repro.core.partitioning import find_cuts
 from repro.core.collapse import collapse_dimensions, uniformity_statistic
 from repro.core.assess import histogram_ch_index
 from repro.core.primary import PrimaryPartition, GlobalClusterTable
@@ -40,7 +40,6 @@ __all__ = [
     "paper_window",
     "local_slopes",
     "find_cuts",
-    "CutDiagnostics",
     "collapse_dimensions",
     "uniformity_statistic",
     "histogram_ch_index",

@@ -55,18 +55,11 @@ falls entirely inside new bin
     ``i' = (i·2^g + (B(g') - B(g))·2^d) >> g'``
 
 — pure int64 arithmetic (:func:`rebin_maps`), no floats anywhere.
-
-:class:`TailSketch` is a small Ben-Haim/Tom-Tov merge-closest-bins sketch
-(histogrammar's ``AdaptivelyBin`` lineage) each projection state feeds
-with per-batch extremes; it summarizes the observed tails so the optional
-``anticipate`` mode can widen past the minimal cover when a tail is still
-growing (fewer rebins on fast-expanding streams, at the price of a grid
-that is no longer a pure function of the pooled range — off by default).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -78,7 +71,6 @@ __all__ = [
     "grid_bounds",
     "cover_levels",
     "rebin_maps",
-    "TailSketch",
 ]
 
 #: Widening-level cap. Level ``g`` multiplies the base span by ``2^g``:
@@ -218,114 +210,3 @@ def rebin_maps(
         raise ValidationError("rebin map escaped [0, n_bins); chain invariant broken")
     return maps
 
-
-class TailSketch:
-    """Ben-Haim/Tom-Tov merge-closest-bins sketch of one dimension's values.
-
-    The streaming-histogram sketch of *A Streaming Parallel Decision Tree
-    Algorithm* (the scheme behind histogrammar's ``AdaptivelyBin``): keep
-    at most ``max_bins`` (centroid, count) pairs; inserting a value adds a
-    unit bin and merges the two closest centroids when over budget.
-    Projection states feed it per-batch extremes — O(1) per batch — so it
-    cheaply summarizes how the observed tails move without storing points.
-
-    Used for warmup anticipation: :meth:`headroom` extrapolates the tail
-    trajectory so ``anticipate > 0`` mode can widen past the minimal cover
-    while a range is still growing. It never influences the grid unless an
-    out-of-range event already occurred, preserving the bit-identity of
-    adaptive and fixed mode on in-range streams.
-    """
-
-    def __init__(self, max_bins: int = 64):
-        if max_bins < 2:
-            raise ValidationError("TailSketch needs max_bins >= 2")
-        self.max_bins = int(max_bins)
-        self._centers: List[float] = []
-        self._counts: List[float] = []
-        self.n = 0
-
-    def update(self, value: float) -> None:
-        """Insert one value (callers feed batch minima/maxima)."""
-        v = float(value)
-        if not np.isfinite(v):
-            raise ValidationError("TailSketch values must be finite")
-        self.n += 1
-        centers, counts = self._centers, self._counts
-        lo, hi = 0, len(centers)
-        while lo < hi:  # insertion point, keeping centers sorted
-            mid = (lo + hi) // 2
-            if centers[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(centers) and centers[lo] == v:
-            counts[lo] += 1.0
-            return
-        centers.insert(lo, v)
-        counts.insert(lo, 1.0)
-        if len(centers) > self.max_bins:
-            gaps = [centers[i + 1] - centers[i] for i in range(len(centers) - 1)]
-            i = int(np.argmin(gaps))
-            c1, c2 = counts[i], counts[i + 1]
-            centers[i] = (centers[i] * c1 + centers[i + 1] * c2) / (c1 + c2)
-            counts[i] = c1 + c2
-            del centers[i + 1], counts[i + 1]
-
-    def update_many(self, values) -> None:
-        for v in np.asarray(values, dtype=np.float64).ravel():
-            self.update(float(v))
-
-    @property
-    def min(self) -> Optional[float]:
-        return self._centers[0] if self._centers else None
-
-    @property
-    def max(self) -> Optional[float]:
-        return self._centers[-1] if self._centers else None
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Crude centroid-interpolated quantile (tails only need crude)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValidationError("quantile must lie in [0, 1]")
-        if not self._centers:
-            return None
-        total = sum(self._counts)
-        rank = q * total
-        cum = 0.0
-        for center, count in zip(self._centers, self._counts):
-            cum += count
-            if cum >= rank:
-                return center
-        return self._centers[-1]
-
-    def headroom(self, factor: float) -> Tuple[float, float]:
-        """Anticipated ``(lo, hi)`` bounds: observed extremes pushed outward
-        by ``factor`` times the sketch's tail width (extreme − 5%/95%
-        quantile). A heavy, still-moving tail yields generous headroom; a
-        tight stationary one yields almost none.
-        """
-        if factor < 0:
-            raise ValidationError("headroom factor must be >= 0")
-        if not self._centers:
-            return (np.inf, -np.inf)
-        lo, hi = self._centers[0], self._centers[-1]
-        q_lo = self.quantile(0.05)
-        q_hi = self.quantile(0.95)
-        return (lo - factor * max(q_lo - lo, 0.0),
-                hi + factor * max(hi - q_hi, 0.0))
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "max_bins": self.max_bins,
-            "centers": list(self._centers),
-            "counts": list(self._counts),
-            "n": self.n,
-        }
-
-    @classmethod
-    def from_state_dict(cls, d: Dict[str, Any]) -> "TailSketch":
-        out = cls(int(d["max_bins"]))
-        out._centers = [float(c) for c in d["centers"]]
-        out._counts = [float(c) for c in d["counts"]]
-        out.n = int(d["n"])
-        return out

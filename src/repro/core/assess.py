@@ -53,10 +53,10 @@ __all__ = [
 ]
 
 
-def marginal_percentile_bin(counts: np.ndarray, percentile: float = 50.0) -> int:
-    """Bin index of the given mass percentile of a 1-D histogram."""
+def marginal_percentile_bin(counts: np.ndarray) -> int:
+    """Bin index of the mass median of a 1-D histogram."""
     counts = np.asarray(counts, dtype=np.float64).ravel()
-    return int(_percentile_bins(counts[None, :], percentile)[0])
+    return int(_percentile_bins(counts[None, :], 50.0)[0])
 
 
 def _percentile_bins(counts: np.ndarray, percentile: float) -> np.ndarray:
@@ -121,7 +121,6 @@ def histogram_ch_index(
     counts: np.ndarray,
     cuts: Sequence[np.ndarray],
     cell_intervals: np.ndarray,
-    paper_exact: bool = False,
 ) -> float:
     """Calinski–Harabasz score of a cut set on the histogram space.
 
@@ -137,9 +136,6 @@ def histogram_ch_index(
         (|Q| × n_dims) integer array: for each occupied cell (cluster), its
         interval index along every dimension. Produced during assignment or
         gathered from ranks — tiny either way.
-    paper_exact:
-        Use the paper's literal ``log2(|Q|−1)`` factor (zero at |Q| = 2)
-        instead of the guarded variant.
 
     Returns
     -------
@@ -162,7 +158,7 @@ def histogram_ch_index(
     n_intervals = np.array([c.size + 1 for c in cuts])
     if (cells < 0).any() or (cells >= n_intervals).any():
         raise ValidationError("cell interval index out of range")
-    return histogram_ch_scores(counts, cuts, [0], [cells], paper_exact)[0]
+    return histogram_ch_scores(counts, cuts, [0], [cells])[0]
 
 
 def histogram_ch_scores(
@@ -170,7 +166,6 @@ def histogram_ch_scores(
     cuts: Sequence[np.ndarray],
     first_rows: Sequence[int],
     cell_intervals: Sequence[np.ndarray],
-    paper_exact: bool = False,
 ) -> List[float]:
     """:func:`histogram_ch_index` of many candidates over one histogram stack.
 
@@ -198,20 +193,17 @@ def histogram_ch_scores(
         # cannot change the result.
         w_q = float(within[idx].sum())
         b_q = float(((modes[idx] - centre[rows]) ** 2 * masses[idx]).sum())
-        scores.append(_ch_value(w_q, b_q, n_dims * n_bins, n_clusters, paper_exact))
+        scores.append(_ch_value(w_q, b_q, n_dims * n_bins, n_clusters))
     return scores
 
 
-def _ch_value(w_q: float, b_q: float, total_bins: int, n_clusters: int,
-              paper_exact: bool) -> float:
+def _ch_value(w_q: float, b_q: float, total_bins: int, n_clusters: int) -> float:
     """Eq. 2a from the dispersions of ``n_clusters`` >= 2 clusters."""
     if w_q <= 0.0:
         # Perfectly tight clusters: infinitely good separation unless the
         # between term is also zero (all mass in one spot).
         return float("inf") if b_q > 0 else float("-inf")
     shape_factor = (total_bins - n_clusters) / (n_clusters - 1)
-    if n_clusters > 2:
-        log_factor = math.log2(n_clusters - 1)
-    else:  # n_clusters == 2
-        log_factor = 0.0 if paper_exact else 1.0
+    # The paper's literal log2(|Q|−1) is zero at |Q| = 2; guarded to 1.
+    log_factor = math.log2(n_clusters - 1) if n_clusters > 2 else 1.0
     return (b_q / w_q) * shape_factor * log_factor

@@ -57,6 +57,9 @@ from repro.util.validation import check_array_2d
 
 __all__ = ["keybin2_spmd", "fit_distributed", "DistributedFitResult"]
 
+#: Receive timeout of :func:`fit_distributed`'s ranks, in seconds.
+FIT_TIMEOUT_S = 600.0
+
 CONSOLIDATION_MODES = ("master", "allreduce", "ring")
 
 
@@ -204,21 +207,20 @@ def _spmd_entry(comm: Communicator, shards: List[np.ndarray], params: Dict[str, 
 def fit_distributed(
     shards: Sequence[np.ndarray],
     executor: str = "thread",
-    timeout: Optional[float] = 600.0,
     **params: Any,
 ) -> DistributedFitResult:
     """Fit KeyBin2 over pre-sharded data, one rank per shard.
 
     Convenience front-end for tests and benchmarks; real deployments call
     :func:`keybin2_spmd` directly from their own SPMD program (e.g. under
-    ``mpiexec``).
+    ``mpiexec``). Ranks wait at most :data:`FIT_TIMEOUT_S` per receive.
     """
     shards = [np.asarray(s) for s in shards]
     if not shards:
         raise ValidationError("need at least one shard")
     results = run_spmd(
         _spmd_entry, len(shards), executor=executor,
-        args=(list(shards), params), timeout=timeout,
+        args=(list(shards), params), timeout=FIT_TIMEOUT_S,
     )
     labels = [r[0] for r in results]
     model = KeyBin2Model.from_dict(results[0][1])

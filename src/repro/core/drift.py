@@ -222,6 +222,10 @@ class DriftEvent:
     publish_result: Any = None
 
 
+#: Fewest detector window swaps between two drift responses: 1 means at
+#: most one response per completed window.
+COOLDOWN_SWAPS = 1
+
 @dataclass
 class DriftResponder:
     """Closes the loop from drift score to re-projection and republish.
@@ -246,23 +250,19 @@ class DriftResponder:
         ``{"op": "reload", "path": ...}`` request so the new models ride
         the staged rollout. Its return value lands in
         :attr:`DriftEvent.publish_result`.
-    cooldown_swaps:
-        Minimum number of detector window swaps between two responses
-        (per the global clock: the max swap count across projections).
-        1 means "at most one response per completed window".
+
+    Two responses are at least :data:`COOLDOWN_SWAPS` detector window swaps
+    apart (per the global clock: the max swap count across projections).
     """
 
     skb: Any
     publish_to: Optional[str] = None
     publish: Optional[Callable[[], Any]] = None
-    cooldown_swaps: int = 1
     _last_response_swap: int = field(default=-(10**9), init=False)
     #: Every event this responder has emitted, newest last.
     history: List[DriftEvent] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if self.cooldown_swaps < 1:
-            raise ValidationError("cooldown_swaps must be >= 1")
         if getattr(self.skb, "drift_window", 0) <= 0:
             raise ValidationError(
                 "DriftResponder needs an estimator with drift detection "
@@ -276,7 +276,7 @@ class DriftResponder:
         """
         detectors = self.skb.drift_detectors
         clock = max((d.swaps for d in detectors if d is not None), default=0)
-        if clock - self._last_response_swap < self.cooldown_swaps:
+        if clock - self._last_response_swap < COOLDOWN_SWAPS:
             return None
         worst: Optional[int] = None
         worst_score = -1.0

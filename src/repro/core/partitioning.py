@@ -36,7 +36,6 @@ the oracle). The ``"kde"`` smoother is still evaluated row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -44,27 +43,15 @@ import numpy as np
 from repro.core.smoothing import local_slopes_rows, moving_average_rows, paper_window
 from repro.errors import ValidationError
 
-__all__ = ["CutDiagnostics", "find_cuts", "kde_density"]
+__all__ = ["find_cuts", "kde_density"]
 
 
-@dataclass
-class CutDiagnostics:
-    """Intermediate artifacts of the cut search (for tests, plots, docs)."""
-
-    smoothed: np.ndarray
-    slopes: np.ndarray
-    candidate_valleys: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    prominences: np.ndarray = field(default_factory=lambda: np.empty(0))
-    modes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    gap_cuts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-
-
-def kde_density(counts: np.ndarray, bandwidth: Optional[float] = None) -> np.ndarray:
+def kde_density(counts: np.ndarray) -> np.ndarray:
     """Gaussian-KDE smoothed density evaluated at every bin centre.
 
     The alternative smoother §3.2 compares against: treat bin centres as a
     weighted sample and evaluate a Gaussian kernel density estimate back on
-    the bin grid. Bandwidth defaults to Scott's rule on the weighted
+    the bin grid. The bandwidth follows Silverman's rule on the weighted
     sample. Returns a curve scaled to the histogram's total mass so it is
     directly comparable to the moving-average smoother.
     """
@@ -75,17 +62,16 @@ def kde_density(counts: np.ndarray, bandwidth: Optional[float] = None) -> np.nda
     centers = np.arange(counts.size, dtype=np.float64)
     mean = float(np.sum(centers * counts) / total)
     var = float(np.sum((centers - mean) ** 2 * counts) / total)
-    if bandwidth is None:
-        sigma = np.sqrt(max(var, 1e-12))
-        # Silverman's rule with the robust scale (min of sigma and IQR/1.34)
-        # and the effective sample size of the weights; the robust scale
-        # keeps multimodal histograms from inflating the bandwidth.
-        cdf = np.cumsum(counts) / total
-        q1 = float(np.searchsorted(cdf, 0.25))
-        q3 = float(np.searchsorted(cdf, 0.75))
-        robust = min(sigma, max((q3 - q1) / 1.34, 1e-6))
-        neff = total ** 2 / max(np.sum(counts**2), 1.0)
-        bandwidth = max(0.9 * robust * neff ** (-1.0 / 5.0), 0.5)
+    sigma = np.sqrt(max(var, 1e-12))
+    # Silverman's rule with the robust scale (min of sigma and IQR/1.34)
+    # and the effective sample size of the weights; the robust scale
+    # keeps multimodal histograms from inflating the bandwidth.
+    cdf = np.cumsum(counts) / total
+    q1 = float(np.searchsorted(cdf, 0.25))
+    q3 = float(np.searchsorted(cdf, 0.75))
+    robust = min(sigma, max((q3 - q1) / 1.34, 1e-6))
+    neff = total ** 2 / max(np.sum(counts**2), 1.0)
+    bandwidth = max(0.9 * robust * neff ** (-1.0 / 5.0), 0.5)
     # O(B²) kernel evaluation — B is O(log²M), so this stays tiny, but it
     # is still measurably slower than the O(B·w) moving average (the
     # paper's argument for the simpler smoother).
@@ -190,11 +176,8 @@ def _dedup_rows(
 def find_cuts(
     counts: np.ndarray,
     n_points: Optional[int] = None,
-    window: Optional[int] = None,
     min_prominence: float = 0.10,
-    min_gap: Optional[int] = None,
     smoother: str = "ma",
-    return_diagnostics: bool = False,
 ):
     """Find partition cuts in one histogram, or in every row of a stack.
 
@@ -206,31 +189,25 @@ def find_cuts(
         depth). A stack is cut in one array pass; row ``r`` gets exactly
         the cuts ``find_cuts(counts[r])`` would give.
     n_points:
-        Total points behind the histogram; sets the paper window when
-        ``window`` is not given. Defaults to ``counts.sum()``.
-    window:
-        Smoothing / regression window override.
+        Total points behind the histogram (validated; the smoothing and
+        regression window is the paper's ``sqrt(B)`` for B bins).
+        Defaults to ``counts.sum()``.
     min_prominence:
         Relative prominence threshold: a valley survives when its depth
         below the smaller flanking mode exceeds
-        ``min_prominence · max(smoothed)`` (the row's maximum).
-    min_gap:
-        Empty-bin run length that forces a cut regardless of prominence.
-        Defaults to the smoothing window (shorter runs are smoothing
-        artifacts).
+        ``min_prominence · max(smoothed)`` (the row's maximum). A run of
+        empty bins at least one window long forces a cut regardless of
+        prominence (shorter runs are smoothing artifacts).
     smoother:
         ``"ma"`` — the paper's moving-average + local regression (default);
         ``"kde"`` — Gaussian kernel density estimation (the alternative
         §3.2 benchmarks against; similar cuts, higher cost; evaluated row
         by row).
-    return_diagnostics:
-        Also return a :class:`CutDiagnostics` (1-D ``counts`` only).
 
     Returns
     -------
     For 1-D ``counts``: a sorted int64 array of cut positions (possibly
-    empty → one cluster), optionally with diagnostics. For a stack: a
-    list of R such arrays.
+    empty → one cluster). For a stack: a list of R such arrays.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim not in (1, 2):
@@ -244,16 +221,11 @@ def find_cuts(
     if smoother not in ("ma", "kde"):
         raise ValidationError(f"smoother must be 'ma' or 'kde', got {smoother!r}")
     one_row = counts.ndim == 1
-    if return_diagnostics and not one_row:
-        raise ValidationError("diagnostics are only returned for 1-D counts")
     rows = counts[None, :] if one_row else counts
     n_rows, n_bins = rows.shape
     if n_points is None:
         n_points = int(max(rows.sum(), 1))
-    if window is None:
-        window = paper_window(n_points, n_bins=n_bins)
-    if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
+    window = paper_window(n_points, n_bins=n_bins)
     if n_rows == 0:
         return []
 
@@ -271,18 +243,8 @@ def find_cuts(
         valleys = np.flatnonzero(c_up & (peak[c_rows] > 0))
         proms = _prominences(smoothed, c_rows, c_pos, valleys)
         keep = valleys[proms >= min_prominence * peak[c_rows[valleys]]]
-        g_rows, g_pos = _gap_cuts(rows, int(window if min_gap is None else min_gap))
+        g_rows, g_pos = _gap_cuts(rows, window)
         cut_rows = np.concatenate([c_rows[keep], g_rows])
         cut_pos = np.concatenate([c_pos[keep], g_pos])
     cuts = _dedup_rows(cut_rows, cut_pos, n_rows, n_bins, max(1, window))
-    if not one_row:
-        return cuts
-    if not return_diagnostics:
-        return cuts[0]
-    diag = CutDiagnostics(smoothed=smoothed[0], slopes=slopes[0])
-    if n_bins >= 3 and live[0]:
-        diag.candidate_valleys = c_pos[c_up]
-        diag.modes = c_pos[~c_up]
-        diag.prominences = proms
-        diag.gap_cuts = g_pos
-    return cuts[0], diag
+    return cuts[0] if one_row else cuts

@@ -37,17 +37,19 @@ __all__ = [
     "trial_matrices", "PROJECTION_KINDS",
 ]
 
+#: Fewest projected dimensions ``target_dimension`` returns.
+MIN_DIM = 2
+
 PROJECTION_KINDS = ("gaussian", "sparse", "orthonormal")
 
 
 def target_dimension(
     n_features: int,
     factor: float = 1.5,
-    min_dim: int = 2,
 ) -> int:
     """The paper's reduced dimensionality rule ``N_rp = 1.5·log(N)``.
 
-    Natural log, rounded up, floored at ``min_dim`` and capped at
+    Natural log, rounded up, floored at :data:`MIN_DIM` and capped at
     ``n_features`` (projecting *up* never helps).
     """
     if n_features < 1:
@@ -55,7 +57,7 @@ def target_dimension(
     if factor <= 0:
         raise ValidationError(f"factor must be positive, got {factor}")
     raw = math.ceil(factor * math.log(max(n_features, 2)))
-    return int(min(max(raw, min_dim), n_features))
+    return int(min(max(raw, MIN_DIM), n_features))
 
 
 def resolve_components(

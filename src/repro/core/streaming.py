@@ -21,12 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.adaptive import (
-    TailSketch,
-    cover_levels,
-    grid_bounds,
-    rebin_maps,
-)
+from repro.core.adaptive import cover_levels, grid_bounds, rebin_maps
 from repro.core.binning import SpaceRange
 from repro.core.drift import WindowDriftDetector
 from repro.core.collapse import collapse_dimensions
@@ -45,6 +40,9 @@ from repro.util.rng import SeedLike
 from repro.util.validation import check_array_2d, check_finite
 
 __all__ = ["KeyCounter", "StreamingKeyBin2"]
+
+#: Cap on tracked occupied cells per projection (see :class:`KeyCounter`).
+KEY_CAPACITY = 100_000
 
 
 class KeyCounter:
@@ -462,11 +460,6 @@ class _ProjectionState:
         # events that were subsequently recovered exactly.
         self.oor_low = np.zeros(n_dims, dtype=np.int64)
         self.oor_high = np.zeros(n_dims, dtype=np.int64)
-        # Per-dimension tail sketches (adaptive only): fed batch extremes,
-        # consulted for anticipatory headroom when `anticipate > 0`.
-        self.sketches: Optional[List[TailSketch]] = (
-            [TailSketch() for _ in range(n_dims)] if self.adaptive else None
-        )
         # Reference/current window drift detector at the deepest depth.
         self.drift: Optional[WindowDriftDetector] = (
             WindowDriftDetector(
@@ -495,26 +488,6 @@ class _ProjectionState:
         """Fold observed per-dimension extremes into the need envelope."""
         np.minimum(self.need_lo, lo, out=self.need_lo)
         np.maximum(self.need_hi, hi, out=self.need_hi)
-
-    def feed_sketches(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        if self.sketches is None:
-            return
-        for j, sk in enumerate(self.sketches):
-            sk.update(float(lo[j]))
-            sk.update(float(hi[j]))
-
-    def anticipated_need(self, factor: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Sketch-extrapolated (lo, hi) envelope for anticipatory widening."""
-        assert self.sketches is not None
-        lo = self.need_lo.copy()
-        hi = self.need_hi.copy()
-        for j, sk in enumerate(self.sketches):
-            if sk.n == 0:
-                continue
-            s_lo, s_hi = sk.headroom(factor)
-            lo[j] = min(lo[j], s_lo)
-            hi[j] = max(hi[j], s_hi)
-        return lo, hi
 
     def target_levels(self) -> np.ndarray:
         """Smallest chain levels (≥ current) whose grid covers the need."""
@@ -626,9 +599,6 @@ class StreamingKeyBin2:
         essential for non-stationary streams whose early batches do not
         visit the whole space (e.g. folding trajectories, where secondary-
         structure codes always lie in [0, 6]).
-    key_capacity:
-        Cap on tracked occupied cells per projection (see
-        :class:`KeyCounter`).
     backend:
         Kernel backend for the fused path: a name (``"numpy"``,
         ``"numba"``), a :class:`~repro.kernels.backend.KernelBackend`
@@ -652,15 +622,6 @@ class StreamingKeyBin2:
         :class:`repro.core.drift.DriftResponder`.
     drift_threshold:
         TV score in (0, 1] at which a completed window reports drift.
-    anticipate:
-        Tail-headroom factor for anticipatory widening (adaptive mode
-        only). 0 (default) widens exactly to cover observed data; a
-        positive factor additionally extrapolates each dimension's tail
-        sketch outward after an out-of-range event, trading a slightly
-        wider grid for fewer rebin cycles on fast-growing ranges. Leaving
-        it at 0 keeps accumulation history-independent (cadence
-        invariant); anticipation makes the grid depend on batch extremes
-        seen so far, so it is strictly opt-in.
 
     Usage::
 
@@ -684,20 +645,16 @@ class StreamingKeyBin2:
         uniform_threshold: float = 0.05,
         min_support_bins: int = 3,
         min_cut_prominence: float = 0.10,
-        key_capacity: int = 100_000,
         backend=None,
         adaptive: bool = False,
         drift_window: int = 0,
         drift_threshold: float = 0.25,
-        anticipate: float = 0.0,
         seed: SeedLike = None,
     ):
         if n_projections < 1:
             raise ValidationError("n_projections must be >= 1")
         if drift_window < 0:
             raise ValidationError("drift_window must be >= 0 (0 disables)")
-        if anticipate < 0:
-            raise ValidationError("anticipate must be >= 0")
         if not candidate_depths:
             raise ValidationError("candidate_depths must be non-empty")
         if max(candidate_depths) > 8:
@@ -716,12 +673,11 @@ class StreamingKeyBin2:
         self.uniform_threshold = float(uniform_threshold)
         self.min_support_bins = int(min_support_bins)
         self.min_cut_prominence = float(min_cut_prominence)
-        self.key_capacity = int(key_capacity)
+        self.key_capacity = KEY_CAPACITY
         self.backend = backend
         self.adaptive = bool(adaptive)
         self.drift_window = int(drift_window)
         self.drift_threshold = float(drift_threshold)
-        self.anticipate = float(anticipate)
         self.seed = seed
         # Lazily-resolved backend instance (backends carry per-consumer
         # scratch buffers, so each model owns one).
@@ -842,7 +798,6 @@ class StreamingKeyBin2:
         if self.adaptive:
             for st, res in zip(self._states, results):
                 st.observe(res.obs_lo, res.obs_hi)
-                st.feed_sketches(res.obs_lo, res.obs_hi)
             while True:
                 widened = False
                 for idx, (st, res) in enumerate(zip(self._states, results)):
@@ -852,8 +807,6 @@ class StreamingKeyBin2:
                     st.oor_low += res.oor_low
                     st.oor_high += res.oor_high
                     self._note_out_of_range(idx, res.oor_low, res.oor_high)
-                    if self.anticipate > 0:
-                        st.observe(*st.anticipated_need(self.anticipate))
                     target = np.maximum(
                         st.target_levels(), st.levels + oor_dims.astype(np.int64)
                     )
@@ -1038,7 +991,7 @@ class StreamingKeyBin2:
 
     _CKPT_FORMAT = "keybin2-stream-state"
     # Version 2 adds the adaptive-grid and drift fields (base bounds,
-    # chain levels, need envelope, epoch, OOR ledger, sketches, detector
+    # chain levels, need envelope, epoch, OOR ledger, detector
     # windows). Version-1 checkpoints still load: every new field defaults
     # to its fixed-range value (levels 0, need == space, no detector).
     _CKPT_VERSION = 2
@@ -1048,9 +1001,19 @@ class StreamingKeyBin2:
         "n_projections", "n_components", "candidate_depths", "projection",
         "projection_factor", "range_expand", "feature_range", "collapse",
         "uniform_threshold", "min_support_bins", "min_cut_prominence",
-        "key_capacity", "backend", "adaptive", "drift_window",
-        "drift_threshold", "anticipate",
+        "backend", "adaptive", "drift_window", "drift_threshold",
     )
+
+    # Options older checkpoints name that the class no longer takes, each
+    # with the one stored value this build resumes exactly (None: any).
+    # A checkpoint naming another value is refused rather than resumed on
+    # a different grid. Old adaptive states also carry a per-dimension
+    # ``sketches`` entry that only ``anticipate`` read; it is ignored.
+    _RETIRED_CONFIG: Dict[str, Any] = {
+        "fused": None,  # the second ingest path; both accumulated the same state
+        "anticipate": 0.0,  # tail-sketch widening; 0 widened to the need only
+        "key_capacity": None,  # every stored state keeps its own capacity
+    }
 
     def state_dict(self) -> Dict[str, Any]:
         """Complete accumulated state as plain python + numpy.
@@ -1097,10 +1060,6 @@ class StreamingKeyBin2:
                     "rebin_count": st.rebin_count,
                     "oor_low": st.oor_low,
                     "oor_high": st.oor_high,
-                    "sketches": (
-                        None if st.sketches is None
-                        else [sk.state_dict() for sk in st.sketches]
-                    ),
                     "drift": None if st.drift is None else st.drift.state_dict(),
                 })
         return {
@@ -1206,9 +1165,15 @@ class StreamingKeyBin2:
                                   f"{payload.get('format')!r}")
         config = dict(payload["config"])
         seed = config.pop("seed", None)
-        # Checkpoints written while ingest had a second, unfused path
-        # record which one ran; both accumulate the same state.
-        config.pop("fused", None)
+        for name, resumable in cls._RETIRED_CONFIG.items():
+            if name not in config:
+                continue
+            stored = config.pop(name)
+            if resumable is not None and stored != resumable:
+                raise ValidationError(
+                    f"{path} was written with {name}={stored!r}, a retired "
+                    f"option; this build resumes only {name}={resumable!r}"
+                )
         skb = cls(seed=seed, **config)
         skb.n_seen_ = int(payload["n_seen"])
         skb.n_seen_delta_ = int(payload["n_seen_delta"])
@@ -1241,7 +1206,7 @@ class StreamingKeyBin2:
                 st.n_points = int(sd["n_points"])
                 # v2 adaptive/drift fields; v1 checkpoints fall back to the
                 # fixed-range interpretation (level-0 grid == the stored
-                # space, need envelope == the grid, no sketches/detector).
+                # space, need envelope == the grid, no detector).
                 # Until a rebin, the base range is the `space` object itself
                 # (see _ProjectionState.__init__); restore that aliasing so
                 # the state pickles the range once, as it did before saving.
@@ -1267,11 +1232,6 @@ class StreamingKeyBin2:
                 st.oor_high = np.asarray(
                     sd.get("oor_high", np.zeros(space.n_dims)), dtype=np.int64
                 ).copy()
-                sketches = sd.get("sketches")
-                if sketches is not None:
-                    st.sketches = [
-                        TailSketch.from_state_dict(s) for s in sketches
-                    ]
                 drift_sd = sd.get("drift")
                 if drift_sd is not None:
                     st.drift = WindowDriftDetector.from_state_dict(drift_sd)

@@ -8,13 +8,12 @@ labels so clustering accuracy can be quantified, and all are seeded.
 
 from __future__ import annotations
 
-from repro.data.gaussians import gaussian_mixture, GaussianMixtureSpec
+from repro.data.gaussians import gaussian_mixture
 from repro.data.correlated import correlated_clusters
 from repro.data.streams import BatchStream, DriftingStream, distributed_partitions
 
 __all__ = [
     "gaussian_mixture",
-    "GaussianMixtureSpec",
     "correlated_clusters",
     "BatchStream",
     "DriftingStream",

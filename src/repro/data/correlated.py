@@ -17,31 +17,22 @@ from repro.util.rng import SeedLike, as_generator
 
 __all__ = ["correlated_clusters"]
 
+#: Sigma along the shared major axis relative to the minor axes (1.0).
+ELONGATION = 8.0
+#: Centre offset along the minor axis, in minor-sigma units. A gap of a few
+#: sigma separates the clusters clearly in 2-D while their projections onto
+#: *both* original axes overlap heavily (the major axis is the diagonal).
+GAP = 3.0
+
 
 def correlated_clusters(
     n_points: int,
     n_clusters: int = 2,
     n_dims: int = 2,
-    elongation: float = 8.0,
-    gap: float = 3.0,
     seed: SeedLike = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Elongated parallel clusters offset along their minor axis.
-
-    Parameters
-    ----------
-    elongation:
-        Sigma along the shared major axis relative to the minor axes (1.0).
-    gap:
-        Centre offset along the minor axis, in minor-sigma units. With
-        ``gap`` of a few sigma the clusters are clearly separated in 2-D
-        but their projections onto *both* original axes overlap heavily
-        (the major axis is the diagonal).
-
-    Returns
-    -------
-    ``(X, y)``.
-    """
+    """Elongated parallel clusters offset along their minor axis, as
+    ``(X, y)``; the shape is :data:`ELONGATION` and :data:`GAP`."""
     if n_dims < 2:
         raise ValidationError("correlated clusters need n_dims >= 2")
     if n_clusters < 2:
@@ -62,8 +53,8 @@ def correlated_clusters(
     offset = 0
     for k in range(n_clusters):
         c = counts[k]
-        center = minor * (k - (n_clusters - 1) / 2) * gap
-        along = rng.standard_normal(c) * elongation
+        center = minor * (k - (n_clusters - 1) / 2) * GAP
+        along = rng.standard_normal(c) * ELONGATION
         across = rng.standard_normal((c, n_dims))
         # Remove the major-axis component of the isotropic noise, then add
         # the elongated component back explicitly.

@@ -8,7 +8,6 @@ is whether an algorithm finds them, not whether they exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -16,19 +15,11 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.util.rng import SeedLike, as_generator
 
-__all__ = ["GaussianMixtureSpec", "gaussian_mixture"]
+__all__ = ["gaussian_mixture"]
 
-
-@dataclass(frozen=True)
-class GaussianMixtureSpec:
-    """Generator parameters for a reproducible mixture."""
-
-    n_points: int
-    n_dims: int
-    n_clusters: int = 4
-    separation: float = 6.0
-    sigma_range: Tuple[float, float] = (0.8, 1.2)
-    weight_concentration: float = 10.0
+#: Per-dimension standard deviations are drawn uniformly from this interval
+#: (diagonal covariance).
+SIGMA_RANGE: Tuple[float, float] = (0.8, 1.2)
 
 
 def _separated_centers(
@@ -69,27 +60,22 @@ def gaussian_mixture(
     n_dims: int,
     n_clusters: int = 4,
     separation: float = 6.0,
-    sigma_range: Tuple[float, float] = (0.8, 1.2),
     weight_concentration: float = 10.0,
     seed: SeedLike = None,
-    shuffle: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample a mixture of axis-aligned Gaussian clusters.
+    """Sample a mixture of axis-aligned Gaussian clusters, rows shuffled so
+    cluster membership is not positional.
 
     Parameters
     ----------
     n_points, n_dims, n_clusters:
         Dataset shape. The paper uses ``n_clusters = 4`` throughout §4.
     separation:
-        Minimum centre-to-centre distance in sigma units.
-    sigma_range:
-        Per-dimension standard deviations are drawn uniformly from this
-        interval (diagonal covariance).
+        Minimum centre-to-centre distance in units of the largest sigma
+        (:data:`SIGMA_RANGE`).
     weight_concentration:
         Dirichlet concentration for cluster weights; large values give
         near-equal cluster sizes.
-    shuffle:
-        Shuffle rows so cluster membership is not positional.
 
     Returns
     -------
@@ -100,9 +86,7 @@ def gaussian_mixture(
     if n_clusters < 1:
         raise ValidationError("n_clusters must be >= 1")
     rng = as_generator(seed)
-    sigma_lo, sigma_hi = sigma_range
-    if not (0 < sigma_lo <= sigma_hi):
-        raise ValidationError("sigma_range must satisfy 0 < lo <= hi")
+    sigma_lo, sigma_hi = SIGMA_RANGE
 
     centers = _separated_centers(n_clusters, n_dims, separation * sigma_hi, rng)
     weights = rng.dirichlet(np.full(n_clusters, weight_concentration))
@@ -118,7 +102,5 @@ def gaussian_mixture(
         y[offset : offset + c] = k
         offset += c
 
-    if shuffle:
-        perm = rng.permutation(n_points)
-        x, y = x[perm], y[perm]
-    return x, y
+    perm = rng.permutation(n_points)
+    return x[perm], y[perm]

@@ -38,14 +38,13 @@ from repro.fleet.journal import (
 )
 from repro.fleet.quotas import TenantQuotaPolicy, TenantQuotas
 from repro.fleet.replica import ReplicaSupervisor
-from repro.fleet.rollout import RolloutConfig, RolloutError, RolloutManager
+from repro.fleet.rollout import RolloutError, RolloutManager
 from repro.fleet.router import FleetRouter, router_in_thread
 
 __all__ = [
     "FleetRouter",
     "JournalError",
     "ReplicaSupervisor",
-    "RolloutConfig",
     "RolloutError",
     "RolloutJournal",
     "RolloutManager",

@@ -184,7 +184,6 @@ def run_fleet_bench(
     duration_s: float = 4.0,
     reload_replicas: int = 3,
     seed: int = 7,
-    verbose: bool = True,
 ) -> Dict[str, Any]:
     """Run the full fleet bench; returns (and optionally writes) results.
 
@@ -193,8 +192,7 @@ def run_fleet_bench(
     """
 
     def say(msg: str) -> None:
-        if verbose:
-            print(msg, flush=True)
+        print(msg, flush=True)
 
     with tempfile.TemporaryDirectory(prefix="fleet-bench-") as workdir:
         if model_path is None:

@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import InjectedFault, ServeError, ValidationError
+from repro.errors import InjectedFault, ServeError
 from repro.obs import default_registry
 
 __all__ = [
@@ -64,6 +64,8 @@ __all__ = [
 
 #: Journal file name inside the journal directory.
 JOURNAL_FILE = "rollout.journal.jsonl"
+#: Records past which an append compacts the journal.
+ROTATE_AT = 4096
 
 #: Record types that open / close a rollout during replay.
 _OPENING = "intent"
@@ -84,30 +86,22 @@ class RolloutJournal:
     directory:
         Directory holding the journal (created if missing). One journal
         per fleet; the file inside is :data:`JOURNAL_FILE`.
-    rotate_at:
-        Auto-compact when the file exceeds this many records. Compaction
-        keeps the last ``artifact`` record and any open rollout's records
-        — everything recovery could ever need — and drops completed
-        history.
-    fsync:
-        Fsync after every append (default). Tests that hammer the
-        journal may disable it; production callers must not.
     crash_after:
         Fault-injection hook for crash-recovery tests: after this many
         successful appends *through this instance*, the next append
         raises :class:`~repro.errors.InjectedFault` before writing — the
         journal then holds exactly ``crash_after`` records from this
         instance, simulating a driver killed at that record boundary.
+
+    An append past :data:`ROTATE_AT` records compacts the file: it keeps
+    the last ``artifact`` record and any open rollout's records —
+    everything recovery could ever need — and drops completed history.
     """
 
-    def __init__(self, directory: str, rotate_at: int = 4096,
-                 fsync: bool = True, crash_after: Optional[int] = None):
-        if rotate_at < 8:
-            raise ValidationError("rotate_at must be >= 8")
+    def __init__(self, directory: str, crash_after: Optional[int] = None):
         self.directory = str(directory)
         self.path = os.path.join(self.directory, JOURNAL_FILE)
-        self.rotate_at = int(rotate_at)
-        self.fsync = bool(fsync)
+        self.rotate_at = ROTATE_AT
         self.crash_after = crash_after
         self._appended = 0  # appends through THIS instance (crash hook)
         os.makedirs(self.directory, exist_ok=True)
@@ -135,8 +129,7 @@ class RolloutJournal:
             with open(self.path, "ab") as fh:
                 fh.write(line.encode("utf-8"))
                 fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
+                os.fsync(fh.fileno())
         except OSError as exc:
             raise JournalError(
                 f"cannot append to rollout journal {self.path}: {exc}"

@@ -26,6 +26,11 @@ __all__ = ["TenantQuotaPolicy", "TenantQuotas"]
 
 #: Bucket key for requests that carry no tenant field.
 ANONYMOUS = "_anonymous"
+#: Cap on lazily created buckets, so an attacker cycling tenant names
+#: cannot grow router memory without bound. Beyond the cap the
+#: least-recently-refilled lazy bucket is evicted (it restarts full if the
+#: tenant returns — mild over-admission, bounded state).
+MAX_TENANTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,7 @@ class TenantQuotas:
         Policy applied to tenants (and anonymous traffic) without an
         explicit entry; each such tenant gets its *own* lazily created
         bucket. ``None`` means unlisted tenants are not metered at all.
-    max_tenants:
-        Cap on lazily created buckets, so an attacker cycling tenant
-        names cannot grow router memory without bound. Beyond the cap
-        the least-recently-refilled lazy bucket is evicted (it restarts
-        full if the tenant returns — mild over-admission, bounded state).
+        At most :data:`MAX_TENANTS` such buckets exist.
     clock:
         Injectable monotonic clock for deterministic tests.
     """
@@ -75,14 +76,11 @@ class TenantQuotas:
         self,
         quotas: Optional[Dict[str, TenantQuotaPolicy]] = None,
         default: Optional[TenantQuotaPolicy] = None,
-        max_tenants: int = 10_000,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if max_tenants < 1:
-            raise ValidationError("max_tenants must be >= 1")
         self._clock = clock
         self.default = default
-        self.max_tenants = int(max_tenants)
+        self.max_tenants = MAX_TENANTS
         now = clock()
         self._explicit: Dict[str, _Bucket] = {
             name: _Bucket(policy, now) for name, policy in (quotas or {}).items()

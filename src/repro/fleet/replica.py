@@ -53,6 +53,19 @@ __all__ = ["ReplicaSupervisor"]
 
 #: The ``serve`` CLI announces its bind as "... on HOST:PORT"; the
 #: supervisor parses that line to learn an ephemeral port.
+#: Seconds a replica has to announce its port / bind, and the timeout of
+#: the probe and reconcile that follow.
+STARTUP_TIMEOUT_S = 30.0
+#: Restart backoff of a crash-looping replica: the base doubles per
+#: consecutive fast crash, capped at the max.
+RESTART_BACKOFF_S = 0.5
+RESTART_BACKOFF_MAX_S = 30.0
+#: Consecutive fast crashes (death within ``STABLE_S`` of start) that
+#: quarantine a replica: no automatic restarts until ``unquarantine``. A
+#: replica up at least ``STABLE_S`` resets its crash streak.
+QUARANTINE_AFTER = 5
+STABLE_S = 5.0
+
 _PORT_RE = re.compile(r"\bon\s+(\S+):(\d+)\s*$")
 
 
@@ -97,31 +110,19 @@ class ReplicaSupervisor:
     extra_args:
         Additional ``python -m repro serve`` flags applied to every
         process-mode replica (e.g. ``["--admit-rate", "300"]``).
-    admission:
-        Thread-mode equivalent of the admission flags (an
-        :class:`~repro.serve.admission.AdmissionPolicy`).
     model:
         Thread mode only: serve this fitted model object (skips the
         load from ``model_path``).
-    startup_timeout:
-        Seconds to wait for a replica to announce its port / bind.
     journal:
         Optional :class:`~repro.fleet.journal.RolloutJournal`. When set,
         restarted replicas boot from (and are fingerprint-verified
         against) the journal's current ``artifact`` record — the fleet's
         source of truth — instead of the construction-time model path.
-    restart_backoff_s, restart_backoff_max_s:
-        Exponential backoff between restart attempts of a crash-looping
-        replica (base doubles per consecutive fast crash, capped).
-    quarantine_after:
-        Consecutive fast crashes (death within ``stable_s`` of start)
-        after which the replica is quarantined: no further automatic
-        restarts until :meth:`unquarantine`.
-    stable_s:
-        A replica that stays up at least this long resets its crash
-        streak — the next death is treated as fresh, not a loop.
     clock:
         Injectable monotonic clock (deterministic backoff tests).
+
+    Startup timeout, restart backoff and quarantine are the module
+    constants.
     """
 
     def __init__(
@@ -131,14 +132,8 @@ class ReplicaSupervisor:
         mode: str = "process",
         host: str = "127.0.0.1",
         extra_args: Sequence[str] = (),
-        admission=None,
         model=None,
-        startup_timeout: float = 30.0,
         journal=None,
-        restart_backoff_s: float = 0.5,
-        restart_backoff_max_s: float = 30.0,
-        quarantine_after: int = 5,
-        stable_s: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
     ):
         if mode not in ("process", "thread"):
@@ -149,23 +144,17 @@ class ReplicaSupervisor:
             raise ValidationError("process mode needs model_path")
         if mode == "thread" and model_path is None and model is None:
             raise ValidationError("thread mode needs model_path or model")
-        if restart_backoff_s < 0 or restart_backoff_max_s < restart_backoff_s:
-            raise ValidationError(
-                "restart backoff must be >= 0 and max >= base")
-        if quarantine_after < 1:
-            raise ValidationError("quarantine_after must be >= 1")
         self.model_path = None if model_path is None else str(model_path)
         self.mode = mode
         self.host = host
         self.extra_args = list(extra_args)
-        self.admission = admission
         self._model = model
-        self.startup_timeout = float(startup_timeout)
+        self.startup_timeout = STARTUP_TIMEOUT_S
         self.journal = journal
-        self.restart_backoff_s = float(restart_backoff_s)
-        self.restart_backoff_max_s = float(restart_backoff_max_s)
-        self.quarantine_after = int(quarantine_after)
-        self.stable_s = float(stable_s)
+        self.restart_backoff_s = RESTART_BACKOFF_S
+        self.restart_backoff_max_s = RESTART_BACKOFF_MAX_S
+        self.quarantine_after = QUARANTINE_AFTER
+        self.stable_s = STABLE_S
         self._clock = clock
         self._replicas: Dict[str, _Replica] = {
             f"r{i}": _Replica(f"r{i}") for i in range(n_replicas)
@@ -396,7 +385,7 @@ class ReplicaSupervisor:
         registry.publish(self._model, tag=f"{rep.replica_id}-startup")
         rep.registry = registry
         rep.handle = serve_in_thread(
-            registry, host=self.host, port=0, admission=self.admission
+            registry, host=self.host, port=0
         )
         rep.host, rep.port = rep.handle.address
 

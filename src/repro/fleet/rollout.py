@@ -12,11 +12,11 @@ a staged promotion:
    canary and classifies the answers. Sheds and deadline misses are
    neutral (load, not model quality); validation and model errors count
    against the canary. An error rate above
-   :attr:`RolloutConfig.max_error_rate` triggers an automatic
+   :data:`MAX_ERROR_RATE` triggers an automatic
    ``rollback`` on the canary and aborts the rollout — the other N−1
    replicas never saw the artifact.
 2. **staged** — the remaining replicas promote in
-   :attr:`RolloutConfig.stages` fractions (default 50% then 100%).
+   :data:`STAGES` fractions (50% then 100%).
    After each replica reloads, its ``model-info`` fingerprint must match
    the canary's — the same convergence check the consolidation layer
    uses — so a replica that silently loaded something else aborts the
@@ -36,16 +36,23 @@ requests never queue behind the rollout.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConnectionLostError, ServeError, ValidationError
+from repro.errors import ConnectionLostError, ServeError
 from repro.obs.reqtrace import get_tracer
 
-__all__ = ["RolloutConfig", "RolloutError", "RolloutManager"]
+__all__ = ["RolloutError", "RolloutManager"]
+
+#: Cumulative fleet fractions promoted after the canary bakes; increasing
+#: and ending at 1.0.
+STAGES: Tuple[float, ...] = (0.5, 1.0)
+#: Predict probes replayed against the canary during the bake.
+CANARY_PROBES = 24
+#: Canary error rate (errors / non-neutral probes) above which the rollout
+#: rolls back automatically.
+MAX_ERROR_RATE = 0.25
 
 #: Rollout states, in gauge-value order (``fleet_rollout_state``).
 ROLLOUT_STATES: Tuple[str, ...] = (
@@ -59,42 +66,6 @@ class RolloutError(ServeError):
     code = "rollout_failed"
 
 
-@dataclass(frozen=True)
-class RolloutConfig:
-    """Knobs for the staged rollout.
-
-    Parameters
-    ----------
-    stages:
-        Cumulative fleet fractions promoted after the canary bakes.
-        Must be increasing and end at 1.0.
-    probes:
-        Predict probes replayed against the canary during the bake.
-    max_error_rate:
-        Canary error rate (errors / non-neutral probes) above which the
-        rollout auto-rolls back.
-    settle_s:
-        Pause between stages (lets per-replica circuits/queues react
-        before the blast radius grows). Kept tiny by default so tests
-        and benches stay fast.
-    """
-
-    stages: Tuple[float, ...] = (0.5, 1.0)
-    probes: int = 24
-    max_error_rate: float = 0.25
-    settle_s: float = 0.0
-
-    def __post_init__(self):
-        if not self.stages or sorted(self.stages) != list(self.stages):
-            raise ValidationError("rollout stages must be increasing")
-        if not (0 < self.stages[0] <= 1.0) or self.stages[-1] != 1.0:
-            raise ValidationError("rollout stages must lie in (0, 1] and end at 1.0")
-        if self.probes < 1:
-            raise ValidationError("rollout needs at least one canary probe")
-        if not (0 <= self.max_error_rate < 1):
-            raise ValidationError("max_error_rate must be in [0, 1)")
-
-
 class RolloutManager:
     """Drives staged rollouts over a :class:`~repro.fleet.router.FleetRouter`.
 
@@ -102,10 +73,8 @@ class RolloutManager:
     admin lock, so at most one rollout runs at a time.
     """
 
-    def __init__(self, router, config: Optional[RolloutConfig] = None,
-                 journal=None):
+    def __init__(self, router, journal=None):
         self.router = router
-        self.config = config if config is not None else RolloutConfig()
         self.journal = journal
         self.state = "idle"
         self.history: List[Dict[str, Any]] = []
@@ -208,7 +177,7 @@ class RolloutManager:
 
         errors, attempts = await self._bake(canary, old_features)
         error_rate = errors / attempts if attempts else 0.0
-        if error_rate > self.config.max_error_rate:
+        if error_rate > MAX_ERROR_RATE:
             await self._rollback_all(promoted)
             self._journal("rolled_back", reason="canary_rejected",
                           error_rate=round(error_rate, 4))
@@ -219,7 +188,7 @@ class RolloutManager:
             raise RolloutError(
                 f"canary {canary.id} rejected: error rate "
                 f"{error_rate:.0%} over {attempts} probes "
-                f"(limit {self.config.max_error_rate:.0%}); rolled back"
+                f"(limit {MAX_ERROR_RATE:.0%}); rolled back"
             )
 
         self._set_state("staged", fingerprint=new_fp)
@@ -231,7 +200,7 @@ class RolloutManager:
         total = len(fleet)
         next_replica = 0
         try:
-            for frac in self.config.stages:
+            for frac in STAGES:
                 target = min(total, max(1, math.ceil(frac * total - 1e-9)))
                 while len(promoted) < target and next_replica < len(rest):
                     state = rest[next_replica]
@@ -246,8 +215,6 @@ class RolloutManager:
                             f"canary {new_fp!r}"
                         )
                     promoted.append((state, version))
-                if self.config.settle_s and len(promoted) < total:
-                    await asyncio.sleep(self.config.settle_s)
         except RolloutError as exc:
             await self._rollback_all(promoted)
             self._journal("rolled_back", reason="stage_aborted",
@@ -323,7 +290,7 @@ class RolloutManager:
         fails here as a 100% validation-error rate — before any
         non-canary replica promotes.
         """
-        rows = self.router.probe_rows(self.config.probes, old_features)
+        rows = self.router.probe_rows(CANARY_PROBES, old_features)
         errors = attempts = 0
         for row in rows:
             try:

@@ -60,7 +60,13 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.reqtrace import NOOP_SPAN, get_tracer, inject
 from repro.serve.admission import RetryBudget
 from repro.serve.client import PROBE_TIMEOUT_S, async_probe
-from repro.serve.server import LineServer, ServerHandle, json_line, metrics_payload
+from repro.serve.server import (
+    LINE_LIMIT,
+    LineServer,
+    ServerHandle,
+    json_line,
+    metrics_payload,
+)
 
 __all__ = ["FleetRouter", "router_in_thread"]
 
@@ -82,6 +88,8 @@ POOL_SIZE = 16
 CONNECT_TIMEOUT_S = 2.0
 #: Longest the router waits for a replica's reply to one forwarded line.
 FORWARD_TIMEOUT_S = 30.0
+#: Transport-failure retries per predict, each on a distinct replica.
+MAX_FAILOVERS = 2
 
 
 class _Conn:
@@ -119,7 +127,7 @@ class _ConnPool:
             return conn
         try:
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
+                asyncio.open_connection(self.host, self.port, limit=LINE_LIMIT),
                 CONNECT_TIMEOUT_S,
             )
         except (OSError, asyncio.TimeoutError) as exc:
@@ -223,24 +231,20 @@ class FleetRouter(LineServer):
         before any replica is consulted.
     probe_interval_s:
         Seconds between health-probe rounds over every replica.
-    max_failovers:
-        Transport-failure retries per predict (distinct replicas).
-    retry_budget_ratio, retry_budget_min:
-        Fleet-wide windowed retry budget
-        (:class:`~repro.serve.admission.RetryBudget`): failover retries
-        across *all* requests may not exceed ``max(min, ratio ×
-        windowed request rate)``. During a partition the router sheds
-        ('unavailable', retryable) instead of multiplying every failed
-        request by ``max_failovers`` — retries must never become the
-        majority of fleet traffic.
     journal:
         Optional :class:`~repro.fleet.journal.RolloutJournal`. When set,
         the rollout engine write-ahead journals every transition and the
         journal's recorded artifact becomes the fleet's source of truth
         for crash recovery (see :mod:`repro.fleet.journal`).
 
-    Timeouts, ejection streaks and pool size are the module constants;
-    rollout stages are the :class:`~repro.fleet.rollout.RolloutConfig` ones.
+    Timeouts, ejection streaks, pool size and the :data:`MAX_FAILOVERS`
+    retries per predict are the module constants; rollout stages are
+    :mod:`repro.fleet.rollout`'s. Failover retries
+    across *all* requests draw on one windowed
+    :class:`~repro.serve.admission.RetryBudget`: during a partition the
+    router sheds ('unavailable', retryable) instead of multiplying every
+    failed request by ``MAX_FAILOVERS`` — retries must never become the
+    majority of fleet traffic.
     """
 
     kind = "router"
@@ -253,9 +257,6 @@ class FleetRouter(LineServer):
         quotas: Optional[TenantQuotas] = None,
         allow_admin: Optional[bool] = None,
         probe_interval_s: float = 0.25,
-        max_failovers: int = 2,
-        retry_budget_ratio: float = 0.2,
-        retry_budget_min: int = 3,
         journal=None,
         seed: int = 0,
     ):
@@ -269,10 +270,8 @@ class FleetRouter(LineServer):
             self._states[replica_id] = ReplicaState(replica_id, rhost, int(rport))
         self.quotas = quotas if quotas is not None else TenantQuotas()
         self.probe_interval_s = float(probe_interval_s)
-        self.max_failovers = int(max_failovers)
-        self.retry_budget = RetryBudget(
-            ratio=retry_budget_ratio, min_retries=retry_budget_min
-        )
+        self.max_failovers = MAX_FAILOVERS
+        self.retry_budget = RetryBudget()
         self._rng = random.Random(seed)
         self.registry = MetricsRegistry()
         self._init_metrics()

@@ -51,6 +51,10 @@ __all__ = [
     "run_distributed_insitu",
 ]
 
+#: Survivor recoveries a resilient run may make before failures abort it
+#: (``None``: bounded only by the rank count).
+MAX_RECOVERIES: Optional[int] = None
+
 
 @dataclass
 class DistributedInSituResult:
@@ -285,10 +289,9 @@ class RecoveryContext:
 
     comm: Communicator
     recover: bool = False
-    max_recoveries: Optional[int] = None   # None = bounded only by size-1
-    recoveries: int = 0
-    frames_lost: int = 0
-    lost_ranks: List[int] = field(default_factory=list)
+    recoveries: int = field(default=0, init=False)
+    frames_lost: int = field(default=0, init=False)
+    lost_ranks: List[int] = field(default_factory=list, init=False)
 
     @property
     def can_recover(self) -> bool:
@@ -296,7 +299,7 @@ class RecoveryContext:
             return False
         if self.comm.size <= 1:
             return False  # nobody left to agree with
-        if self.max_recoveries is not None and self.recoveries >= self.max_recoveries:
+        if MAX_RECOVERIES is not None and self.recoveries >= MAX_RECOVERIES:
             return False
         return True
 
@@ -426,14 +429,10 @@ def distributed_insitu_spmd(
     trajectory: Trajectory,
     chunk_size: int = 250,
     consolidate_every: int = 4,
-    fingerprint_window: int = 50,
     seed: int = 0,
     reduce_algo: str = "linear",
     recover: bool = False,
-    max_recoveries: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 1,
-    checkpoint_keep: int = 3,
     **keybin_params: Any,
 ) -> DistributedInSituResult:
     """SPMD in-situ analysis: each rank passes its *own* trajectory.
@@ -448,16 +447,14 @@ def distributed_insitu_spmd(
 
     * ``recover=True`` turns rank failures during consolidation into
       survivor recoveries (see :func:`resilient_consolidate`) instead of
-      run-wide aborts; ``max_recoveries`` caps how many.
+      run-wide aborts; :data:`MAX_RECOVERIES` caps how many.
     * ``checkpoint_dir`` enables per-rank checkpoints after every
-      ``checkpoint_every``-th successful consolidation, and *resume*: when
+      successful consolidation, and *resume*: when
       the directory already holds a checkpoint round common to all ranks,
       every rank restores it and skips the chunks it covers.
     """
     if chunk_size < 1 or consolidate_every < 1:
         raise ValidationError("chunk_size and consolidate_every must be >= 1")
-    if checkpoint_every < 1:
-        raise ValidationError("checkpoint_every must be >= 1")
     n_frames = trajectory.n_frames
     n_chunks_local = -(-n_frames // chunk_size)
     # Ranks may hold different trajectory lengths; every rank must join
@@ -492,9 +489,7 @@ def distributed_insitu_spmd(
     start_chunk = 0
     consolidation_round = 0
     if checkpoint_dir is not None:
-        ckpt_mgr = CheckpointManager(
-            checkpoint_dir, _physical_rank(comm), keep=checkpoint_keep
-        )
+        ckpt_mgr = CheckpointManager(checkpoint_dir, _physical_rank(comm))
         # Resume from the newest round every rank holds. The directory scan
         # is deterministic on a shared filesystem, but the MIN allreduce
         # makes the choice robust to ranks racing each other's writes.
@@ -515,9 +510,7 @@ def distributed_insitu_spmd(
             consolidation_round = agreed_round
             resumed_round = agreed_round
 
-    rctx = RecoveryContext(
-        comm=comm, recover=recover, max_recoveries=max_recoveries
-    )
+    rctx = RecoveryContext(comm=comm, recover=recover)
     # Executor ranks run on worker threads, which start from an empty
     # trace context; re-root so every span below attributes to its rank
     # (insitu/rank2/partial_fit/project, insitu/rank2/consolidate/...).
@@ -534,10 +527,7 @@ def distributed_insitu_spmd(
                 consolidation_round += 1
                 maybe_inject(rctx.comm, "consolidation")
                 resilient_consolidate(rctx, skb, reduce_algo=reduce_algo)
-                if (
-                    ckpt_mgr is not None
-                    and consolidation_round % checkpoint_every == 0
-                ):
+                if ckpt_mgr is not None:
                     ckpt_mgr.save(
                         skb,
                         consolidation_round,
@@ -551,7 +541,7 @@ def distributed_insitu_spmd(
         skb.refresh()
         with trace.span("label_frames"):
             labels = skb.predict(features)
-    prints = window_fingerprints(labels, window=fingerprint_window)
+    prints = window_fingerprints(labels)
     changes = fingerprint_change_points(prints)
     phase_nmi = (
         float(normalized_mutual_info(trajectory.phase_ids, labels))
@@ -575,13 +565,12 @@ def distributed_insitu_spmd(
 
 
 def _entry(comm, trajectories, chunk_size, consolidate_every, seed, reduce_algo,
-           recover, max_recoveries, checkpoint_dir, checkpoint_every, params):
+           recover, checkpoint_dir, params):
     res = distributed_insitu_spmd(
         comm, trajectories[comm.rank], chunk_size=chunk_size,
         consolidate_every=consolidate_every, seed=seed,
         reduce_algo=reduce_algo, recover=recover,
-        max_recoveries=max_recoveries, checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every, **params,
+        checkpoint_dir=checkpoint_dir, **params,
     )
     return res
 
@@ -595,9 +584,7 @@ def run_distributed_insitu(
     timeout: Optional[float] = 600.0,
     reduce_algo: str = "linear",
     recover: bool = False,
-    max_recoveries: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 1,
     faults: Optional[Any] = None,
     suspicion_timeout: Optional[float] = None,
     **keybin_params: Any,
@@ -627,8 +614,7 @@ def run_distributed_insitu(
         len(trajectories),
         executor=executor,
         args=(list(trajectories), chunk_size, consolidate_every, seed,
-              reduce_algo, recover, max_recoveries, checkpoint_dir,
-              checkpoint_every, dict(keybin_params)),
+              reduce_algo, recover, checkpoint_dir, dict(keybin_params)),
         timeout=timeout,
         faults=faults,
         return_exceptions=recover,

@@ -14,25 +14,30 @@ from typing import FrozenSet, List, Sequence
 
 import numpy as np
 
-from repro.errors import ValidationError
 
 __all__ = ["window_fingerprints", "fingerprint_change_points", "fingerprint_similarity"]
 
+#: Trailing frames a fingerprint summarizes.
+WINDOW = 50
+#: Occurrences in the trailing window a label needs to enter a fingerprint.
+MIN_SUPPORT = 2
+#: A change point is a Jaccard similarity below ``CHANGE_THRESHOLD`` to the
+#: previous frame; detections within ``MIN_SPACING`` frames collapse to the
+#: first. 0.6 catches the canonical hand-over pattern ``{a} → {a, b} → {b}``
+#: (similarity exactly 0.5 at each step).
+CHANGE_THRESHOLD = 0.6
+MIN_SPACING = 25
 
-def window_fingerprints(
-    labels: np.ndarray,
-    window: int = 50,
-    min_support: int = 2,
-) -> List[FrozenSet[int]]:
-    """Per-frame fingerprints: labels occurring ≥ ``min_support`` times in
-    the trailing window.
+
+def window_fingerprints(labels: np.ndarray) -> List[FrozenSet[int]]:
+    """Per-frame fingerprints: labels occurring ≥ :data:`MIN_SUPPORT` times
+    in the trailing :data:`WINDOW` frames.
 
     Noise labels (−1) never enter a fingerprint. Early frames use the
     partial window available.
     """
     labels = np.asarray(labels).ravel()
-    if window < 1 or min_support < 1:
-        raise ValidationError("window and min_support must be >= 1")
+    window = WINDOW
     out: List[FrozenSet[int]] = []
     from collections import Counter
 
@@ -45,7 +50,7 @@ def window_fingerprints(
             if counter[old] == 0:
                 del counter[old]
         out.append(
-            frozenset(l for l, c in counter.items() if l >= 0 and c >= min_support)
+            frozenset(l for l, c in counter.items() if l >= 0 and c >= MIN_SUPPORT)
         )
     return out
 
@@ -60,23 +65,16 @@ def fingerprint_similarity(a: FrozenSet[int], b: FrozenSet[int]) -> float:
 
 def fingerprint_change_points(
     fingerprints: Sequence[FrozenSet[int]],
-    threshold: float = 0.6,
-    min_spacing: int = 25,
 ) -> np.ndarray:
     """Frames where the fingerprint changes materially.
 
     A change point is a frame whose fingerprint's Jaccard similarity to the
-    previous frame's drops below ``threshold``; consecutive detections
-    within ``min_spacing`` frames collapse to the first. The default
-    threshold of 0.6 catches the canonical hand-over pattern
-    ``{a} → {a, b} → {b}`` (similarity exactly 0.5 at each step). Frames
-    whose previous fingerprint is empty are skipped — that is window
-    warm-up, not a conformational change.
+    previous frame's drops below :data:`CHANGE_THRESHOLD`; consecutive
+    detections within :data:`MIN_SPACING` frames collapse to the first.
+    Frames whose previous fingerprint is empty are skipped — that is
+    window warm-up, not a conformational change.
     """
-    if not (0.0 <= threshold <= 1.0):
-        raise ValidationError("threshold must be in [0, 1]")
-    if min_spacing < 1:
-        raise ValidationError("min_spacing must be >= 1")
+    threshold, min_spacing = CHANGE_THRESHOLD, MIN_SPACING
     points: List[int] = []
     last = -min_spacing
     for i in range(1, len(fingerprints)):

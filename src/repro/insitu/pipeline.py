@@ -42,6 +42,10 @@ from repro.util.rng import SeedLike
 
 __all__ = ["InSituPipeline", "InSituResult"]
 
+#: Eq. 4's stability margin ``w``: the best representative's score must
+#: beat the runner-up's by this much for a frame to count as stable.
+STABILITY_THRESHOLD = 0.05
+
 
 @dataclass
 class InSituResult:
@@ -71,14 +75,6 @@ class InSituPipeline:
         periodically").
     n_representatives:
         Representatives for the offline stability validation.
-    representative_power:
-        Power-law exponent for representative sampling; ``inf`` (default)
-        is deterministic farthest-point selection, which guarantees the
-        distinct conformations eq. 3 assumes.
-    stability_window, stability_threshold:
-        Eq. 3/4 knobs (paper: previous 100 steps; threshold ``w``).
-    fingerprint_window:
-        Sliding window for fingerprints.
     keybin_params:
         Extra keyword arguments for :class:`StreamingKeyBin2`.
     """
@@ -88,10 +84,6 @@ class InSituPipeline:
         chunk_size: int = 250,
         refresh_every: int = 4,
         n_representatives: int = 8,
-        representative_power: float = float("inf"),
-        stability_window: int = 100,
-        stability_threshold: float = 0.05,
-        fingerprint_window: int = 50,
         seed: SeedLike = 0,
         **keybin_params,
     ):
@@ -100,10 +92,6 @@ class InSituPipeline:
         self.chunk_size = int(chunk_size)
         self.refresh_every = int(refresh_every)
         self.n_representatives = int(n_representatives)
-        self.representative_power = float(representative_power)
-        self.stability_window = int(stability_window)
-        self.stability_threshold = float(stability_threshold)
-        self.fingerprint_window = int(fingerprint_window)
         self.seed = seed
         self.keybin_params = dict(keybin_params)
 
@@ -166,26 +154,19 @@ class InSituPipeline:
         # --- fingerprints ----------------------------------------------------
         t0 = time.perf_counter()
         with trace.span("fingerprint"):
-            prints = window_fingerprints(labels, window=self.fingerprint_window)
+            prints = window_fingerprints(labels)
             changes = fingerprint_change_points(prints)
         timings["fingerprint"] = time.perf_counter() - t0
 
         # --- offline probabilistic validation (eqs. 3–4) ----------------------
         t0 = time.perf_counter()
         with trace.span("validate"):
-            reps = select_representatives(
-                trajectory.angles,
-                self.n_representatives,
-                power=self.representative_power,
-                seed=self.seed,
-            )
+            reps = select_representatives(trajectory.angles, self.n_representatives)
             flat = trajectory.angles.reshape(n_frames, -1)
             distances = rmsd_time_series(flat, flat[reps])
             probs = label_probabilities(distances)
-            scores = stability_scores(probs, window=self.stability_window)
-            stable, winners = stability_decisions(
-                scores, self.stability_threshold
-            )
+            scores = stability_scores(probs)
+            stable, winners = stability_decisions(scores, STABILITY_THRESHOLD)
             segments = extract_segments(stable, winners)
         timings["validate"] = time.perf_counter() - t0
 

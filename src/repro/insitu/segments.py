@@ -17,6 +17,12 @@ from repro.errors import ValidationError
 __all__ = ["Segment", "extract_segments", "segment_frame_labels"]
 
 
+#: Runs shorter than this are dropped (noise, not metastability).
+MIN_LENGTH = 20
+#: Unstable gaps up to this length *inside* a run of the same label are
+#: bridged (momentary score ties during a dwell).
+BRIDGE = 5
+
 @dataclass(frozen=True)
 class Segment:
     """A metastable segment: frames ``[start, stop)`` assigned to ``label``."""
@@ -33,30 +39,16 @@ class Segment:
         return self.start < other.stop and other.start < self.stop
 
 
-def extract_segments(
-    stable: np.ndarray,
-    labels: np.ndarray,
-    min_length: int = 20,
-    bridge: int = 5,
-) -> List[Segment]:
-    """Maximal stable same-label runs.
-
-    Parameters
-    ----------
-    stable, labels:
-        Per-frame decision arrays (equal length).
-    min_length:
-        Runs shorter than this are dropped (noise, not metastability).
-    bridge:
-        Unstable gaps up to this length *inside* a run of the same label
-        are bridged (momentary score ties during a dwell).
+def extract_segments(stable: np.ndarray, labels: np.ndarray) -> List[Segment]:
+    """Maximal stable same-label runs of two per-frame decision arrays
+    (equal length): runs shorter than :data:`MIN_LENGTH` are dropped, and
+    unstable gaps up to :data:`BRIDGE` frames inside a run are bridged.
     """
     stable = np.asarray(stable, dtype=bool).ravel()
     labels = np.asarray(labels).ravel()
     if stable.shape != labels.shape:
         raise ValidationError("stable and labels must have the same length")
-    if min_length < 1 or bridge < 0:
-        raise ValidationError("min_length must be >= 1 and bridge >= 0")
+    min_length, bridge = MIN_LENGTH, BRIDGE
     n = stable.size
     segments: List[Segment] = []
     i = 0

@@ -29,22 +29,29 @@ __all__ = [
 ]
 
 
-def label_probabilities(distances: np.ndarray, floor: float = 1e-9) -> np.ndarray:
+#: Distances are floored here before inversion (eq. 3).
+DISTANCE_FLOOR = 1e-9
+#: Share of a label's windowed probabilities its stability score's HDR
+#: covers (the 70% highest-density region).
+HDR_MASS = 0.70
+
+def label_probabilities(distances: np.ndarray) -> np.ndarray:
     """Eq. 3: inverse-distance label probabilities per frame.
 
-    ``distances`` is (n_labels × n_frames); zeros are floored so an exact
-    match yields probability ≈ 1 rather than a division error.
+    ``distances`` is (n_labels × n_frames); zeros are floored to
+    :data:`DISTANCE_FLOOR` so an exact match yields probability ≈ 1 rather
+    than a division error.
     """
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2:
         raise ValidationError("distances must be (n_labels × n_frames)")
     if np.any(d < 0):
         raise ValidationError("distances must be non-negative")
-    inv = 1.0 / np.maximum(d, floor)
+    inv = 1.0 / np.maximum(d, DISTANCE_FLOOR)
     return inv / inv.sum(axis=0, keepdims=True)
 
 
-def hdr_center(samples: np.ndarray, mass: float = 0.70) -> float:
+def hdr_center(samples: np.ndarray, mass: float = HDR_MASS) -> float:
     """Centre of the smallest interval containing ``mass`` of the samples.
 
     The sample-based HDR: sort, slide a window covering ``ceil(mass·n)``
@@ -67,11 +74,10 @@ def hdr_center(samples: np.ndarray, mass: float = 0.70) -> float:
 def stability_scores(
     probabilities: np.ndarray,
     window: int = 100,
-    mass: float = 0.70,
 ) -> np.ndarray:
     """Per-frame, per-label HDR-centre stability scores.
 
-    For frame ``i``, each label's score is the 70% HDR centre of that
+    For frame ``i``, each label's score is the :data:`HDR_MASS` HDR centre of that
     label's probabilities over frames ``(i−window, i]``. Early frames use
     the partial history available.
     Returns (n_labels × n_frames).
@@ -86,7 +92,7 @@ def stability_scores(
     for i in range(n_frames):
         lo = max(0, i - window + 1)
         for l in range(n_labels):
-            out[l, i] = hdr_center(p[l, lo : i + 1], mass)
+            out[l, i] = hdr_center(p[l, lo : i + 1], HDR_MASS)
     return out
 
 

@@ -69,10 +69,10 @@ class RunAggregate:
     def n_runs(self, name: str) -> int:
         return len(self._values.get(name, ()))
 
-    def formatted(self, name: str, digits: int = 3) -> str:
-        """Paper-style ``mean ± half`` string."""
+    def formatted(self, name: str) -> str:
+        """Paper-style ``mean ± half`` string, to three decimals."""
         mean, half = self.ci(name)
-        return f"{mean:.{digits}f} ± {half:.{digits}f}"
+        return f"{mean:.3f} ± {half:.3f}"
 
-    def summary(self, digits: int = 3) -> Dict[str, str]:
-        return {name: self.formatted(name, digits) for name in self.names()}
+    def summary(self) -> Dict[str, str]:
+        return {name: self.formatted(name) for name in self.names()}

@@ -35,13 +35,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.obs.exposition import render_families
-from repro.obs.slo import Alert, SeriesStore, SLOEvaluator, SLORule
+from repro.obs.slo import Alert, SeriesStore, SLOEvaluator, default_rules
 
 __all__ = ["CollectorHandle", "MetricsCollector", "collector_in_thread"]
 
 #: Families the collector itself is the source of (they carry scrape
 #: health; everything else is relayed from the targets).
 _UP_HELP = "1 if the last pull of this instance succeeded, else 0."
+#: Per-target socket budget; a wedged replica costs one timeout, never the
+#: whole cycle.
+PULL_TIMEOUT_S = 2.0
 
 
 class MetricsCollector:
@@ -62,12 +65,9 @@ class MetricsCollector:
         Pull cadence. The loop sleeps to tick *boundaries* (same
         discipline as the snapshot logger), so a slow scrape cannot
         drift the cadence.
-    rules:
-        SLO rules to evaluate each cycle (default:
-        :func:`~repro.obs.slo.default_rules`).
-    timeout_s:
-        Per-target socket budget; a wedged replica costs one timeout,
-        never the whole cycle.
+
+    Each cycle evaluates :func:`~repro.obs.slo.default_rules`; a pull
+    waits at most :data:`PULL_TIMEOUT_S` per target.
     """
 
     def __init__(
@@ -75,9 +75,6 @@ class MetricsCollector:
         targets: Sequence[Tuple[str, str, int]] = (),
         snapshot_files: Sequence[Tuple[str, str]] = (),
         interval_s: float = 2.0,
-        rules: Optional[Sequence[SLORule]] = None,
-        timeout_s: float = 2.0,
-        history: int = 512,
     ):
         if interval_s <= 0:
             raise ValidationError("interval_s must be > 0")
@@ -90,9 +87,9 @@ class MetricsCollector:
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate collector instance ids")
         self.interval_s = float(interval_s)
-        self.timeout_s = float(timeout_s)
-        self.store = SeriesStore(capacity=history)
-        self.evaluator = SLOEvaluator(rules)
+        self.timeout_s = PULL_TIMEOUT_S
+        self.store = SeriesStore()
+        self.evaluator = SLOEvaluator(default_rules())
         self.up: Dict[str, bool] = {}
         self.last_families: Dict[str, Dict[str, Any]] = {}
         self.last_pull_ts: Dict[str, float] = {}

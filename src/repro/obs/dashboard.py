@@ -83,8 +83,7 @@ def render_dashboard(collector: MetricsCollector, window_s: float = 10.0,
 
 def run_dashboard(collector: MetricsCollector, interval_s: float = 1.0,
                   once: bool = False, window_s: float = 10.0,
-                  out: Optional[IO[str]] = None,
-                  max_frames: Optional[int] = None) -> int:
+                  out: Optional[IO[str]] = None) -> int:
     """Refresh loop (Ctrl-C to exit); ``once=True`` prints a single frame.
 
     Returns the number of frames rendered, which is what the CI render
@@ -101,7 +100,7 @@ def run_dashboard(collector: MetricsCollector, interval_s: float = 1.0,
                 out.write(_CLEAR + frame + "\n")
             out.flush()
             frames += 1
-            if once or (max_frames is not None and frames >= max_frames):
+            if once:
                 return frames
             time.sleep(interval_s)
     except KeyboardInterrupt:  # pragma: no cover - interactive exit

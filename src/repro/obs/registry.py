@@ -302,15 +302,11 @@ class MetricsRegistry:
         kind: str,
         help: str,
         labelnames: Sequence[str],
-        buckets: Optional[Sequence[float]] = None,
     ) -> _Family:
         labelnames = tuple(labelnames)
         bucket_t: Optional[Tuple[float, ...]] = None
         if kind == "histogram":
-            source = DEFAULT_TIME_BUCKETS if buckets is None else buckets
-            bucket_t = tuple(sorted(float(b) for b in source))
-            if not bucket_t:
-                raise ValidationError("histogram needs at least one bucket bound")
+            bucket_t = tuple(sorted(float(b) for b in DEFAULT_TIME_BUCKETS))
         with self._lock:
             existing = self._families.get(name)
             if existing is not None:
@@ -330,14 +326,9 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Gauge:
         return self._register(name, "gauge", help, labelnames)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
-    ) -> Histogram:
-        return self._register(name, "histogram", help, labelnames, buckets)
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        """An unlabeled histogram over :data:`DEFAULT_TIME_BUCKETS`."""
+        return self._register(name, "histogram", help, ())
 
     # -- collection ----------------------------------------------------------
 

@@ -300,16 +300,15 @@ def fleet_table(reg: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def stream_table(
-    reg: MetricsRegistry, edge_warn: float = EDGE_BIN_WARN_FRACTION
-) -> str:
+def stream_table(reg: MetricsRegistry) -> str:
     """Render open-world stream health: out-of-range rows, grid rebins,
     drift scores, responses, edge-bin saturation, and the share of
     points each projection's capped key table has evicted
     (``stream_key_evicted_fraction``).
 
     Emits an explicit WARNING line when any projection's edge-bin mass
-    fraction (``stream_edge_bin_fraction``) exceeds ``edge_warn`` — the
+    fraction (``stream_edge_bin_fraction``) exceeds
+    :data:`EDGE_BIN_WARN_FRACTION` — the
     signature of a fixed range clipping real structure into boundary
     bins. Series a run never touched are omitted; a run with none of
     them renders the usual one-liner.
@@ -356,12 +355,12 @@ def stream_table(
     if edges:
         detail = "  ".join(f"proj{p}={v:.4f}" for p, v in sorted(edges.items()))
         lines.append(f"  edge-bin mass fraction: {detail}")
-        hot = {p: v for p, v in edges.items() if v > edge_warn}
+        hot = {p: v for p, v in edges.items() if v > EDGE_BIN_WARN_FRACTION}
         if hot:
             worst = max(hot.values())
             lines.append(
                 f"  WARNING: edge-bin mass {worst:.1%} exceeds "
-                f"{edge_warn:.0%} on projection(s) "
+                f"{EDGE_BIN_WARN_FRACTION:.0%} on projection(s) "
                 f"{', '.join(sorted(hot))} — the fixed range is clipping "
                 "real structure; enable adaptive binning or widen "
                 "feature_range"

@@ -33,7 +33,7 @@ minimal distributed-tracing layer that can:
 * **TraceSink** — bounded JSON-lines export: an in-memory ring for tests
   and the dashboard plus an optional append-mode file (``{pid}`` in the
   path expands per process, so N replica processes write N files that
-  :func:`load_spans` reads back together). A hard ``max_spans`` cap
+  :func:`load_spans` reads back together). A hard :data:`MAX_SPANS` cap
   bounds file growth; overflow increments ``dropped`` instead of
   blocking the serving path.
 
@@ -86,6 +86,11 @@ PHASE_OF_HOP: Dict[str, str] = {
 }
 
 _HEX = "0123456789abcdef"
+
+#: Spans a sink writes to its file before counting the rest as dropped.
+MAX_SPANS = 100_000
+#: Length of a sink's in-memory ring of the most recent spans.
+MEMORY_SPANS = 4096
 
 
 def _gen_id(rng: random.Random) -> str:
@@ -156,21 +161,19 @@ class TraceSink:
         Optional JSON-lines file (append mode, opened lazily). ``{pid}``
         in the path expands to the writing process id, so multi-process
         fleets get one file per process without coordination.
-    max_spans:
-        Hard cap on spans written to the file; overflow is counted in
-        :attr:`dropped`, never blocks, never raises.
-    memory:
-        Length of the in-memory ring (most recent spans), which is what
-        tests and the live dashboard read without touching disk.
+
+    At most :data:`MAX_SPANS` spans reach the file; overflow is counted in
+    :attr:`dropped`, never blocks, never raises. The in-memory ring of the
+    :data:`MEMORY_SPANS` most recent spans is what tests and the live
+    dashboard read without touching disk.
     """
 
-    def __init__(self, path: Optional[str] = None, max_spans: int = 100_000,
-                 memory: int = 4096):
+    def __init__(self, path: Optional[str] = None):
         self.path = None if path is None else path.replace(
             "{pid}", str(os.getpid())
         )
-        self.max_spans = int(max_spans)
-        self._ring: deque = deque(maxlen=int(memory))
+        self.max_spans = MAX_SPANS
+        self._ring: deque = deque(maxlen=MEMORY_SPANS)
         self._file = None
         self._lock = threading.Lock()
         self.emitted = 0
@@ -316,16 +319,12 @@ class RequestTracer:
         with self._lock:
             return _gen_id(self._rng)
 
-    def root(self, name: str, sampled: Optional[bool] = None,
-             force: bool = False,
+    def root(self, name: str, force: bool = False,
              attrs: Optional[Dict[str, Any]] = None) -> Union[ActiveSpan, _NoopSpan]:
         """Start a new trace; the head-based sampling decision is made here."""
         if self.sink is None:
             return NOOP_SPAN
-        if force:
-            sampled = True
-        elif sampled is None:
-            sampled = self._sample()
+        sampled = True if force else self._sample()
         return ActiveSpan(self, name, self._ids(), self._ids(), None,
                           sampled, attrs)
 
@@ -339,12 +338,12 @@ class RequestTracer:
         return ActiveSpan(self, name, ctx.trace_id, self._ids(), ctx.span_id,
                           ctx.sampled, attrs)
 
-    def from_wire(self, request: Optional[Dict[str, Any]], name: str,
-                  attrs: Optional[Dict[str, Any]] = None) -> Union[ActiveSpan, _NoopSpan]:
+    def from_wire(self, request: Optional[Dict[str, Any]],
+                  name: str) -> Union[ActiveSpan, _NoopSpan]:
         """A span continuing the context carried by a wire request."""
         if self.sink is None:
             return NOOP_SPAN
-        return self.child_of(extract(request), name, attrs)
+        return self.child_of(extract(request), name)
 
     def event(self, name: str,
               parent: Union[ActiveSpan, TraceContext, None] = None,
@@ -411,12 +410,11 @@ def get_tracer() -> RequestTracer:
 
 def configure_tracer(path: Optional[str] = None, sample_rate: float = 1.0,
                      sink: Optional[TraceSink] = None,
-                     max_spans: int = 100_000,
                      seed: Optional[int] = None) -> RequestTracer:
     """Install the process-global tracer (pass a sink, or a path for one)."""
     global _tracer
     if sink is None:
-        sink = TraceSink(path, max_spans=max_spans)
+        sink = TraceSink(path)
     with _tracer_lock:
         _tracer = RequestTracer(sink, sample_rate=sample_rate, seed=seed)
         return _tracer

@@ -48,6 +48,9 @@ __all__ = ["Alert", "SeriesStore", "SLOEvaluator", "SLORule", "Window",
 LabelItems = Tuple[Tuple[str, str], ...]
 
 
+#: Points each series ring keeps.
+SERIES_CAPACITY = 512
+
 def _labels_key(labels: Optional[Dict[str, Any]]) -> LabelItems:
     if not labels:
         return ()
@@ -58,18 +61,16 @@ class SeriesStore:
     """Labeled time-series ring buffers: ``(instance, name, labels) → ring``.
 
     Each ring holds ``(ts, value)`` pairs, newest last, bounded at
-    ``capacity`` points — at the collector's default 2 s pull interval
-    the default capacity keeps ~17 minutes of history, comfortably more
+    :data:`SERIES_CAPACITY` points — at the collector's default 2 s pull
+    interval that keeps ~17 minutes of history, comfortably more
     than the longest default SLO window. Histogram families are stored
     exploded: one ring per ``le`` bucket (cumulative count) plus
     ``_sum``/``_count`` rings, which is exactly the shape the burn-rate
     math and the p99 interpolation need.
     """
 
-    def __init__(self, capacity: int = 512):
-        if capacity < 2:
-            raise ValidationError("SeriesStore capacity must be >= 2")
-        self.capacity = int(capacity)
+    def __init__(self):
+        self.capacity = SERIES_CAPACITY
         self._series: Dict[Tuple[str, str, LabelItems], deque] = {}
         self._lock = threading.Lock()
 
@@ -115,9 +116,9 @@ class SeriesStore:
             return [key[2] for key in self._series
                     if key[0] == instance and key[1] == name]
 
-    def latest(self, instance: str, name: str,
-               labels: Optional[Dict[str, Any]] = None) -> Optional[float]:
-        key = (str(instance), str(name), _labels_key(labels))
+    def latest(self, instance: str, name: str) -> Optional[float]:
+        """Newest value of an unlabeled series, or ``None``."""
+        key = (str(instance), str(name), ())
         with self._lock:
             ring = self._series.get(key)
             return ring[-1][1] if ring else None
@@ -320,10 +321,8 @@ def default_rules() -> Tuple[SLORule, ...]:
 class SLOEvaluator:
     """Evaluate :class:`SLORule` burn rates against a :class:`SeriesStore`."""
 
-    def __init__(self, rules: Optional[Iterable[SLORule]] = None):
-        self.rules: Tuple[SLORule, ...] = (
-            tuple(rules) if rules is not None else default_rules()
-        )
+    def __init__(self, rules: Iterable[SLORule]):
+        self.rules: Tuple[SLORule, ...] = tuple(rules)
 
     def evaluate(self, store: SeriesStore,
                  now: Optional[float] = None) -> List[Alert]:

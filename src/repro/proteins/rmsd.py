@@ -15,9 +15,11 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.proteins.ramachandran import wrap_angle
-from repro.util.rng import SeedLike, as_generator
 
 __all__ = ["angular_rmsd", "rmsd_time_series", "select_representatives"]
+
+#: Frames averaged to denoise conformations before picking representatives.
+DENOISE_WINDOW = 5
 
 
 def _flat(angles: np.ndarray) -> np.ndarray:
@@ -79,49 +81,30 @@ def temporal_smooth(frames: np.ndarray, window: int = 5) -> np.ndarray:
 def select_representatives(
     frames: np.ndarray,
     n: int,
-    power: float = float("inf"),
-    denoise_window: int = 5,
-    seed: SeedLike = None,
 ) -> np.ndarray:
     """Pick ``n`` *distinct* representative frame indices (paper §5.2).
 
-    The first representative is sampled with probability proportional to
-    ``distance_to_mean_conformation ** power`` (the paper's power-law
-    preference for far-from-average conformations). Each subsequent one is
-    sampled proportional to ``distance_to_nearest_chosen ** power`` — a
-    stochastic farthest-point rule that keeps representatives mutually
-    distinct. Distinctness matters: two representatives of the *same*
-    conformation would split its probability mass in eq. 3 and erase the
-    stability margin of eq. 4.
+    On frames smoothed over :data:`DENOISE_WINDOW` steps, the first
+    representative is the conformation farthest from the mean (the
+    paper's preference for far-from-average conformations, taken to its
+    deterministic limit) and each subsequent one the frame farthest from
+    every chosen one. Distinctness matters: two representatives of the
+    *same* conformation would split its probability mass in eq. 3 and
+    erase the stability margin of eq. 4.
     """
     flat = _flat(frames)
     m = flat.shape[0]
     if not (1 <= n <= m):
         raise ValidationError(f"n must be in [1, {m}], got {n}")
-    if power < 0:
-        raise ValidationError("power must be non-negative")
-    rng = as_generator(seed)
-    smooth = temporal_smooth(flat, denoise_window) if denoise_window > 1 else flat
+    smooth = temporal_smooth(flat, DENOISE_WINDOW)
     mean_conf = smooth.mean(axis=0)
     dist = angular_rmsd(smooth, mean_conf)
 
-    def draw(weights: np.ndarray) -> int:
-        if np.isinf(power):
-            # Deterministic farthest-point: guarantees mutually distant
-            # representatives (recommended — duplicate representatives of
-            # one conformation destroy eq. 4's stability margin).
-            return int(np.argmax(weights))
-        w = np.power(np.maximum(weights, 1e-12), power)
-        total = w.sum()
-        if total <= 0:
-            return int(rng.integers(m))
-        return int(rng.choice(m, p=w / total))
-
-    chosen = [draw(dist)]
+    chosen = [int(np.argmax(dist))]
     nearest = angular_rmsd(smooth, smooth[chosen[0]])
     while len(chosen) < n:
         nearest[chosen] = 0.0  # never re-pick a chosen frame
-        idx = draw(nearest)
+        idx = int(np.argmax(nearest))
         chosen.append(idx)
         np.minimum(nearest, angular_rmsd(smooth, smooth[idx]), out=nearest)
     return np.sort(np.asarray(chosen, dtype=np.int64))

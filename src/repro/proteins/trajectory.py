@@ -31,6 +31,16 @@ from repro.util.rng import SeedLike, as_generator
 
 __all__ = ["Trajectory", "TrajectorySimulator"]
 
+#: Fraction of frames spent transitioning between segments.
+TRANSITION_FRACTION = 0.15
+#: Angular jitter (σ, degrees) inside metastable / transition frames.
+STABLE_NOISE_DEG = 8.0
+TRANSITION_NOISE_DEG = 25.0
+#: Fraction of residues whose target class changes between two consecutive
+#: phases (the rest keep their structure — conformational changes are
+#: usually local).
+RESIDUE_FLIP_FRACTION = 0.35
+
 #: Structure types a residue may adopt in a metastable phase. CIS is kept
 #: rare (real cis-peptide bonds are ~0.3% of residues).
 _PHASE_CLASSES = [
@@ -97,19 +107,13 @@ class TrajectorySimulator:
         ``n_segments > n_phases`` some phases are revisited (sampled with
         replacement after the first pass), producing the recurring
         fingerprints of Figure 4.
-    transition_fraction:
-        Fraction of frames spent transitioning between segments.
-    stable_noise_deg, transition_noise_deg:
-        Angular jitter (σ, degrees) inside metastable / transition frames.
-    residue_flip_fraction:
-        Fraction of residues whose target class changes between two
-        consecutive phases (the rest keep their structure — conformational
-        changes are usually local).
     phase_targets:
         Optional pre-built (n_phases × n_residues) target-class matrix.
         Passing the same matrix to several simulators gives trajectories
         that explore the *same* conformational library with independent
         dynamics — the cross-trajectory convergence scenario of §5.
+
+    Transition share, jitter and residue flips are the module constants.
     """
 
     def __init__(
@@ -118,10 +122,6 @@ class TrajectorySimulator:
         n_frames: int,
         n_phases: int = 4,
         n_segments: Optional[int] = None,
-        transition_fraction: float = 0.15,
-        stable_noise_deg: float = 8.0,
-        transition_noise_deg: float = 25.0,
-        residue_flip_fraction: float = 0.35,
         phase_targets: Optional[np.ndarray] = None,
         seed: SeedLike = None,
     ):
@@ -129,10 +129,6 @@ class TrajectorySimulator:
             raise ValidationError("need n_residues >= 1 and n_frames >= 2")
         if n_phases < 1:
             raise ValidationError("n_phases must be >= 1")
-        if not (0.0 <= transition_fraction < 1.0):
-            raise ValidationError("transition_fraction must be in [0, 1)")
-        if not (0.0 <= residue_flip_fraction <= 1.0):
-            raise ValidationError("residue_flip_fraction must be in [0, 1]")
         self.n_residues = int(n_residues)
         self.n_frames = int(n_frames)
         self.n_phases = int(n_phases)
@@ -141,10 +137,10 @@ class TrajectorySimulator:
         )
         if self.n_segments < 1:
             raise ValidationError("n_segments must be >= 1")
-        self.transition_fraction = float(transition_fraction)
-        self.stable_noise_deg = float(stable_noise_deg)
-        self.transition_noise_deg = float(transition_noise_deg)
-        self.residue_flip_fraction = float(residue_flip_fraction)
+        self.transition_fraction = TRANSITION_FRACTION
+        self.stable_noise_deg = STABLE_NOISE_DEG
+        self.transition_noise_deg = TRANSITION_NOISE_DEG
+        self.residue_flip_fraction = RESIDUE_FLIP_FRACTION
         if phase_targets is not None:
             phase_targets = np.asarray(phase_targets, dtype=np.int8)
             if phase_targets.shape != (self.n_phases, self.n_residues):

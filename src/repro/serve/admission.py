@@ -44,6 +44,20 @@ __all__ = [
     "resolve_deadline",
 ]
 
+#: Clamp on client-supplied deadlines, so one client cannot park work in
+#: the queue for minutes.
+MAX_DEADLINE_MS = 60_000.0
+#: Consecutive model errors that trip the circuit breaker open, and the
+#: seconds it stays open before half-opening to probe.
+CIRCUIT_THRESHOLD = 5
+CIRCUIT_COOLDOWN_S = 1.0
+#: Retry budget: retries may reach ``RETRY_BUDGET_RATIO`` × the windowed
+#: request rate, or ``RETRY_BUDGET_MIN`` on an idle fleet, over two
+#: buckets of ``RETRY_BUDGET_WINDOW_S`` each.
+RETRY_BUDGET_RATIO = 0.2
+RETRY_BUDGET_MIN = 3
+RETRY_BUDGET_WINDOW_S = 10.0
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
@@ -63,17 +77,14 @@ class AdmissionPolicy:
         answered). ``None`` disables the bound.
     default_deadline_ms:
         Deadline applied to requests that carry none. ``None`` means
-        requests without a deadline never expire server-side.
-    max_deadline_ms:
-        Clamp on client-supplied deadlines, so one client cannot park
-        work in the queue for minutes.
+        requests without a deadline never expire server-side. Every
+        deadline is clamped to :data:`MAX_DEADLINE_MS`.
     """
 
     rate: Optional[float] = None
     burst: int = 100
     max_in_flight: Optional[int] = None
     default_deadline_ms: Optional[float] = None
-    max_deadline_ms: float = 60_000.0
 
     def __post_init__(self):
         if self.rate is not None and self.rate <= 0:
@@ -84,8 +95,6 @@ class AdmissionPolicy:
             raise ValidationError("max_in_flight must be >= 1 (or None)")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ValidationError("default_deadline_ms must be > 0 (or None)")
-        if self.max_deadline_ms <= 0:
-            raise ValidationError("max_deadline_ms must be > 0")
 
 
 class AdmissionController:
@@ -189,6 +198,8 @@ class CircuitBreaker:
 
     States: *closed* (normal), *open* (every :meth:`allow` raises
     :class:`~repro.errors.CircuitOpenError` until ``cooldown_s`` passes),
+    entered after ``threshold`` consecutive failures (the module's
+    ``CIRCUIT_*`` constants),
     *half-open* (exactly one probe request is admitted; its outcome closes
     or re-opens the breaker). Only genuine model failures should be
     recorded — validation errors and sheds say nothing about model health.
@@ -196,17 +207,11 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        threshold: int = 5,
-        cooldown_s: float = 1.0,
         stats: Optional[ServeStats] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if threshold < 1:
-            raise ValidationError("circuit threshold must be >= 1")
-        if cooldown_s <= 0:
-            raise ValidationError("circuit cooldown_s must be > 0")
-        self.threshold = int(threshold)
-        self.cooldown_s = float(cooldown_s)
+        self.threshold = CIRCUIT_THRESHOLD
+        self.cooldown_s = CIRCUIT_COOLDOWN_S
         self.stats = stats
         self._clock = clock
         self._lock = threading.Lock()
@@ -294,8 +299,8 @@ class RetryBudget:
     storm, where the *recovery* traffic is what keeps the fleet down. The
     budget caps aggregate retries at ``ratio`` × the windowed request
     rate (plus a small ``min_retries`` floor so a single failure on an
-    idle fleet can still retry). Beyond that, callers shed instead of
-    amplifying.
+    idle fleet can still retry); both are the module's ``RETRY_BUDGET_*``
+    constants. Beyond that, callers shed instead of amplifying.
 
     Accounting uses two fixed buckets of ``window_s`` each: the current
     bucket fills, the previous one decays linearly as the window slides —
@@ -303,22 +308,10 @@ class RetryBudget:
     uses. Thread-safe; ``clock`` is injectable for deterministic tests.
     """
 
-    def __init__(
-        self,
-        ratio: float = 0.2,
-        min_retries: int = 3,
-        window_s: float = 10.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if not (0 <= ratio <= 1):
-            raise ValidationError("retry budget ratio must be in [0, 1]")
-        if min_retries < 0:
-            raise ValidationError("retry budget min_retries must be >= 0")
-        if window_s <= 0:
-            raise ValidationError("retry budget window_s must be > 0")
-        self.ratio = float(ratio)
-        self.min_retries = int(min_retries)
-        self.window_s = float(window_s)
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
+        self.ratio = RETRY_BUDGET_RATIO
+        self.min_retries = RETRY_BUDGET_MIN
+        self.window_s = RETRY_BUDGET_WINDOW_S
         self._clock = clock
         self._lock = threading.Lock()
         self._epoch = clock()
@@ -349,11 +342,11 @@ class RetryBudget:
         # sliding-window estimate from two counters.
         return buckets[0] * (1.0 - frac) + buckets[1]
 
-    def note_request(self, n: int = 1) -> None:
-        """Count ``n`` first-attempt requests toward the window."""
+    def note_request(self) -> None:
+        """Count one first-attempt request toward the window."""
         with self._lock:
             self._roll(self._clock())
-            self._requests[1] += n
+            self._requests[1] += 1
 
     def try_spend(self) -> bool:
         """Reserve one retry; ``False`` means shed instead of retrying."""
@@ -388,7 +381,7 @@ def resolve_deadline(
     """Absolute monotonic deadline for one request, or ``None``.
 
     Reads the request's relative ``deadline_ms`` budget (falling back to
-    the policy default), clamps it to ``max_deadline_ms``, and anchors it
+    the policy default), clamps it to :data:`MAX_DEADLINE_MS`, and anchors it
     at ``now``. Raises :class:`~repro.errors.ValidationError` on a
     non-numeric or non-positive budget — a garbage deadline is a client
     bug, not an overload signal.
@@ -401,6 +394,6 @@ def resolve_deadline(
     ms = float(ms)
     if not ms > 0:
         raise ValidationError("'deadline_ms' must be a positive number")
-    ms = min(ms, policy.max_deadline_ms)
+    ms = min(ms, MAX_DEADLINE_MS)
     anchor = time.monotonic() if now is None else now
     return anchor + ms / 1000.0

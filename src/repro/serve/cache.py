@@ -18,23 +18,22 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import ValidationError
 
 __all__ = ["LabelCache"]
+
+#: Entries a cache holds before evicting the least recently used.
+LABEL_CACHE_SIZE = 65536
 
 
 class LabelCache:
     """Bounded LRU mapping ``(version, cell_code) -> label``.
 
     Thread-safe: the serving loop and a stats scraper may touch it
-    concurrently. ``maxsize=0`` disables caching (every get misses, puts
-    are dropped) while keeping the call sites unconditional.
+    concurrently. It holds :data:`LABEL_CACHE_SIZE` entries.
     """
 
-    def __init__(self, maxsize: int = 65536):
-        if maxsize < 0:
-            raise ValidationError("maxsize must be >= 0")
-        self.maxsize = int(maxsize)
+    def __init__(self):
+        self.maxsize = LABEL_CACHE_SIZE
         self._data: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -59,8 +58,6 @@ class LabelCache:
             return label
 
     def put(self, version: int, code: int, label: int) -> None:
-        if self.maxsize == 0:
-            return
         key = (version, code)
         with self._lock:
             if key in self._data:

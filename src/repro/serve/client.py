@@ -42,6 +42,12 @@ __all__ = ["ServeClient", "AsyncServeClient", "PredictResult", "probe",
 #: and the router's ejection logic must not stall behind a slow probe.
 PROBE_TIMEOUT_S = 1.0
 
+#: Retry backoff: the base delay doubles per attempt up to the cap, and
+#: each sleep is scaled by ``1 ± U(0, RETRY_JITTER)``.
+RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_MAX_S = 2.0
+RETRY_JITTER = 0.25
+
 #: Operations that are safe to retry on a broken connection: they do not
 #: mutate server state, so replaying one after an ambiguous failure (the
 #: request may or may not have been processed) is harmless. ``reload`` and
@@ -144,7 +150,8 @@ class ServeClient:
     replaying a mutation is worse than surfacing the error. Retries are
     counted in the obs registry
     (``serve_client_retries_total{op,reason}``), with timeouts and resets
-    under distinct ``reason`` values.
+    under distinct ``reason`` values. Retries back off exponentially (the
+    module's ``RETRY_*`` constants).
 
     ``retry_budget`` optionally shares a
     :class:`~repro.serve.admission.RetryBudget` across clients: when a
@@ -157,22 +164,18 @@ class ServeClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8765,
                  timeout: float = 30.0, retries: int = 0,
-                 backoff: float = 0.05, backoff_max: float = 2.0,
-                 jitter: float = 0.25, retry_seed: Optional[int] = None,
                  retry_budget=None):
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retries = int(retries)
-        self.backoff = float(backoff)
-        self.backoff_max = float(backoff_max)
-        self.jitter = float(jitter)
+        self.backoff = RETRY_BACKOFF_S
+        self.backoff_max = RETRY_BACKOFF_MAX_S
+        self.jitter = RETRY_JITTER
         self.retry_budget = retry_budget
-        if self.retries < 0 or self.backoff < 0 or not 0 <= self.jitter < 1:
-            raise ServeError(
-                "retries/backoff must be >= 0 and jitter in [0, 1)"
-            )
-        self._rng = random.Random(retry_seed)
+        if self.retries < 0:
+            raise ServeError("retries must be >= 0")
+        self._rng = random.Random()
         self._sock: Optional[socket.socket] = None
         self._file: Optional[Any] = None
         if self.retries:
@@ -327,18 +330,18 @@ class ServeClient:
     def healthz(self) -> Dict[str, Any]:
         return _raise_on_error(self._request_idempotent({"op": "healthz"}))
 
-    def probe(self, timeout: float = PROBE_TIMEOUT_S) -> Dict[str, Any]:
+    def probe(self) -> Dict[str, Any]:
         """Tight-deadline liveness probe on a *fresh* connection.
 
         Unlike :meth:`healthz` this does not reuse (or disturb) this
         client's pipelined connection and never waits ``self.timeout`` —
-        a dead replica answers in at most ``timeout`` seconds with a
-        typed :class:`~repro.errors.ConnectionLostError`. See
+        a dead replica answers in at most :data:`PROBE_TIMEOUT_S` seconds
+        with a typed :class:`~repro.errors.ConnectionLostError`. See
         :func:`probe`.
         """
         # Resolves to the module-level probe(): class attributes are not
         # in scope inside a method body.
-        return probe(self.host, self.port, timeout=timeout)
+        return probe(self.host, self.port)
 
     def reload(self, path: str, tag: Optional[str] = None) -> int:
         """Ask the server to hot-swap in a model file; returns new version."""

@@ -73,15 +73,15 @@ class LoadReport:
     """Outcome of one load-generation run."""
 
     mode: str
-    requests_sent: int = 0
-    requests_ok: int = 0
-    requests_failed: int = 0
-    duration_s: float = 0.0
-    latencies_s: List[float] = field(default_factory=list)
-    versions_seen: Set[int] = field(default_factory=set)
-    errors: List[str] = field(default_factory=list)
+    requests_sent: int = field(default=0, init=False)
+    requests_ok: int = field(default=0, init=False)
+    requests_failed: int = field(default=0, init=False)
+    duration_s: float = field(default=0.0, init=False)
+    latencies_s: List[float] = field(default_factory=list, init=False)
+    versions_seen: Set[int] = field(default_factory=set, init=False)
+    errors: List[str] = field(default_factory=list, init=False)
     outcomes: Dict[str, int] = field(
-        default_factory=lambda: {k: 0 for k in OUTCOMES}
+        default_factory=lambda: {k: 0 for k in OUTCOMES}, init=False
     )
 
     @property

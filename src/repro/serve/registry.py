@@ -24,6 +24,9 @@ from repro.errors import ServeError, ValidationError
 
 __all__ = ["ModelRecord", "ModelRegistry"]
 
+#: Superseded records a registry keeps for ``rollback``.
+MAX_HISTORY = 8
+
 
 @dataclass(frozen=True)
 class ModelRecord:
@@ -80,11 +83,8 @@ class ModelRecord:
 class ModelRegistry:
     """Thread-safe versioned registry of :class:`KeyBin2Model` instances.
 
-    Parameters
-    ----------
-    max_history:
-        How many superseded records to retain (for ``rollback`` and
-        debugging). The current record is always retained.
+    The current record and the :data:`MAX_HISTORY` most recently
+    superseded ones are retained (for ``rollback`` and debugging).
 
     Usage::
 
@@ -94,10 +94,8 @@ class ModelRegistry:
         skb.refresh(publish_to=reg)              # streaming hot-swap
     """
 
-    def __init__(self, max_history: int = 8):
-        if max_history < 0:
-            raise ValidationError("max_history must be >= 0")
-        self.max_history = int(max_history)
+    def __init__(self):
+        self.max_history = MAX_HISTORY
         self._lock = threading.Lock()
         self._current: Optional[ModelRecord] = None
         self._history: List[ModelRecord] = []

@@ -92,11 +92,36 @@ _ADMIN_OPS = ("reload", "rollback", "shutdown")
 #: Longest a caller waits on a server thread to bind, to stop, or to run a
 #: coroutine handed to it.
 THREAD_TIMEOUT_S = 10.0
+#: Longest request line (bytes, newline excluded) a server reads: a
+#: 400-row, 16-dim batch predict is about 128 KB. A longer line is
+#: discarded and answered with an error; the connection stays up.
+LINE_LIMIT = 1 << 22
 
 
 def json_line(payload: Any) -> bytes:
     """One wire frame: ``payload`` as JSON, then the newline delimiter."""
     return json.dumps(payload).encode("utf-8") + b"\n"
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line, newline included; what is left at EOF (maybe a cut
+    short line, maybe ``b""``); or ``None`` for a line longer than the
+    reader's limit, which is read through its newline and dropped."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return b""  # EOF inside the long line
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 def metrics_payload(registry: MetricsRegistry) -> Dict[str, Any]:
@@ -239,7 +264,7 @@ class LineServer:
         await self.on_start()
         try:
             self._server = await asyncio.start_server(
-                self._handle_client, self.host, self.port
+                self._handle_client, self.host, self.port, limit=LINE_LIMIT
             )
         except BaseException:
             # A failed bind must not leave on_start's tasks pending on a
@@ -289,7 +314,14 @@ class LineServer:
         self._clients[writer] = asyncio.current_task()
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    writer.write(json_line({
+                        "ok": False,
+                        "error": f"request line longer than {LINE_LIMIT} bytes",
+                    }))
+                    await writer.drain()
+                    continue
                 if not line.endswith(b"\n"):  # EOF, or a line EOF cut short
                     break
                 # _busy covers the request until its reply is written, so a

@@ -300,8 +300,9 @@ class ServeStats:
         }
 
 
-def quantiles(samples: List[float], qs=(0.5, 0.9, 0.99)) -> Dict[str, float]:
-    """Empirical quantiles of a latency sample list (seconds)."""
+def quantiles(samples: List[float]) -> Dict[str, float]:
+    """Empirical p50/p90/p99 of a latency sample list (seconds)."""
+    qs = (0.5, 0.9, 0.99)
     if not samples:
         return {f"p{int(q * 100)}": 0.0 for q in qs}
     ordered = sorted(samples)

@@ -18,28 +18,24 @@ def check_array_2d(
     x,
     name: str = "X",
     *,
-    dtype=np.float64,
     min_rows: int = 1,
-    min_cols: int = 1,
-    allow_empty: bool = False,
 ) -> np.ndarray:
-    """Coerce ``x`` to a C-contiguous 2-D float array and validate its shape."""
+    """Coerce ``x`` to a C-contiguous 2-D float64 array with at least
+    ``min_rows`` rows and one column."""
     arr = np.asarray(x)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if not allow_empty:
-        if arr.shape[0] < min_rows:
-            raise ValidationError(
-                f"{name} needs at least {min_rows} row(s), got {arr.shape[0]}"
-            )
-        if arr.shape[1] < min_cols:
-            raise ValidationError(
-                f"{name} needs at least {min_cols} column(s), got {arr.shape[1]}"
-            )
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    return arr
+    if arr.shape[0] < min_rows:
+        raise ValidationError(
+            f"{name} needs at least {min_rows} row(s), got {arr.shape[0]}"
+        )
+    if arr.shape[1] < 1:
+        raise ValidationError(
+            f"{name} needs at least 1 column(s), got {arr.shape[1]}"
+        )
+    return np.ascontiguousarray(arr, dtype=np.float64)
 
 
 def check_finite(x: np.ndarray, name: str = "X") -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.kmeans import KMeans
+from repro.baselines import parallel_kmeans as pkm
 from repro.baselines.parallel_kmeans import ParallelKMeans, parallel_kmeans_spmd
 from repro.comm.serial import SerialComm
 from repro.data.gaussians import gaussian_mixture
@@ -78,21 +79,24 @@ class TestParallelKMeans:
             ))
         assert np.mean(ari_first) <= np.mean(ari_pp) + 0.05
 
-    def test_traffic_scales_with_dims(self):
+    def test_traffic_scales_with_dims(self, monkeypatch):
         """Per-iteration communication is O(k·N) — the scaling weakness
         vs KeyBin2."""
+        monkeypatch.setattr(pkm, "MAX_ITER", 5)
+        monkeypatch.setattr(pkm, "TOL", 0.0)
         traffics = {}
         for d in (8, 64):
             x, _ = gaussian_mixture(n_points=400, n_dims=d, n_clusters=2, seed=0)
             shards = [x[::2], x[1::2]]
-            pk = ParallelKMeans(2, seed=0, max_iter=5, tol=0.0).fit(shards)
+            pk = ParallelKMeans(2, seed=0).fit(shards)
             traffics[d] = pk.traffic_[1]["bytes_sent"]
         assert traffics[64] > traffics[8] * 4
 
-    def test_process_executor(self, data):
+    def test_process_executor(self, data, monkeypatch):
         x, y = data
         shards = [x[::2], x[1::2]]
-        pk = ParallelKMeans(4, seed=0, executor="process").fit(shards)
+        monkeypatch.setattr(pkm, "EXECUTOR", "process")
+        pk = ParallelKMeans(4, seed=0).fit(shards)
         assert pk.cluster_centers_.shape == (4, 8)
 
     def test_invalid_init(self):

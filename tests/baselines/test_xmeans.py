@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import xmeans
 from repro.baselines.xmeans import XMeans, bic_score
 from repro.data.gaussians import gaussian_mixture
 from repro.errors import ValidationError
@@ -39,23 +40,24 @@ class TestBicScore:
 class TestXMeans:
     def test_finds_true_k(self, small_gaussians):
         x, y = small_gaussians
-        xm = XMeans(k_min=1, k_max=16, seed=0).fit(x)
+        xm = XMeans(k_max=16, seed=0).fit(x)
         assert 3 <= xm.n_clusters_ <= 6
         assert adjusted_rand_index(y, xm.labels_) > 0.9
 
     def test_single_blob_stays_one(self, rng):
         x = rng.normal(0, 1, (500, 4))
-        xm = XMeans(k_min=1, k_max=8, seed=0).fit(x)
+        xm = XMeans(k_max=8, seed=0).fit(x)
         assert xm.n_clusters_ <= 2
 
     def test_k_max_respected(self, small_gaussians):
         x, _ = small_gaussians
-        xm = XMeans(k_min=1, k_max=2, seed=0).fit(x)
+        xm = XMeans(k_max=2, seed=0).fit(x)
         assert xm.n_clusters_ <= 2
 
-    def test_k_min_respected(self, small_gaussians):
+    def test_k_min_respected(self, small_gaussians, monkeypatch):
         x, _ = small_gaussians
-        xm = XMeans(k_min=3, k_max=16, seed=0).fit(x)
+        monkeypatch.setattr(xmeans, "K_MIN", 3)
+        xm = XMeans(k_max=16, seed=0).fit(x)
         assert xm.n_clusters_ >= 3
 
     def test_fit_predict(self, tiny_gaussians):
@@ -66,6 +68,4 @@ class TestXMeans:
 
     def test_invalid_range(self):
         with pytest.raises(ValidationError):
-            XMeans(k_min=5, k_max=3)
-        with pytest.raises(ValidationError):
-            XMeans(k_min=0)
+            XMeans(k_max=0)

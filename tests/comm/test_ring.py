@@ -21,7 +21,7 @@ class TestRingPass:
 
     def test_shift_two(self):
         def prog(comm):
-            return ring_pass(comm, comm.rank, shift=2)
+            return ring_pass(comm, ring_pass(comm, comm.rank))
 
         assert _run(prog, 4) == [2, 3, 0, 1]
 

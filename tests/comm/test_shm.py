@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.comm.process as process_mod
 from repro.comm.process import run_spmd_processes
 from repro.comm.shm import (
     DEFAULT_SHM_THRESHOLD,
@@ -143,29 +144,37 @@ def _dead_receiver_prog(comm, n):
     return comm.rank
 
 
+@pytest.fixture
+def shm_threshold(monkeypatch):
+    """Byte floor of the shm path in the process ranks started next."""
+    def set_threshold(nbytes):
+        monkeypatch.setattr(process_mod, "DEFAULT_SHM_THRESHOLD", nbytes)
+    return set_threshold
+
+
 class TestSpmdIntegration:
-    def test_large_arrays_cross_process_ranks_intact(self):
+    def test_large_arrays_cross_process_ranks_intact(self, shm_threshold):
         before = _shm_names()
+        shm_threshold(1 << 10)
         results = run_spmd_processes(
             _ring_exchange_prog, size=3, args=(20_000,), timeout=60,
-            shm_threshold=1 << 10,
         )
         assert results == [True, True, True]
         assert not (_shm_names() - before)  # nothing leaked
 
-    def test_small_threshold_none_disables_shm_path(self):
+    def test_small_threshold_none_disables_shm_path(self, shm_threshold):
+        shm_threshold(None)
         results = run_spmd_processes(
             _ring_exchange_prog, size=2, args=(4_000,), timeout=60,
-            shm_threshold=None,
         )
         assert results == [True, True]
 
-    def test_rank_failure_leaves_no_leaked_segments(self):
+    def test_rank_failure_leaves_no_leaked_segments(self, shm_threshold):
         before = _shm_names()
+        shm_threshold(1 << 10)
         with pytest.raises(RankFailedError) as exc:
             run_spmd_processes(
                 _dead_receiver_prog, size=2, args=(50_000,), timeout=60,
-                shm_threshold=1 << 10,
             )
         assert exc.value.rank == 1
         # The dead rank never received rank 0's array; the teardown sweep

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.gaussians import gaussian_mixture
+from repro.serve import client as client_mod
 
 
 @pytest.fixture
@@ -30,3 +31,10 @@ def tiny_gaussians():
     x.setflags(write=False)
     y.setflags(write=False)
     return x, y
+
+
+@pytest.fixture
+def fast_retries(monkeypatch):
+    """Retrying clients built next back off 10 ms per attempt, no jitter."""
+    monkeypatch.setattr(client_mod, "RETRY_BACKOFF_S", 0.01)
+    monkeypatch.setattr(client_mod, "RETRY_JITTER", 0.0)

@@ -1,4 +1,4 @@
-"""Adaptive dyadic grid chain: extents, covering, exact rebin, sketches."""
+"""Adaptive dyadic grid chain: extents, covering, exact rebin."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.adaptive import (
     MAX_LEVEL,
-    TailSketch,
     chain_extents,
     cover_levels,
     grid_bounds,
@@ -128,39 +127,3 @@ class TestRebinMaps:
         np.add.at(direct, m02, old)
         assert np.array_equal(two, direct)
 
-
-class TestTailSketch:
-    def test_tracks_extremes_exactly(self):
-        sk = TailSketch(max_bins=8)
-        xs = np.array([3.0, -7.0, 2.0, 11.0, 0.5])
-        sk.update_many(xs)
-        assert sk.min == -7.0 and sk.max == 11.0
-        assert sk.n == 5
-
-    def test_merges_down_to_capacity(self):
-        sk = TailSketch(max_bins=16)
-        sk.update_many(np.random.default_rng(0).normal(size=5000))
-        assert len(sk.state_dict()["centers"]) <= 16
-        assert sk.n == 5000
-
-    def test_quantiles_monotone(self):
-        sk = TailSketch(max_bins=32)
-        sk.update_many(np.random.default_rng(1).uniform(0, 10, size=2000))
-        qs = [sk.quantile(q) for q in (0.05, 0.25, 0.5, 0.75, 0.95)]
-        assert qs == sorted(qs)
-        assert 0.0 <= qs[0] and qs[-1] <= 10.0
-
-    def test_state_roundtrip(self):
-        sk = TailSketch(max_bins=16)
-        sk.update_many(np.random.default_rng(2).normal(size=300))
-        sk2 = TailSketch.from_state_dict(sk.state_dict())
-        assert sk2.n == sk.n
-        assert sk2.state_dict() == sk.state_dict()
-        assert sk2.min == sk.min and sk2.max == sk.max
-
-    def test_headroom_widens_with_factor(self):
-        sk = TailSketch(max_bins=32)
-        sk.update_many(np.random.default_rng(3).normal(size=1000))
-        lo1, hi1 = sk.headroom(1.0)
-        lo2, hi2 = sk.headroom(3.0)
-        assert lo2 <= lo1 and hi2 >= hi1

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.core import distributed
 from repro.core.distributed import fit_distributed, keybin2_spmd
 from repro.core.estimator import KeyBin2
 from repro.comm.spmd import run_spmd
@@ -98,11 +99,12 @@ class TestFitDistributed:
         with pytest.raises(ValidationError):
             fit_distributed([])
 
-    def test_mismatched_features_rejected(self):
+    def test_mismatched_features_rejected(self, monkeypatch):
+        monkeypatch.setattr(distributed, "FIT_TIMEOUT_S", 10.0)
         a = np.zeros((10, 3))
         b = np.zeros((10, 4))
         with pytest.raises(Exception):
-            fit_distributed([a, b], executor="thread", timeout=10)
+            fit_distributed([a, b], executor="thread")
 
 
 class TestKeybin2SpmdDirect:

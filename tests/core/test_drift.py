@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import drift
 from repro.core.drift import DriftResponder, WindowDriftDetector, tv_distance
 from repro.core.streaming import StreamingKeyBin2
-from repro.data.streams import RegimeChangeStream
 from repro.errors import ValidationError
+from tests.data.streams import RegimeChangeStream
 
 
 class TestTvDistance:
@@ -126,8 +127,6 @@ class TestDriftResponder:
         skb = StreamingKeyBin2(n_projections=2, seed=0)
         with pytest.raises(ValidationError):
             DriftResponder(skb)
-        with pytest.raises(ValidationError):
-            DriftResponder(self._skb(), cooldown_swaps=0)
 
     def test_regime_change_triggers_one_response(self):
         skb = self._skb()
@@ -159,11 +158,12 @@ class TestDriftResponder:
             skb.partial_fit(x)
             assert responder.step() is None
 
-    def test_cooldown_suppresses_repeat_responses(self):
+    def test_cooldown_suppresses_repeat_responses(self, monkeypatch):
         # A long transition can keep scores high across several windows;
         # a large cooldown must keep the responder quiet after the first.
+        monkeypatch.setattr(drift, "COOLDOWN_SWAPS", 100)
         skb = self._skb(drift_window=200)
-        responder = DriftResponder(skb, cooldown_swaps=100)
+        responder = DriftResponder(skb)
         stream = RegimeChangeStream(
             n_batches=12, batch_size=200, n_dims=8, change_at=4, seed=3
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.partitioning import CutDiagnostics, find_cuts
+from repro.core.partitioning import find_cuts
 from repro.errors import ValidationError
 
 
@@ -84,13 +84,6 @@ class TestFindCuts:
                 assert cuts.min() >= 0
                 assert cuts.max() < 63
 
-    def test_diagnostics_returned(self):
-        counts = bimodal_counts()
-        cuts, diag = find_cuts(counts, n_points=2000, return_diagnostics=True)
-        assert isinstance(diag, CutDiagnostics)
-        assert diag.smoothed.shape == counts.shape
-        assert diag.slopes.shape == counts.shape
-
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
             find_cuts(np.array([]), n_points=1)
@@ -100,8 +93,6 @@ class TestFindCuts:
             find_cuts(np.ones(8), min_prominence=2.0)
         with pytest.raises(ValidationError):
             find_cuts(np.ones((2, 2, 8)))
-        with pytest.raises(ValidationError):
-            find_cuts(np.ones((2, 8)), return_diagnostics=True)
 
     def test_stack_cuts_each_row(self):
         counts = bimodal_counts()
@@ -111,12 +102,6 @@ class TestFindCuts:
             find_cuts(row, n_points=2000).tolist() for row in stack
         ]
         assert cuts[1].size == 0
-
-    def test_explicit_window_respected(self):
-        counts = bimodal_counts()
-        wide = find_cuts(counts, window=31)
-        # A window covering half the histogram erases both modes.
-        assert wide.size <= 1
 
     def test_single_bin_histogram(self):
         assert find_cuts(np.array([5.0]), n_points=5).size == 0

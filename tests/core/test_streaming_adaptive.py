@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import StreamingKeyBin2
-from repro.data.streams import (
-    MeanShiftStream,
-    RangeGrowthStream,
-    RegimeChangeStream,
-)
 from repro.errors import ValidationError
+from tests.data.streams import MeanShiftStream, RangeGrowthStream, RegimeChangeStream
 from tests.kernels.oracle import ReferenceKeyBin2
 
 DEPTHS = (4, 5, 6)
@@ -196,8 +192,7 @@ class TestCheckpointV2:
         )
 
     def test_config_fields_survive(self, tmp_path, rng):
-        skb = _make(True, True, drift_window=123, drift_threshold=0.4,
-                    anticipate=1.5)
+        skb = _make(True, True, drift_window=123, drift_threshold=0.4)
         skb.partial_fit(rng.normal(size=(100, 6)))
         path = tmp_path / "cfg.kb2"
         skb.save_state(path)
@@ -205,29 +200,12 @@ class TestCheckpointV2:
         assert back.adaptive is True
         assert back.drift_window == 123
         assert back.drift_threshold == 0.4
-        assert back.anticipate == 1.5
-
-    def test_sketches_survive(self, tmp_path, rng):
-        skb = _make(True, True)
-        skb.partial_fit(rng.normal(size=(200, 6)))
-        skb.partial_fit(10.0 * rng.normal(size=(200, 6)))
-        path = tmp_path / "sk.kb2"
-        skb.save_state(path)
-        back = StreamingKeyBin2.load_state(path)
-        for sa, sb in zip(skb._states, back._states):
-            assert sa.sketches is not None and sb.sketches is not None
-            for ska, skb_ in zip(sa.sketches, sb.sketches):
-                assert ska.state_dict() == skb_.state_dict()
 
 
 class TestValidationAndDefaults:
     def test_drift_window_requires_nonnegative(self):
         with pytest.raises(ValidationError):
             StreamingKeyBin2(n_projections=2, drift_window=-1, seed=0)
-
-    def test_anticipate_requires_nonnegative(self):
-        with pytest.raises(ValidationError):
-            StreamingKeyBin2(n_projections=2, anticipate=-0.5, seed=0)
 
     def test_drift_detectors_empty_before_fit(self):
         skb = _make(True, True, drift_window=100)

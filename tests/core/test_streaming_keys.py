@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.comm.spmd import run_spmd
+import repro.core.streaming as streaming_mod
 from repro.core.streaming import KeyCounter, StreamingKeyBin2
 from repro.data.gaussians import gaussian_mixture
 from repro.insitu.distributed import consolidate_streaming_state
@@ -137,8 +138,9 @@ def test_sharing_reforms_after_rebuild_from_local(blocks, fold_calls):
 
 @pytest.mark.parametrize("capacity", [100_000, 300])
 def test_checkpoint_before_first_merge_restores_one_table(
-        blocks, tmp_path, capacity):
-    skb = StreamingKeyBin2(seed=0, key_capacity=capacity, **PARAMS)
+        blocks, tmp_path, capacity, monkeypatch):
+    monkeypatch.setattr(streaming_mod, "KEY_CAPACITY", capacity)
+    skb = StreamingKeyBin2(seed=0, **PARAMS)
     for x in blocks[:3]:
         skb.partial_fit(x)
     skb.save_state(tmp_path / "mid.kb2")
@@ -169,11 +171,12 @@ def test_checkpoint_after_a_merge_restores_two_tables(blocks, tmp_path):
                        for u, v in zip(a.to_arrays(), b.to_arrays()))
 
 
-def test_refresh_sets_key_evicted_fraction(blocks):
+def test_refresh_sets_key_evicted_fraction(blocks, monkeypatch):
+    monkeypatch.setattr(streaming_mod, "KEY_CAPACITY", 50)
     reg = MetricsRegistry()
     previous = set_default_registry(reg)
     try:
-        skb = StreamingKeyBin2(seed=0, key_capacity=50, **PARAMS)
+        skb = StreamingKeyBin2(seed=0, **PARAMS)
         for x in blocks:
             skb.partial_fit(x)
         skb.refresh()

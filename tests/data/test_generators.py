@@ -8,13 +8,11 @@ from repro.data.gaussians import gaussian_mixture
 from repro.data.streams import (
     BatchStream,
     DriftingStream,
-    MeanShiftStream,
-    RangeGrowthStream,
-    RegimeChangeStream,
     distributed_partitions,
 )
 from repro.errors import ValidationError
 from tests.data.shapes import box_clusters, moons, ring_clusters
+from tests.data.streams import MeanShiftStream, RangeGrowthStream, RegimeChangeStream
 
 
 class TestGaussianMixture:
@@ -54,16 +52,9 @@ class TestGaussianMixture:
         counts = np.bincount(y_bal)
         assert counts.max() / counts.min() < 1.3
 
-    def test_shuffle_disabled_blocks(self):
-        _, y = gaussian_mixture(100, 2, n_clusters=2, seed=0, shuffle=False)
-        changes = np.count_nonzero(np.diff(y))
-        assert changes == 1
-
     def test_invalid(self):
         with pytest.raises(ValidationError):
             gaussian_mixture(3, 2, n_clusters=4)
-        with pytest.raises(ValidationError):
-            gaussian_mixture(10, 2, sigma_range=(1.0, 0.5))
 
 
 class TestShapes:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.comm.faults import DropMessage, FaultPlan, KillRank, SlowRank
 from repro.errors import RankFailedError
+from repro.insitu import distributed as insitu_distributed
 from repro.insitu.distributed import run_distributed_insitu
 from repro.proteins.trajectory import TrajectorySimulator
 
@@ -178,13 +179,13 @@ class TestFailFast:
         assert excinfo.value.rank == 1
         assert "InjectedFault" in str(excinfo.value)
 
-    def test_recovery_budget_exhaustion_fails(self):
-        """max_recoveries=0 turns the first failure into an abort even with
-        recover=True — survivors re-raise instead of shrinking."""
+    def test_recovery_budget_exhaustion_fails(self, monkeypatch):
+        """A zero recovery budget turns the first failure into an abort even
+        with recover=True — survivors re-raise instead of shrinking."""
+        monkeypatch.setattr(insitu_distributed, "MAX_RECOVERIES", 0)
         trajs = _trajs(3)
         plan = FaultPlan([KillRank(1, at=1)])
-        results = _run(trajs, recover=True, max_recoveries=0, faults=plan,
-                       timeout=15.0)
+        results = _run(trajs, recover=True, faults=plan, timeout=15.0)
         survivors, failed = _split(results)
         assert not survivors
         assert set(failed) == {0, 1, 2}

@@ -18,7 +18,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.fleet import ReplicaSupervisor, router_in_thread
-from repro.serve import ModelRegistry, ServeClient, serve_in_thread
+from repro.serve import ModelRegistry, ServeClient, admission, serve_in_thread
 from tests.fleet.chaosproxy import (
     ChaosPlan,
     ChaosProxy,
@@ -157,13 +157,12 @@ class TestDataPath:
                 assert client.predict(x[0]).label == want
 
     def test_client_retries_ride_out_a_reset(self, one_server,
-                                             small_gaussians):
+                                             small_gaussians, fast_retries):
         x, _ = small_gaussians
         with _proxy(one_server, ChaosPlan.parse("reset:1@1")) as proxy:
             # First connection resets on its first response; the retry
             # reconnects (conn 2, clean) and the predict succeeds.
-            with ServeClient(*proxy.address, timeout=5.0, retries=3,
-                             backoff=0.01, jitter=0.0) as client:
+            with ServeClient(*proxy.address, timeout=5.0, retries=3) as client:
                 assert client.predict(x[0]).label >= 0
             assert proxy.proxy.accepted >= 2
 
@@ -222,18 +221,18 @@ class TestRouterUnderPartition:
                 k[0] == r1 and k[1] == "ok" for k in outcomes
             )
 
-    def test_retry_budget_sheds_instead_of_amplifying(self, fleet_model,
+    def test_retry_budget_sheds_instead_of_amplifying(self, fleet_model, monkeypatch,
                                                       small_gaussians):
         x, _ = small_gaussians
         with ReplicaSupervisor(model=fleet_model, mode="thread",
                                n_replicas=1) as sup:
             (rid, host, port), = sup.start()
             with chaos_proxy_in_thread(host, port) as proxy:
+                monkeypatch.setattr(admission, "RETRY_BUDGET_RATIO", 0.0)
+                monkeypatch.setattr(admission, "RETRY_BUDGET_MIN", 0)
                 with router_in_thread([(rid, *proxy.address)],
-                                      probe_interval_s=10.0,  # no heal mid-test
-                                      max_failovers=2,
-                                      retry_budget_ratio=0.0,
-                                      retry_budget_min=0) as handle:
+                                      probe_interval_s=10.0  # no heal mid-test
+                                      ) as handle:
                     with ServeClient(*handle.address, timeout=10.0) as client:
                         assert client.predict(x[0]).label >= 0
                         proxy.partition()

@@ -15,10 +15,10 @@ import time
 
 from repro.core.drift import DriftResponder
 from repro.core.streaming import StreamingKeyBin2
-from repro.data.streams import RegimeChangeStream
 from repro.fleet import ReplicaSupervisor, router_in_thread
 from repro.serve import ServeClient
 from repro.serve.loadgen import run_open_loop
+from tests.data.streams import RegimeChangeStream
 
 N_DIMS = 8
 BOOTSTRAP_BATCHES = 2

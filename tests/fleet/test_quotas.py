@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ShedError, ValidationError
+import repro.fleet.quotas as quotas_mod
 from repro.fleet.quotas import ANONYMOUS, TenantQuotaPolicy, TenantQuotas
 
 
@@ -84,10 +85,11 @@ def test_default_policy_gives_each_tenant_its_own_bucket():
     assert quotas.shed_counts() == {"a": 1, ANONYMOUS: 1}
 
 
-def test_lazy_bucket_count_is_bounded():
+def test_lazy_bucket_count_is_bounded(monkeypatch):
     clock = FakeClock()
+    monkeypatch.setattr(quotas_mod, "MAX_TENANTS", 50)
     quotas = TenantQuotas(default=TenantQuotaPolicy(rate=1.0, burst=1.0),
-                          max_tenants=50, clock=clock)
+                          clock=clock)
     for i in range(500):
         clock.advance(0.001)
         quotas.try_admit(f"tenant-{i}")
@@ -99,5 +101,3 @@ def test_policy_validation():
         TenantQuotaPolicy(rate=0.0)
     with pytest.raises(ValidationError):
         TenantQuotaPolicy(rate=5.0, burst=0.5)
-    with pytest.raises(ValidationError):
-        TenantQuotas(max_tenants=0)

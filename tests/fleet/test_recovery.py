@@ -14,6 +14,7 @@ import asyncio
 
 import pytest
 
+import repro.fleet.replica as replica_mod
 from repro.errors import InjectedFault, ServeError
 from repro.fleet import (
     ReplicaSupervisor,
@@ -207,13 +208,12 @@ def test_failed_start_clears_stale_endpoint(model_paths, monkeypatch):
         assert sup._replicas[rid].failed_starts == 1
 
 
-def test_crash_loop_backs_off_and_quarantines(fleet_model):
+def test_crash_loop_backs_off_and_quarantines(fleet_model, monkeypatch):
     """Deterministic clock: fast crashes back off exponentially, then
     quarantine; a stable run resets the streak; unquarantine re-arms."""
     clk = {"t": 0.0}
+    monkeypatch.setattr(replica_mod, "QUARANTINE_AFTER", 2)
     sup = ReplicaSupervisor(model=fleet_model, mode="thread", n_replicas=1,
-                            restart_backoff_s=0.5, restart_backoff_max_s=30.0,
-                            quarantine_after=2, stable_s=5.0,
                             clock=lambda: clk["t"])
     try:
         sup.start()

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ServeError, ValidationError
-from repro.fleet.rollout import ROLLOUT_STATES, RolloutConfig, RolloutError
+from repro.errors import ServeError
+from repro.fleet.rollout import RolloutError
 from repro.serve import ServeClient
 
 
@@ -112,20 +112,6 @@ def test_fleet_rollback_op_reverts_all_replicas(thread_fleet, model_paths,
         version = client.rollback()
         assert version > 0
         assert set(_fingerprints(sup).values()) == {fleet_model.fingerprint()}
-
-
-def test_rollout_config_validation():
-    with pytest.raises(ValidationError):
-        RolloutConfig(stages=())
-    with pytest.raises(ValidationError):
-        RolloutConfig(stages=(0.8, 0.5, 1.0))
-    with pytest.raises(ValidationError):
-        RolloutConfig(stages=(0.5, 0.9))  # must end at 1.0
-    with pytest.raises(ValidationError):
-        RolloutConfig(probes=0)
-    with pytest.raises(ValidationError):
-        RolloutConfig(max_error_rate=1.5)
-    assert "idle" in ROLLOUT_STATES and "rolled_back" in ROLLOUT_STATES
 
 
 def test_rollout_error_is_serve_error():

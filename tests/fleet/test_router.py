@@ -263,13 +263,13 @@ def test_restart_readmits_under_same_id(thread_fleet, small_gaussians):
 
 
 def test_all_replicas_dead_raises_typed_unavailable(
-        fleet_model, small_gaussians):
+        fleet_model, small_gaussians, monkeypatch):
+    monkeypatch.setattr(router_mod, "MAX_FAILOVERS", 1)
     x, _ = small_gaussians
     with ReplicaSupervisor(model=fleet_model, mode="thread",
                            n_replicas=2) as sup:
         endpoints = sup.start()
-        with router_in_thread(endpoints, probe_interval_s=0.05,
-                              max_failovers=1) as handle:
+        with router_in_thread(endpoints, probe_interval_s=0.05) as handle:
             with ServeClient(*handle.address) as client:
                 client.predict(x[0])
                 sup.kill("r0")

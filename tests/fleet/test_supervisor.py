@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.errors import ConnectionLostError, ServeError, ValidationError
+import repro.fleet.replica as replica_mod
 from repro.fleet import ReplicaSupervisor
 from repro.serve import ServeClient, probe
 
@@ -93,8 +94,7 @@ def test_check_and_restart_revives_dead_replicas(model_paths):
 def test_process_startup_failure_surfaces_diagnostics(tmp_path):
     bogus = tmp_path / "not-a-model.json"
     bogus.write_text("{}")
-    sup = ReplicaSupervisor(str(bogus), n_replicas=1, mode="process",
-                            startup_timeout=30.0)
+    sup = ReplicaSupervisor(str(bogus), n_replicas=1, mode="process")
     try:
         with pytest.raises(ServeError, match="failed to announce a port"):
             sup.start()
@@ -102,12 +102,14 @@ def test_process_startup_failure_surfaces_diagnostics(tmp_path):
         sup.stop()
 
 
-def test_replica_that_exits_early_is_not_reported_as_a_timeout(tmp_path):
+def test_replica_that_exits_early_is_not_reported_as_a_timeout(
+        tmp_path, monkeypatch):
     # A child that dies before announcing its port must fail the start as
     # soon as it exits, and say so, instead of waiting out the timeout.
     timeout = 60.0
+    monkeypatch.setattr(replica_mod, "STARTUP_TIMEOUT_S", timeout)
     sup = ReplicaSupervisor(str(tmp_path / "missing.json"), n_replicas=1,
-                            mode="process", startup_timeout=timeout)
+                            mode="process")
     try:
         t0 = time.monotonic()
         with pytest.raises(ServeError,

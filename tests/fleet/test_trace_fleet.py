@@ -25,6 +25,7 @@ import time
 import pytest
 
 from repro.errors import FleetUnavailableError
+import repro.fleet.router as router_mod
 from repro.fleet import ReplicaSupervisor, router_in_thread
 from repro.obs.reqtrace import (
     TraceSink,
@@ -210,7 +211,8 @@ class TestFailoverTrace:
 
 class TestErrorsAlwaysSampled:
     def test_unavailable_error_traced_at_rate_zero(self, fleet_model,
-                                                   small_gaussians):
+                                                   small_gaussians, monkeypatch):
+        monkeypatch.setattr(router_mod, "MAX_FAILOVERS", 0)
         sink = TraceSink()
         configure_tracer(sink=sink, sample_rate=0.0, seed=0)
         try:
@@ -218,8 +220,7 @@ class TestErrorsAlwaysSampled:
             with ReplicaSupervisor(model=fleet_model, mode="thread",
                                    n_replicas=1) as sup:
                 endpoints = sup.start()
-                with router_in_thread(endpoints, probe_interval_s=60.0,
-                                      max_failovers=0) as handle:
+                with router_in_thread(endpoints, probe_interval_s=60.0) as handle:
                     with ServeClient(*handle.address,
                                      retries=0) as client:
                         client.predict(x[0])  # healthy: NOT emitted

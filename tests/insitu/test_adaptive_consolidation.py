@@ -14,8 +14,8 @@ import pytest
 
 from repro.comm.spmd import run_spmd
 from repro.core.streaming import StreamingKeyBin2
-from repro.data.streams import RangeGrowthStream
 from repro.insitu.distributed import consolidate_streaming_state
+from tests.data.streams import RangeGrowthStream
 
 DEPTHS = (4, 5, 6)
 N_RANKS = 3

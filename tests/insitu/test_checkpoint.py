@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import KeyCounter, StreamingKeyBin2
-from repro.data.streams import RangeGrowthStream
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ValidationError
 from repro.insitu.checkpoint import CheckpointManager, common_checkpoint_round
 from repro.insitu.distributed import run_distributed_insitu
 from repro.proteins.trajectory import TrajectorySimulator
 from tests.core.test_streaming_keys import _assert_same_state
+from tests.data.streams import RangeGrowthStream
 from tests.kernels.oracle import fold_rows
 
 PARAMS = {"feature_range": (0.0, 1.0), "candidate_depths": (4, 5)}
@@ -123,6 +123,75 @@ class TestStateRoundTrip:
         version, payload = _stored(resaved)
         assert version == _stored(old)[0] == 2
         assert "fused" not in payload["config"]
+
+    @staticmethod
+    def _save_as_written_with_anticipate(monkeypatch, skb, path, value):
+        """Save ``skb`` as a build that still took ``anticipate`` would:
+        the option in the config and a tail sketch per adaptive dimension."""
+        state_dict = StreamingKeyBin2.state_dict
+
+        def with_anticipate(inst):
+            payload = state_dict(inst)
+            payload["config"]["anticipate"] = value
+            for st in payload["states"] or ():
+                n_dims = len(st["r_min"])
+                st["sketches"] = [
+                    {"max_bins": 64, "centers": [0.0, 1.0], "counts": [1.0, 1.0], "n": 2}
+                    for _ in range(n_dims)
+                ] if inst.adaptive else None
+            return payload
+
+        with monkeypatch.context() as m:
+            m.setattr(StreamingKeyBin2, "state_dict", with_anticipate)
+            skb.save_state(path)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_checkpoint_naming_anticipate_zero_still_loads(
+        self, tmp_path, monkeypatch, adaptive
+    ):
+        """``anticipate=0`` widened a grid to the observed need only, which
+        is all this build does: such a checkpoint resumes exactly, its
+        sketches are ignored, and a re-save drops both entries."""
+        batches = [x for x, _ in RangeGrowthStream(
+            n_batches=4, batch_size=200, n_dims=5, growth=2.0, seed=3)]
+        params = dict(seed=5, n_projections=3, candidate_depths=(4, 5),
+                      adaptive=adaptive)
+        straight = StreamingKeyBin2(**params)
+        for x in batches:
+            straight.partial_fit(x)
+        straight.refresh()
+
+        old = tmp_path / "old.kb2"
+        first = StreamingKeyBin2(**params)
+        for x in batches[:2]:
+            first.partial_fit(x)
+        self._save_as_written_with_anticipate(monkeypatch, first, old, 0.0)
+        assert _stored(old)[1]["config"]["anticipate"] == 0.0
+
+        restored = StreamingKeyBin2.load_state(old)
+        for x in batches[2:]:
+            restored.partial_fit(x)
+        restored.refresh()
+        assert restored.model_.fingerprint() == straight.model_.fingerprint()
+        _assert_same_state(restored.state_dict(), straight.state_dict())
+
+        resaved = tmp_path / "new.kb2"
+        restored.save_state(resaved)
+        payload = _stored(resaved)[1]
+        assert "anticipate" not in payload["config"]
+        assert all("sketches" not in st for st in payload["states"])
+
+    def test_checkpoint_with_anticipation_is_refused(self, tmp_path, monkeypatch):
+        """A positive ``anticipate`` grew grids past the observed need; this
+        build cannot reproduce that, so it refuses to resume on a
+        different grid and names the retired option."""
+        skb = StreamingKeyBin2(seed=5, n_projections=2, adaptive=True,
+                               feature_range=(0.0, 1.0))
+        skb.partial_fit(np.random.default_rng(2).random((100, 3)))
+        path = tmp_path / "anticipating.kb2"
+        self._save_as_written_with_anticipate(monkeypatch, skb, path, 1.5)
+        with pytest.raises(ValidationError, match="anticipate=1.5"):
+            StreamingKeyBin2.load_state(path)
 
     def test_key_counter_state_dict_round_trip(self, rng):
         rows = rng.integers(0, 5, (80, 3)).astype(np.uint8)
@@ -277,13 +346,13 @@ class TestDistributedResume:
 
     def test_restart_resumes_from_common_round(self, tmp_path):
         trajs = self._trajs()
-        first = self._run(trajs, checkpoint_dir=tmp_path, checkpoint_keep=4)
+        first = self._run(trajs, checkpoint_dir=tmp_path)
         assert all(r.resumed_round is None for r in first)
         # Rank 1 lost its newest checkpoint: the restart must agree on the
         # older common barrier and replay the chunks it covers.
-        newest = max(CheckpointManager(tmp_path, 1, keep=4).rounds())
-        CheckpointManager(tmp_path, 1, keep=4).path_for(newest).unlink()
-        second = self._run(trajs, checkpoint_dir=tmp_path, checkpoint_keep=4)
+        newest = max(CheckpointManager(tmp_path, 1).rounds())
+        CheckpointManager(tmp_path, 1).path_for(newest).unlink()
+        second = self._run(trajs, checkpoint_dir=tmp_path)
         assert all(r.resumed_round == newest - 1 for r in second)
         for a, b in zip(first, second):
             assert b.n_clusters == a.n_clusters

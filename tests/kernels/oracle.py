@@ -249,7 +249,6 @@ def reference_partial_fit(skb: StreamingKeyBin2, x: np.ndarray) -> StreamingKeyB
         if skb.adaptive:
             lo, hi = projected.min(axis=0), projected.max(axis=0)
             state.observe(lo, hi)
-            state.feed_sketches(lo, hi)
             if state.rebin_to(state.target_levels()):
                 skb._note_rebin(idx)
         while True:
@@ -266,8 +265,6 @@ def reference_partial_fit(skb: StreamingKeyBin2, x: np.ndarray) -> StreamingKeyB
                 skb._note_out_of_range(idx, oor_low, oor_high)
             if not skb.adaptive or not oor_dims.any():
                 break
-            if skb.anticipate > 0:
-                state.observe(*state.anticipated_need(skb.anticipate))
             target = np.maximum(
                 state.target_levels(), state.levels + oor_dims.astype(np.int64)
             )

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.estimator import KeyBin2
 from repro.errors import ValidationError
+import repro.obs.collector as collector_mod
 from repro.obs import (
     MetricsCollector,
     MetricsRegistry,
@@ -98,7 +99,7 @@ class TestLivePull:
 
 
 class TestScrapeHealth:
-    def test_dead_target_marked_down_not_fatal(self, two_replicas):
+    def test_dead_target_marked_down_not_fatal(self, two_replicas, monkeypatch):
         # One live replica plus one target nobody listens on.
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -106,7 +107,8 @@ class TestScrapeHealth:
         targets = _targets(two_replicas[:1]) + [
             ("replica-dead", "127.0.0.1", dead_port)
         ]
-        collector = MetricsCollector(targets=targets, timeout_s=0.5)
+        monkeypatch.setattr(collector_mod, "PULL_TIMEOUT_S", 0.5)
+        collector = MetricsCollector(targets=targets)
         collector.poll_once()
         assert collector.up == {"replica-0": True, "replica-dead": False}
         assert collector.scrape_failures == 1

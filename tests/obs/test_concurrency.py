@@ -8,6 +8,7 @@ with a start barrier so the increments genuinely race.
 
 import threading
 
+import repro.obs.registry as registry_mod
 from repro.obs import MetricsRegistry, POW2_BUCKETS
 
 N_THREADS = 8
@@ -74,9 +75,10 @@ def test_gauge_inc_dec_balance_under_contention():
     assert g.value == 0
 
 
-def test_histogram_snapshots_never_torn_under_contention():
+def test_histogram_snapshots_never_torn_under_contention(monkeypatch):
+    monkeypatch.setattr(registry_mod, "DEFAULT_TIME_BUCKETS", POW2_BUCKETS)
     reg = MetricsRegistry()
-    h = reg.histogram("h", buckets=POW2_BUCKETS)
+    h = reg.histogram("h")
     stop = threading.Event()
     torn = []
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 
 from repro.obs import MetricsCollector, render_dashboard, run_dashboard
+from repro.obs import dashboard
 from repro.obs.dashboard import _CLEAR
 
 T0 = 1_000_000.0
@@ -85,9 +86,16 @@ class TestRunDashboard:
         assert "fleet dashboard" in text
         assert _CLEAR not in text  # --once never clears the screen
 
-    def test_loop_honors_max_frames_and_clears(self):
+    def test_loop_clears_each_frame_until_interrupted(self, monkeypatch):
+        sleeps = []
+
+        def sleep(seconds):  # Ctrl-C during the third pause
+            sleeps.append(seconds)
+            if len(sleeps) == 3:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(dashboard.time, "sleep", sleep)
         out = io.StringIO()
-        frames = run_dashboard(_loaded_collector(), interval_s=0.0,
-                               max_frames=3, out=out)
+        frames = run_dashboard(_loaded_collector(), interval_s=0.0, out=out)
         assert frames == 3
         assert out.getvalue().count(_CLEAR) == 3

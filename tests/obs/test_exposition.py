@@ -17,7 +17,7 @@ def _populated_registry():
     reg = MetricsRegistry()
     reg.counter("req_total", "Requests.", ("op",)).labels(op="predict").inc(3)
     reg.gauge("depth", "Queue depth.").set(7)
-    h = reg.histogram("lat_seconds", "Latency.", buckets=(0.1, 1.0))
+    h = reg.histogram("lat_seconds", "Latency.")
     h.observe(0.05)
     h.observe(0.5)
     h.observe(5.0)
@@ -72,8 +72,7 @@ class TestPrometheusConformance:
 
     def test_histogram_buckets_cumulative_and_terminated(self):
         reg = MetricsRegistry()
-        h = reg.histogram("h_seconds", "H.", buckets=(0.01, 0.1, 1.0),
-                          labelnames=("op",))
+        h = reg._register("h_seconds", "histogram", "H.", ("op",))
         for v in (0.005, 0.05, 0.05, 0.5, 5.0):
             h.labels(op="x").observe(v)
         text = render_prometheus(reg)
@@ -104,8 +103,7 @@ class TestPrometheusConformance:
 
     def test_le_label_merges_with_user_labels(self):
         reg = MetricsRegistry()
-        h = reg.histogram("h_seconds", "H.", buckets=(1.0,),
-                          labelnames=("op",))
+        h = reg._register("h_seconds", "histogram", "H.", ("op",))
         h.labels(op="predict").observe(0.5)
         text = render_prometheus(reg)
         assert 'h_seconds_bucket{op="predict",le="1"} 1' in text

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import MetricsRegistry, set_default_registry
+from repro.obs import report
 from repro.obs.report import EDGE_BIN_WARN_FRACTION, stream_table
 
 
@@ -89,17 +90,18 @@ class TestStreamTable:
         out = stream_table(reg)
         assert "key-table evicted point fraction: proj0=0.8912  proj1=0.0000" in out
 
-    def test_custom_edge_warn_threshold(self):
+    def test_custom_edge_warn_threshold(self, monkeypatch):
         reg = _reg()
         _edge(reg, "0", 0.03)
         assert "WARNING" not in stream_table(reg)  # default 5%
-        assert "WARNING" in stream_table(reg, edge_warn=0.01)
+        monkeypatch.setattr(report, "EDGE_BIN_WARN_FRACTION", 0.01)
+        assert "WARNING" in stream_table(reg)
 
 
 class TestStreamTableEndToEnd:
     def test_adaptive_growth_run_populates_every_section(self):
         from repro.core.streaming import StreamingKeyBin2
-        from repro.data.streams import RangeGrowthStream
+        from tests.data.streams import RangeGrowthStream
 
         reg = _reg()
         prev = set_default_registry(reg)

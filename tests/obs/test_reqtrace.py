@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs import reqtrace
 from repro.obs.reqtrace import (
     NOOP_SPAN,
     RequestTracer,
@@ -158,9 +159,10 @@ class TestSink:
         records = load_spans(str(tmp_path / "spans-*.jsonl"))
         assert len(records) == 1 and records[0]["name"] == "x"
 
-    def test_max_spans_cap_counts_drops(self, tmp_path):
+    def test_max_spans_cap_counts_drops(self, tmp_path, monkeypatch):
         path = tmp_path / "spans.jsonl"
-        sink = TraceSink(str(path), max_spans=2)
+        monkeypatch.setattr(reqtrace, "MAX_SPANS", 2)
+        sink = TraceSink(str(path))
         for i in range(5):
             sink.emit({"span": f"{i:016x}"})
         sink.close()
@@ -170,8 +172,9 @@ class TestSink:
         # The memory ring still holds the most recent spans regardless.
         assert len(sink.spans()) == 5
 
-    def test_memory_ring_bounded(self):
-        sink = TraceSink(memory=3)
+    def test_memory_ring_bounded(self, monkeypatch):
+        monkeypatch.setattr(reqtrace, "MEMORY_SPANS", 3)
+        sink = TraceSink()
         for i in range(10):
             sink.emit({"span": f"{i:016x}"})
         assert len(sink.spans()) == 3

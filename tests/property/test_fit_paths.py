@@ -39,12 +39,15 @@ dimensions, the KDE smoother, ``projection="none"`` and ``"auto"`` depths
 past 8 (uint16 deep bins).
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.distributed import fit_distributed
 from repro.core.estimator import KeyBin2
+import repro.core.streaming as streaming_mod
 from repro.core.streaming import StreamingKeyBin2
 from repro.data.gaussians import gaussian_mixture
 from tests.kernels.oracle import reference_partial_fit
@@ -66,10 +69,11 @@ def _uneven_shards(x, n_ranks, rng):
 
 
 def _streaming(x, seed, fused, **options):
-    skb = StreamingKeyBin2(
-        n_projections=N_PROJECTIONS, candidate_depths=DEPTHS, range_expand=0.0,
-        key_capacity=x.shape[0], seed=seed, **options,
-    )
+    with patch.object(streaming_mod, "KEY_CAPACITY", x.shape[0]):
+        skb = StreamingKeyBin2(
+            n_projections=N_PROJECTIONS, candidate_depths=DEPTHS,
+            range_expand=0.0, seed=seed, **options,
+        )
     if fused:
         return skb.partial_fit(x).refresh()
     return reference_partial_fit(skb, x).refresh()

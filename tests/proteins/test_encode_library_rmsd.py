@@ -123,21 +123,16 @@ class TestRMSD:
 
     def test_select_representatives_distinct_phases(self):
         traj = TrajectorySimulator(32, 1500, n_phases=4, seed=5).simulate()
-        reps = select_representatives(traj.angles, 8, seed=5)
+        reps = select_representatives(traj.angles, 8)
         stable_reps = reps[~traj.in_transition[reps]]
         covered = set(traj.phase_ids[stable_reps].tolist())
         assert len(covered) >= 3  # nearly all phases get a representative
 
     def test_select_count_and_uniqueness(self, rng):
         frames = rng.uniform(-180, 180, (100, 8))
-        reps = select_representatives(frames, 10, seed=0)
+        reps = select_representatives(frames, 10)
         assert reps.shape == (10,)
         assert np.unique(reps).size == 10
-
-    def test_stochastic_mode(self, rng):
-        frames = rng.uniform(-180, 180, (50, 4))
-        reps = select_representatives(frames, 5, power=2.0, seed=1)
-        assert np.unique(reps).size == 5
 
     def test_invalid_n(self, rng):
         with pytest.raises(ValidationError):

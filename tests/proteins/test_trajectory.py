@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.proteins.encode import encode_frames
+from repro.proteins import trajectory
 from repro.proteins.trajectory import TrajectorySimulator
 
 
@@ -28,10 +29,10 @@ class TestSimulator:
     def test_all_phases_visited(self, traj):
         assert set(np.unique(traj.phase_ids)) == {0, 1, 2}
 
-    def test_transition_fraction_close(self):
+    def test_transition_fraction_close(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "TRANSITION_FRACTION", 0.2)
         traj = TrajectorySimulator(
-            n_residues=16, n_frames=2000, n_phases=4,
-            transition_fraction=0.2, seed=1,
+            n_residues=16, n_frames=2000, n_phases=4, seed=1,
         ).simulate()
         assert abs(traj.in_transition.mean() - 0.2) < 0.05
 
@@ -83,7 +84,3 @@ class TestSimulator:
             TrajectorySimulator(0, 100)
         with pytest.raises(ValidationError):
             TrajectorySimulator(10, 1)
-        with pytest.raises(ValidationError):
-            TrajectorySimulator(10, 100, transition_fraction=1.0)
-        with pytest.raises(ValidationError):
-            TrajectorySimulator(10, 100, residue_flip_fraction=1.5)

@@ -18,6 +18,7 @@ from repro.errors import (
     ShedError,
     ValidationError,
 )
+from repro.serve import admission
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -49,7 +50,6 @@ class TestAdmissionPolicy:
         {"burst": 0},
         {"max_in_flight": 0},
         {"default_deadline_ms": 0},
-        {"max_deadline_ms": -5},
     ])
     def test_bad_knobs_rejected(self, kw):
         with pytest.raises(ValidationError):
@@ -120,21 +120,21 @@ class TestInFlightAndDrain:
 
 
 class TestCircuitBreaker:
+    @pytest.fixture(autouse=True)
+    def _trip_after_two(self, monkeypatch):
+        monkeypatch.setattr(admission, "CIRCUIT_THRESHOLD", 2)
+        monkeypatch.setattr(admission, "CIRCUIT_COOLDOWN_S", 1.0)
+
     def _tripped(self, clock):
-        cb = CircuitBreaker(threshold=2, cooldown_s=1.0, clock=clock)
+        cb = CircuitBreaker(clock=clock)
         cb.record_failure()
         cb.record_failure()
         assert cb.state == "open"
         return cb
 
-    def test_bad_knobs_rejected(self):
-        with pytest.raises(ValidationError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValidationError):
-            CircuitBreaker(cooldown_s=0)
-
-    def test_trips_only_on_consecutive_failures(self):
-        cb = CircuitBreaker(threshold=3)
+    def test_trips_only_on_consecutive_failures(self, monkeypatch):
+        monkeypatch.setattr(admission, "CIRCUIT_THRESHOLD", 3)
+        cb = CircuitBreaker()
         for _ in range(5):
             cb.record_failure()
             cb.record_failure()
@@ -190,7 +190,7 @@ class TestCircuitBreaker:
 
 
 class TestResolveDeadline:
-    POLICY = AdmissionPolicy(max_deadline_ms=1000.0)
+    POLICY = AdmissionPolicy()
 
     def test_absent_deadline_is_none(self):
         assert resolve_deadline({"op": "predict"}, self.POLICY) is None
@@ -206,7 +206,8 @@ class TestResolveDeadline:
         deadline = resolve_deadline({}, policy, now=0.0)
         assert deadline == pytest.approx(0.05)
 
-    def test_clamped_to_max(self):
+    def test_clamped_to_max(self, monkeypatch):
+        monkeypatch.setattr(admission, "MAX_DEADLINE_MS", 1000.0)
         deadline = resolve_deadline(
             {"deadline_ms": 10_000_000}, self.POLICY, now=0.0
         )

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ServeError
 from repro.obs.registry import MetricsRegistry, set_default_registry
 from repro.serve import ModelRegistry, ServeClient, serve_in_thread
+from repro.serve import client as client_mod
 from repro.serve.client import IDEMPOTENT_OPS, _ConnectionLost
 
 
@@ -102,7 +103,7 @@ def _free_port():
 
 
 class TestConnectRetry:
-    def test_connect_refused_then_succeeds(self, retry_registry):
+    def test_connect_refused_then_succeeds(self, retry_registry, monkeypatch):
         """The server comes up late; a retrying client rides it out."""
         # Pick the port up front so the client dials a known address that
         # refuses until the server binds it.
@@ -121,8 +122,10 @@ class TestConnectRetry:
             listener.close()
 
         threading.Thread(target=bring_up, daemon=True).start()
-        client = ServeClient("127.0.0.1", port, timeout=5.0, retries=40,
-                             backoff=0.02, backoff_max=0.1, jitter=0.0)
+        monkeypatch.setattr(client_mod, "RETRY_BACKOFF_S", 0.02)
+        monkeypatch.setattr(client_mod, "RETRY_BACKOFF_MAX_S", 0.1)
+        monkeypatch.setattr(client_mod, "RETRY_JITTER", 0.0)
+        client = ServeClient("127.0.0.1", port, timeout=5.0, retries=40)
         assert client.healthz()["ok"] is True
         client.close()
         assert _retry_count(retry_registry, "connect") >= 1
@@ -137,16 +140,15 @@ class TestConnectRetry:
     def test_bad_retry_config_rejected(self):
         with pytest.raises(ServeError):
             ServeClient(retries=-1)
-        with pytest.raises(ServeError):
-            ServeClient(jitter=1.5)
 
 
 class TestIdempotentRetry:
-    def test_dropped_connection_retried_and_counted(self, retry_registry):
+    def test_dropped_connection_retried_and_counted(self, retry_registry,
+                                                     fast_retries):
         srv = _FlakyServer(drop_first=0)
         try:
             client = ServeClient("127.0.0.1", srv.port, timeout=5.0,
-                                 retries=5, backoff=0.01, jitter=0.0)
+                                 retries=5)
             # Kill the live connection server-side by draining accepts:
             # simulate with a fresh flaky server is racy, so instead close
             # the client's socket under it — the next request sees EOF/reset
@@ -162,12 +164,12 @@ class TestIdempotentRetry:
         finally:
             srv.close()
 
-    def test_mutating_ops_never_retried(self, retry_registry):
+    def test_mutating_ops_never_retried(self, retry_registry, fast_retries):
         """reload/shutdown must surface the failure, not replay it."""
         srv = _FlakyServer()
         try:
             client = ServeClient("127.0.0.1", srv.port, timeout=5.0,
-                                 retries=5, backoff=0.01, jitter=0.0)
+                                 retries=5)
             srv.wait_accepts(1)
             client._sock.shutdown(socket.SHUT_RDWR)
             with pytest.raises(ServeError):
@@ -184,11 +186,11 @@ class TestIdempotentRetry:
         assert "reload" not in IDEMPOTENT_OPS
         assert "shutdown" not in IDEMPOTENT_OPS
 
-    def test_retries_exhausted_raises(self, retry_registry):
+    def test_retries_exhausted_raises(self, retry_registry, fast_retries):
         srv = _FlakyServer(drop_first=100)
         try:
             client = ServeClient("127.0.0.1", srv.port, timeout=5.0,
-                                 retries=2, backoff=0.01, jitter=0.0)
+                                 retries=2)
             with pytest.raises(ServeError):
                 client.healthz()
             assert _retry_count(retry_registry, "healthz") == 2
@@ -225,13 +227,12 @@ class TestBackoff:
 
 
 class TestAgainstRealServer:
-    def test_retrying_client_works_end_to_end(self, served_model):
+    def test_retrying_client_works_end_to_end(self, served_model, fast_retries):
         registry = ModelRegistry()
         registry.publish(served_model)
         with serve_in_thread(registry) as handle:
             host, port = handle.address
-            with ServeClient(host, port, retries=3, backoff=0.01,
-                             jitter=0.0) as client:
+            with ServeClient(host, port, retries=3) as client:
                 n = int(client.model_info()["n_features"])
                 result = client.predict(np.zeros(n, dtype=np.float64))
                 assert isinstance(result.label, int)

@@ -22,7 +22,7 @@ import pytest
 from repro.errors import ServeError
 from repro.fleet import router_in_thread
 from repro.serve import ModelRegistry, ServeClient, serve_in_thread
-from repro.serve.server import ModelServer
+from repro.serve.server import LINE_LIMIT, ModelServer
 
 
 @pytest.fixture()
@@ -89,6 +89,32 @@ def test_no_task_pending_after_clean_exit(launch, small_gaussians, caplog):
             client.predict(x[0])
     idle.close()
     assert not handle.thread.is_alive()
+    assert _asyncio_errors(caplog) == []
+
+
+def test_long_request_line(launch, served_model, small_gaussians, caplog):
+    # A 400-row, 16-dim batch predict is a ~115 KB line, past asyncio's
+    # default 64 KiB reader limit; it gets its labels. A line over the
+    # server's limit is read to its newline and answered with an error,
+    # and the connection keeps serving.
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    x, _ = small_gaussians
+    batch = json.dumps({"op": "predict", "x": x[:400].tolist()}).encode()
+    assert len(batch) > 1 << 16
+    too_long = b'{"op": "predict", "x": [' + b"0.0, " * (LINE_LIMIT // 5) + b"0.0]}"
+    with launch() as handle:
+        with socket.create_connection(handle.address, timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(batch + b"\n")
+            reply = json.loads(reader.readline())
+            assert reply["ok"], reply
+            assert reply["labels"] == served_model.predict(x[:400]).tolist()
+            sock.sendall(too_long + b"\n")
+            reply = json.loads(reader.readline())
+            assert reply == {"ok": False, "error": (
+                f"request line longer than {LINE_LIMIT} bytes")}
+            sock.sendall(b'{"op": "healthz"}\n')
+            assert json.loads(reader.readline())["ok"]
     assert _asyncio_errors(caplog) == []
 
 

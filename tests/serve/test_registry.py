@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ServeError, ValidationError
 from repro.serve import ModelRegistry
+from repro.serve import registry as registry_module
 
 
 class TestPublish:
@@ -54,8 +55,9 @@ class TestPublish:
 
 
 class TestHistory:
-    def test_history_bounded(self, served_model):
-        reg = ModelRegistry(max_history=2)
+    def test_history_bounded(self, served_model, monkeypatch):
+        monkeypatch.setattr(registry_module, "MAX_HISTORY", 2)
+        reg = ModelRegistry()
         for _ in range(6):
             reg.publish(served_model)
         assert reg.versions() == [4, 5, 6]  # 2 retained + current

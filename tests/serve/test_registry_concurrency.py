@@ -28,7 +28,7 @@ def two_models(served_model, alt_model):
 
 
 def test_concurrent_publish_versions_unique_and_monotonic(two_models):
-    registry = ModelRegistry(max_history=64)
+    registry = ModelRegistry()
     model_a, model_b = two_models
     per_thread_versions = [[] for _ in range(6)]
     start = threading.Barrier(6)
@@ -86,7 +86,7 @@ def test_current_reads_never_torn_under_publish(two_models):
 
 
 def test_rollback_races_publish_without_corruption(two_models):
-    registry = ModelRegistry(max_history=64)
+    registry = ModelRegistry()
     model_a, model_b = two_models
     registry.publish(model_a)
     registry.publish(model_b)
