@@ -33,7 +33,7 @@ def test_partitioning_cost(benchmark, rng_counts=None):
     rng = np.random.default_rng(0)
     vals = np.concatenate([rng.normal(c, 3, 4000) for c in (16, 48, 90)])
     counts = np.bincount(np.clip(vals.astype(int), 0, 127), minlength=128).astype(float)
-    cuts = benchmark(lambda: find_cuts(counts, n_points=12000))
+    cuts = benchmark(lambda: find_cuts(counts))
     assert cuts.size == 2
 
 
@@ -51,7 +51,7 @@ def test_assessment_cost_independent_of_points(benchmark):
             x, [FusedStateSpec(None, space.r_min, space.r_max, (6,))]
         )
         counts, bins = points.deep, points.rows.T
-        cuts = [find_cuts(counts[j], n_points=n_points) for j in range(2)]
+        cuts = [find_cuts(counts[j]) for j in range(2)]
         partition = PrimaryPartition(6, cuts)
         codes = partition.cell_codes(partition.intervals_for(bins))
         table = GlobalClusterTable.from_points(codes)

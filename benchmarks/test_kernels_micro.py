@@ -14,6 +14,7 @@ from repro.core.assess import histogram_ch_index
 from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
+from repro.core.streaming import KEY_CAPACITY, KeyCounter
 from repro.kernels.fused import FusedStateSpec, fused_partial_fit
 from repro.kernels.keys import bin_indices
 from repro.kernels.labels import intervals_for_bins
@@ -96,3 +97,38 @@ def test_ch_index_kernel(benchmark, histogram_stack):
     cells = partition.decode_cells(table.codes)
     score = benchmark(lambda: histogram_ch_index(counts, partition.cuts, cells))
     assert np.isfinite(score)
+
+
+def _key_fold_case(n_table, n_batch, n_new):
+    """A sorted-unique table of ``n_table`` codes and a batch of
+    ``n_batch`` codes, ``n_new`` of them not in the table."""
+    rng = np.random.default_rng(4)
+    codes = np.unique(rng.integers(0, 2**63, n_table + n_new + 64, dtype=np.uint64))
+    codes = rng.permutation(codes)
+    table = np.sort(codes[:n_table])
+    batch = np.sort(np.concatenate([
+        codes[n_table:n_table + n_new],
+        rng.choice(table, n_batch - n_new, replace=False),
+    ]))
+    return table, np.ones(n_table, np.int64), batch, np.ones(n_batch, np.int64)
+
+
+@pytest.mark.parametrize("n_table,n_batch,n_new", [
+    (75_000, 25_000, 24_750),  # stream-ingest: ~1% of a batch repeats
+    (4_000, 116, 0),           # an in-situ round: every code already tracked
+], ids=["stream", "insitu"])
+def test_key_fold(benchmark, n_table, n_batch, n_new):
+    """One ``KeyCounter`` fold of a sorted-unique batch (informational)."""
+    table, table_counts, batch, batch_counts = _key_fold_case(n_table, n_batch, n_new)
+
+    def fresh():
+        kc = KeyCounter(KEY_CAPACITY)
+        kc.merge_encoded(table, table_counts, width=8)
+        return (kc,), {}
+
+    kc = benchmark.pedantic(
+        lambda kc: kc.merge_encoded(batch, batch_counts, width=8),
+        setup=fresh, rounds=30,
+    )
+    assert len(kc) == n_table + n_new
+    assert kc.evicted_keys == 0

@@ -176,7 +176,7 @@ def run_fig2(
     )
     counts, bins = points.deep, points.rows.T
 
-    cuts = [find_cuts(counts[j], n_points=x.shape[0]) for j in range(2)]
+    cuts = [find_cuts(counts[j]) for j in range(2)]
     partition = PrimaryPartition(depth, cuts)
     intervals = partition.intervals_for(bins)
     codes = partition.cell_codes(intervals)

@@ -46,7 +46,6 @@ from repro.comm.ring import (
     ring_allreduce,
     ring_reduce_scatter,
     ring_allgather,
-    ring_pass,
 )
 
 __all__ = [
@@ -74,5 +73,4 @@ __all__ = [
     "ring_allreduce",
     "ring_reduce_scatter",
     "ring_allgather",
-    "ring_pass",
 ]

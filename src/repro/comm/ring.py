@@ -9,15 +9,14 @@ bandwidth-optimal ring algorithms on top of any
 - :func:`ring_reduce_scatter` — each rank ends with one reduced chunk,
 - :func:`ring_allgather` — chunks circulate until every rank has all,
 - :func:`ring_allreduce` — the composition of the two (the pattern
-  popularized by Baidu/Horovod), and
-- :func:`ring_pass` — one neighbour-shift of arbitrary payloads.
+  popularized by Baidu/Horovod).
 
 All operate on 1-D numpy arrays; each rank must pass an equal-length buffer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,19 +24,9 @@ from repro.comm.base import Communicator, ReduceOp
 from repro.errors import CommError
 from repro.util.chunking import chunk_slices
 
-__all__ = ["ring_pass", "ring_reduce_scatter", "ring_allgather", "ring_allreduce"]
+__all__ = ["ring_reduce_scatter", "ring_allgather", "ring_allreduce"]
 
 _RING_TAG = -201
-
-
-def ring_pass(comm: Communicator, obj: Any) -> Any:
-    """Send ``obj`` to ``(rank + 1) % size`` and return what arrives here."""
-    size = comm.size
-    if size == 1:
-        return obj
-    dest = (comm.rank + 1) % size
-    source = (comm.rank - 1) % size
-    return comm.sendrecv(obj, dest=dest, source=source, tag=_RING_TAG)
 
 
 def _check_buffer(comm: Communicator, buf: np.ndarray) -> np.ndarray:

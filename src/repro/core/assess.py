@@ -48,21 +48,14 @@ from repro.errors import ValidationError
 from repro.kernels.labels import interval_id_table
 
 __all__ = [
-    "histogram_ch_index", "histogram_ch_scores", "marginal_percentile_bin",
-    "interval_stats",
+    "histogram_ch_index", "histogram_ch_scores", "interval_stats",
 ]
 
 
-def marginal_percentile_bin(counts: np.ndarray) -> int:
-    """Bin index of the mass median of a 1-D histogram."""
-    counts = np.asarray(counts, dtype=np.float64).ravel()
-    return int(_percentile_bins(counts[None, :], 50.0)[0])
-
-
 def _percentile_bins(counts: np.ndarray, percentile: float) -> np.ndarray:
-    """:func:`marginal_percentile_bin` of every row of (n_dims × B) counts:
-    the first bin whose running mass reaches the target (the middle bin
-    of an empty row)."""
+    """Percentile bin of every row of (n_dims × B) counts: the first bin
+    whose running mass reaches the target (the middle bin of an empty
+    row)."""
     n_bins = counts.shape[1]
     total = counts.sum(axis=1)
     target = total * percentile / 100.0

@@ -36,7 +36,7 @@ the oracle). The ``"kde"`` smoother is still evaluated row by row.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -175,7 +175,6 @@ def _dedup_rows(
 
 def find_cuts(
     counts: np.ndarray,
-    n_points: Optional[int] = None,
     min_prominence: float = 0.10,
     smoother: str = "ma",
 ):
@@ -187,11 +186,8 @@ def find_cuts(
         1-D bin counts for one dimension, or an (R × B) stack of such
         histograms (every kept dimension of every projection at one
         depth). A stack is cut in one array pass; row ``r`` gets exactly
-        the cuts ``find_cuts(counts[r])`` would give.
-    n_points:
-        Total points behind the histogram (validated; the smoothing and
-        regression window is the paper's ``sqrt(B)`` for B bins).
-        Defaults to ``counts.sum()``.
+        the cuts ``find_cuts(counts[r])`` would give. The smoothing and
+        regression window is the paper's ``sqrt(B)`` for B bins.
     min_prominence:
         Relative prominence threshold: a valley survives when its depth
         below the smaller flanking mode exceeds
@@ -223,9 +219,7 @@ def find_cuts(
     one_row = counts.ndim == 1
     rows = counts[None, :] if one_row else counts
     n_rows, n_bins = rows.shape
-    if n_points is None:
-        n_points = int(max(rows.sum(), 1))
-    window = paper_window(n_points, n_bins=n_bins)
+    window = paper_window(n_bins)
     if n_rows == 0:
         return []
 

@@ -13,7 +13,6 @@ it runs on ``B = O(log M)`` bins instead of ``M`` points.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -29,23 +28,18 @@ __all__ = [
 ]
 
 
-def paper_window(n_points: int, n_bins: Optional[int] = None) -> int:
+def paper_window(n_bins: int) -> int:
     """The paper's smoothing window: the square root of the bin count.
 
     §3.2 sets the window "equal to the square root of the number of bins in
     the histogram (w = sqrt(log2²(M)))" — i.e. with the paper's
-    ``B = log2²(M)`` bins the window is ``sqrt(B) = log2(M)``. The general
-    rule is bin-based: ``w = sqrt(B)``, which keeps the smoothed fraction of
-    the space constant across depths. When the bin count is unknown
-    (``n_bins=None``) the M-based form ``log2(M)`` is used.
+    ``B = log2²(M)`` bins the window is ``sqrt(B) = log2(M)``. The rule is
+    bin-based, ``w = sqrt(B)``, which keeps the smoothed fraction of the
+    space constant across depths.
     """
-    if n_points < 1:
-        raise ValidationError(f"n_points must be >= 1, got {n_points}")
-    if n_bins is not None:
-        if n_bins < 1:
-            raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
-        return max(1, int(round(math.sqrt(n_bins))))
-    return max(1, int(round(math.log2(max(n_points, 2)))))
+    if n_bins < 1:
+        raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
+    return max(1, int(round(math.sqrt(n_bins))))
 
 
 def _check_window(y: np.ndarray, window: int) -> np.ndarray:

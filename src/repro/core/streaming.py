@@ -17,6 +17,7 @@ labels new points with the current model without storing them.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,9 +54,12 @@ class KeyCounter:
     into a **sorted** uint64 code array (dimension 0 in the most
     significant byte, so numeric order equals lexicographic byte order —
     the same canonical encoding the fused kernel path emits); wider keys
-    fall back to a sorted structured-bytes array. A fold adds the counts
-    of codes already tracked in place and merges the new codes in as one
-    sorted run, with no per-key Python work.
+    fall back to a sorted structured-bytes array. Folding u sorted codes
+    into a K-code table is one stable merge of the two sorted runs,
+    O(K + u), with no per-key Python work; only a batch so small that
+    u·log2 K < K + u first looks its codes up by binary search (see
+    :meth:`_merge_sorted`). Eviction, when a fold overflows, costs one
+    sort of the counts plus linear passes (see :meth:`_evict`).
 
     When the number of distinct keys exceeds ``capacity``, the table is
     cut back to its ``capacity // 2`` largest-count cells (ties broken by
@@ -156,39 +160,59 @@ class KeyCounter:
         """Merge strictly-increasing unique uint64 codes into the sorted
         table.
 
-        Codes already in the table add their counts in place, found by one
-        binary search each: O(u log K), which is all a fold costs once the
-        table holds the stream's cells (in-situ rounds on protein codes).
-        The remaining codes are new, so they form a second sorted run
-        disjoint from the table, and the stable sort of the concatenation
-        (timsort for 64-bit keys) merges the two runs in one O(K + u)
-        pass. New arrays never alias a caller's (``merge_encoded`` hands
-        in fused-kernel output the caller may still hold).
+        The fold is one stable merge: the table and the batch are two
+        sorted runs, so the stable argsort of their concatenation (timsort
+        for 64-bit keys) merges them in one O(K + u) pass. A code held by
+        both runs lands as an adjacent equal pair, table entry first; the
+        pair's counts add into the first and one compress drops the
+        second.
+
+        A batch so small that u·log2 K < K + u (in-situ rounds: about 100
+        codes into a few thousand, most already tracked) first finds the
+        codes the table holds by one binary search each and adds their
+        counts in place, O(u log K); a fold whose codes all hit ends
+        there, and the rest merge as a run disjoint from the table. Both
+        ways leave the same table. New arrays never alias a caller's
+        (``merge_encoded`` hands in fused-kernel output the caller may
+        still hold).
         """
         table = self._codes
         if table is None or table.shape[0] == 0:
             self._codes = ucodes.copy()
             self._counts = ucounts.astype(np.int64, copy=True)
             return
-        idx = np.searchsorted(table, ucodes)
-        hit = idx < table.shape[0]
-        hit[hit] = table[idx[hit]] == ucodes[hit]
-        # Hits land on distinct slots (ucodes strictly increase), so the
-        # fancy += is exact.
-        self._counts[idx[hit]] += ucounts[hit]
-        if hit.all():
-            return
-        new = ~hit
-        codes = np.concatenate([table, ucodes[new]])
+        n_table, n_batch = table.shape[0], ucodes.shape[0]
+        if n_batch * math.log2(n_table) < n_table + n_batch:
+            idx = np.searchsorted(table, ucodes)
+            hit = idx < n_table
+            hit[hit] = table[idx[hit]] == ucodes[hit]
+            # Hits land on distinct slots (ucodes strictly increase), so
+            # the fancy += is exact.
+            self._counts[idx[hit]] += ucounts[hit]
+            if hit.all():
+                return
+            ucodes, ucounts = ucodes[~hit], ucounts[~hit]
+        codes = np.concatenate([table, ucodes])
         order = np.argsort(codes, kind="stable")
-        self._codes = codes[order]
-        self._counts = np.concatenate([self._counts, ucounts[new]])[order]
+        codes = codes[order]
+        counts = np.concatenate([self._counts, ucounts])[order]
+        # Each code is unique within its run, so equal neighbours are
+        # disjoint (table, batch) pairs and the fancy += is exact.
+        second = np.flatnonzero(codes[1:] == codes[:-1]) + 1
+        if second.shape[0]:
+            counts[second - 1] += counts[second]
+            keep = np.ones(codes.shape[0], dtype=bool)
+            keep[second] = False
+            codes, counts = codes[keep], counts[keep]
+        self._codes = codes
+        self._counts = counts
 
     def _evict(self) -> None:
         """Drop the ``n_drop`` smallest-count cells, ties in key order.
 
         That is the first ``n_drop`` entries of a stable argsort of the
-        counts over the code-sorted table, found without the argsort: the
+        counts over the code-sorted table, found without the argsort in
+        one O(K log K) sort of the counts plus linear passes: the
         ``n_drop``-th smallest count ``t`` is the threshold, every count
         below ``t`` goes, and so do the lowest-keyed of the cells at
         exactly ``t`` until ``n_drop`` are gone. Eviction stays a pure

@@ -109,7 +109,7 @@ def candidate_models(
 
     ``depths`` is sorted; keys are binned at its deepest entry. Each depth
     is one stacked :func:`find_cuts` call over the kept rows of every
-    trial, with the window of the largest ``n_points``. A candidate whose
+    trial (the window is the depth's ``sqrt(B)``). A candidate whose
     cell grid overflows int64 codes is skipped and recorded in
     ``overflowed`` as ``(trial, kept, partition)``. ``union_tables``, when
     given, replaces the list of every candidate's cell table before
@@ -124,11 +124,10 @@ def candidate_models(
     for d in depths:
         with trace.span("cuts"):
             stacks[d] = np.concatenate([t.hist[d][t.kept] for t in trials])
-            # The window depends only on the bin count and the point
-            # count, so one call serves every trial.
+            # The window depends only on the bin count, so one call
+            # serves every trial.
             cuts[d] = find_cuts(
                 stacks[d],
-                n_points=max(t.n_points for t in trials),
                 min_prominence=min_prominence,
                 smoother=smoother,
             )

@@ -54,8 +54,25 @@ CIS_OMEGA_LIMIT = 90.0
 
 
 def wrap_angle(angle: np.ndarray) -> np.ndarray:
-    """Wrap degrees into (−180, 180]."""
-    return -((-np.asarray(angle, dtype=np.float64) + 180.0) % 360.0 - 180.0)
+    """Wrap degrees into (−180, 180]: ``-((−a + 180) mod 360 − 180)``.
+
+    The float remainder runs only when some entry of ``−a + 180`` lies
+    outside ``[0, 360)`` (or is NaN): inside that interval
+    ``np.remainder`` returns its argument exactly, so skipping it leaves
+    the result bit-identical to the formula. Angles this function already
+    wrapped are all inside, and so are almost all torsions from
+    ``atan2``. The work is
+    done in one buffer, in place, so wrapping a whole trajectory needs no
+    temporary beyond the result.
+    """
+    a = np.asarray(angle, dtype=np.float64)
+    y = np.negative(a, out=np.empty(a.shape))
+    y += 180.0
+    if y.size and not (y.min() >= 0.0 and y.max() < 360.0):
+        np.remainder(y, 360.0, out=y)
+    y -= 180.0
+    # [()] returns a 0-d result as a scalar, as the formula does.
+    return np.negative(y, out=y)[()]
 
 
 def classify_torsions(

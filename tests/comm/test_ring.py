@@ -3,13 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.comm import ReduceOp, ring_allgather, ring_allreduce, ring_pass, run_spmd
-from repro.comm.ring import ring_reduce_scatter
+from repro.comm import ReduceOp, ring_allgather, ring_allreduce, run_spmd
+from repro.comm.ring import _RING_TAG, ring_reduce_scatter
 from repro.errors import CommError
 
 
 def _run(fn, size, **kw):
     return run_spmd(fn, size, executor="thread", timeout=30, **kw)
+
+
+def ring_pass(comm, obj):
+    """Send ``obj`` to ``(rank + 1) % size`` and return what arrives here:
+    one neighbour shift over ``sendrecv``."""
+    size = comm.size
+    if size == 1:
+        return obj
+    return comm.sendrecv(obj, dest=(comm.rank + 1) % size,
+                         source=(comm.rank - 1) % size, tag=_RING_TAG)
 
 
 class TestRingPass:

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.assess import (
-    histogram_ch_index,
-    interval_stats,
-    marginal_percentile_bin,
-)
+from repro.core.assess import _percentile_bins, histogram_ch_index, interval_stats
 from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
@@ -16,6 +12,11 @@ from repro.kernels.keys import bin_indices
 from tests.kernels.oracle import accumulate_histogram
 from tests.property import tail_oracle
 from tests.metrics.dispersion import calinski_harabasz_points
+
+
+def marginal_percentile_bin(counts):
+    """Bin index of the mass median of a 1-D histogram."""
+    return int(_percentile_bins(np.asarray(counts, dtype=np.float64)[None, :], 50.0)[0])
 
 
 class TestMarginalPercentileBin:
@@ -58,7 +59,7 @@ def _build_case(x, depth=6):
     space = SpaceRange.from_data(x, margin=0.05)
     bins = bin_indices(x, space.r_min, space.r_max, depth)
     counts = accumulate_histogram(bins, 1 << depth)
-    cuts = [find_cuts(counts[j], n_points=x.shape[0]) for j in range(x.shape[1])]
+    cuts = [find_cuts(counts[j]) for j in range(x.shape[1])]
     partition = PrimaryPartition(depth, cuts)
     iv = partition.intervals_for(bins)
     codes = partition.cell_codes(iv)

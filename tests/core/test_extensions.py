@@ -28,15 +28,15 @@ class TestKDEPartitioner:
 
     def test_kde_cuts_match_ma_cuts_on_clean_data(self, rng):
         counts = self._bimodal(rng)
-        ma = find_cuts(counts, n_points=3000, smoother="ma")
-        kde = find_cuts(counts, n_points=3000, smoother="kde")
+        ma = find_cuts(counts, smoother="ma")
+        kde = find_cuts(counts, smoother="kde")
         assert ma.size == kde.size == 1
         assert abs(int(ma[0]) - int(kde[0])) <= 6
 
     def test_kde_unimodal_no_cut(self, rng):
         vals = rng.normal(32, 5, 3000)
         counts = np.bincount(np.clip(vals.astype(int), 0, 63), minlength=64).astype(float)
-        assert find_cuts(counts, n_points=3000, smoother="kde").size == 0
+        assert find_cuts(counts, smoother="kde").size == 0
 
     def test_kde_empty_histogram(self):
         assert kde_density(np.zeros(16)).sum() == 0.0

@@ -21,7 +21,7 @@ def bimodal_counts(n_bins=64, gap_center=32, spread=4, mass=1000, rng=None):
 class TestFindCuts:
     def test_bimodal_single_cut_near_gap(self):
         counts = bimodal_counts()
-        cuts = find_cuts(counts, n_points=2000)
+        cuts = find_cuts(counts)
         assert cuts.size == 1
         assert abs(int(cuts[0]) - 32) <= 6
 
@@ -29,30 +29,30 @@ class TestFindCuts:
         counts = np.bincount(
             np.clip(rng.normal(32, 5, 2000).astype(int), 0, 63), minlength=64
         ).astype(float)
-        cuts = find_cuts(counts, n_points=2000)
+        cuts = find_cuts(counts)
         assert cuts.size == 0
 
     def test_uniform_no_cut(self):
         counts = np.full(64, 50.0)
-        cuts = find_cuts(counts, n_points=3200)
+        cuts = find_cuts(counts)
         assert cuts.size == 0
 
     def test_empty_histogram_no_cut(self):
-        assert find_cuts(np.zeros(32), n_points=1).size == 0
+        assert find_cuts(np.zeros(32)).size == 0
 
     def test_three_modes_two_cuts(self, rng):
         parts = [rng.normal(c, 3, 800) for c in (16, 48, 80)]
         counts = np.bincount(
             np.clip(np.concatenate(parts).astype(int), 0, 95), minlength=96
         ).astype(float)
-        cuts = find_cuts(counts, n_points=2400)
+        cuts = find_cuts(counts)
         assert cuts.size == 2
 
     def test_disjoint_support_always_cut(self):
         counts = np.zeros(64)
         counts[4:10] = 100.0
         counts[50:56] = 100.0
-        cuts = find_cuts(counts, n_points=1200)
+        cuts = find_cuts(counts)
         assert cuts.size >= 1
         assert np.any((cuts > 9) & (cuts < 50))
 
@@ -63,22 +63,22 @@ class TestFindCuts:
             np.clip(rng.normal(32, 8, 5000).astype(int), 0, 63), minlength=64
         ).astype(float)
         base[32] *= 0.93  # a 7% dent
-        strict = find_cuts(base, n_points=5000, min_prominence=0.5)
+        strict = find_cuts(base, min_prominence=0.5)
         assert strict.size == 0
 
     def test_lower_prominence_more_cuts(self, rng):
         counts = bimodal_counts(rng=rng) + bimodal_counts(
             gap_center=32, spread=8, rng=rng
         )
-        loose = find_cuts(counts, n_points=4000, min_prominence=0.01)
-        strict = find_cuts(counts, n_points=4000, min_prominence=0.9)
+        loose = find_cuts(counts, min_prominence=0.01)
+        strict = find_cuts(counts, min_prominence=0.9)
         assert loose.size >= strict.size
 
     def test_cuts_strictly_increasing_and_in_range(self, rng):
         for seed in range(5):
             r = np.random.default_rng(seed)
             counts = np.abs(r.normal(0, 50, 64)) + r.integers(0, 100, 64)
-            cuts = find_cuts(counts, n_points=int(counts.sum()))
+            cuts = find_cuts(counts)
             if cuts.size:
                 assert np.all(np.diff(cuts) > 0)
                 assert cuts.min() >= 0
@@ -86,9 +86,9 @@ class TestFindCuts:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
-            find_cuts(np.array([]), n_points=1)
+            find_cuts(np.array([]))
         with pytest.raises(ValidationError):
-            find_cuts(np.array([-1.0, 2.0]), n_points=1)
+            find_cuts(np.array([-1.0, 2.0]))
         with pytest.raises(ValidationError):
             find_cuts(np.ones(8), min_prominence=2.0)
         with pytest.raises(ValidationError):
@@ -97,11 +97,11 @@ class TestFindCuts:
     def test_stack_cuts_each_row(self):
         counts = bimodal_counts()
         stack = np.stack([counts, np.zeros(64), counts[::-1]])
-        cuts = find_cuts(stack, n_points=2000)
+        cuts = find_cuts(stack)
         assert [c.tolist() for c in cuts] == [
-            find_cuts(row, n_points=2000).tolist() for row in stack
+            find_cuts(row).tolist() for row in stack
         ]
         assert cuts[1].size == 0
 
     def test_single_bin_histogram(self):
-        assert find_cuts(np.array([5.0]), n_points=5).size == 0
+        assert find_cuts(np.array([5.0])).size == 0

@@ -14,22 +14,22 @@ from repro.errors import ValidationError
 
 class TestPaperWindow:
     def test_bin_based_rule(self):
-        assert paper_window(10_000, n_bins=64) == 8
-        assert paper_window(10_000, n_bins=144) == 12
+        assert paper_window(64) == 8
+        assert paper_window(144) == 12
 
-    def test_point_based_fallback(self):
-        # w = log2(M): for M = 4096 → 12
-        assert paper_window(4096) == 12
+    def test_paper_bin_count_gives_log2_points(self):
+        # With the paper's B = log2²(M) bins, w = log2(M): for M = 4096 → 12
+        assert paper_window(12 ** 2) == 12
 
     def test_floor_one(self):
-        assert paper_window(1) >= 1
-        assert paper_window(100, n_bins=1) == 1
+        assert paper_window(1) == 1
+        assert paper_window(2) == 1
 
     def test_invalid(self):
         with pytest.raises(ValidationError):
             paper_window(0)
         with pytest.raises(ValidationError):
-            paper_window(10, n_bins=0)
+            paper_window(-4)
 
 
 class TestMovingAverage:

@@ -78,7 +78,6 @@ def _gap_cuts(counts: np.ndarray, min_gap: int) -> np.ndarray:
 
 def find_cuts_1d(
     counts: np.ndarray,
-    n_points: Optional[int] = None,
     window: Optional[int] = None,
     min_prominence: float = 0.10,
     min_gap: Optional[int] = None,
@@ -86,10 +85,8 @@ def find_cuts_1d(
 ) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.float64).ravel()
     total = counts.sum()
-    if n_points is None:
-        n_points = int(max(total, 1))
     if window is None:
-        window = paper_window(n_points, n_bins=counts.size)
+        window = paper_window(counts.size)
     smoothed = kde_density(counts) if smoother == "kde" else moving_average(counts, window)
     slopes = local_slopes(smoothed, window)
     cuts: List[int] = []

@@ -131,7 +131,7 @@ class TestFindCutsProperties:
         )
     )
     def test_cuts_always_valid(self, counts):
-        cuts = find_cuts(counts, n_points=max(int(counts.sum()), 1))
+        cuts = find_cuts(counts)
         if cuts.size:
             assert np.all(np.diff(cuts) > 0)
             assert cuts.min() >= 0
@@ -146,5 +146,5 @@ class TestFindCutsProperties:
         b = rng.integers(40, 56)
         counts[a : a + 6] = rng.integers(50, 200, 6)
         counts[b : b + 6] = rng.integers(50, 200, 6)
-        cuts = find_cuts(counts, n_points=int(counts.sum()))
+        cuts = find_cuts(counts)
         assert any(a + 5 <= c < b for c in cuts)

@@ -2,16 +2,20 @@
 
 The oracle below keeps the key counter's earlier fold verbatim: a
 ``searchsorted`` plus two ``np.insert`` splices to merge, and a stable
-argsort of the counts to evict. ``KeyCounter`` now merges the two sorted
-runs in one pass and evicts by a count threshold; these properties pin
-the two to the same codes, counts and eviction totals after every fold,
-including ties at the eviction threshold, tiny capacities that overflow
-on every fold, and counts near 10⁹.
+argsort of the counts to evict. ``KeyCounter`` merges the table and the
+batch as two sorted runs in one stable sort (a binary-search hit test
+first only for batches small against the table) and evicts by a count
+threshold; these properties pin the two to the same codes, counts and
+eviction totals after every fold, including ties at the eviction
+threshold, tiny capacities that overflow on every fold, counts near
+10⁹, and seeded folds at the sizes ``stream-ingest`` and in-situ rounds
+run.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -167,3 +171,73 @@ def test_columns_are_the_transposed_key_rows(width, n_keys, seed):
     if n_keys:
         assert np.array_equal(cols, keys[:, dims].T)
     assert np.array_equal(col_counts, counts)
+
+
+# -- seeded folds at the sizes the estimator runs ---------------------------
+
+
+def _searches(n_table, n_batch):
+    """Whether ``KeyCounter`` takes the binary-search hit test for a fold
+    (u·log2 K < K + u) rather than going straight to the merge."""
+    return n_table > 0 and n_batch * np.log2(n_table) < n_table + n_batch
+
+
+def _draw(rng, table, n_new, n_old):
+    """``n_new`` random codes absent from ``table`` plus ``n_old`` of its
+    codes, sorted unique, with counts that are mostly 1 (ties)."""
+    fresh = rng.integers(0, 2**64 - 1, n_new + 64, dtype=np.uint64,
+                         endpoint=True)
+    if table is not None:
+        fresh = fresh[~np.isin(fresh, table)]
+        old = rng.choice(table, n_old, replace=False)
+    else:
+        old = np.empty(0, dtype=np.uint64)
+    codes = np.unique(np.concatenate([fresh[:n_new], old]))
+    counts = np.where(rng.random(codes.shape[0]) < 0.9, 1,
+                      rng.integers(2, 6, codes.shape[0])).astype(np.int64)
+    return codes, counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stream_scale_folds_match_splice_oracle(seed):
+    """``stream-ingest``-sized folds: 25k-code batches, about 1% of them
+    already tracked, into tables of 50k–125k codes at the default 100k
+    capacity, so each fourth fold evicts with tens of thousands of cells
+    tied at the threshold count."""
+    rng = np.random.default_rng(seed)
+    kc = KeyCounter(100_000)
+    oracle = _SpliceOracle(100_000)
+    sizes = []
+    for i in range(9):
+        n_batch = 50_000 if i == 0 else 25_000
+        n_old = 0 if i == 0 else n_batch // 100
+        codes, counts = _draw(rng, oracle.codes, n_batch - n_old, n_old)
+        sizes.append((len(kc), codes.shape[0]))
+        kc.merge_encoded(codes, counts, width=8)
+        oracle.fold(codes, counts)
+        _assert_same(kc, oracle)
+    assert kc.evicted_keys > 2 * 70_000  # two evictions
+    assert not any(_searches(k, u) for k, u in sizes)
+
+
+@pytest.mark.parametrize("capacity", [100_000, 4_100])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_insitu_scale_folds_match_splice_oracle(seed, capacity):
+    """In-situ-sized folds: 100–200 codes into a 4k-code table, half of
+    the folds all hits and half mostly hits (about 1 code in 10 new); the
+    small capacity evicts on the hit-test path too."""
+    rng = np.random.default_rng(seed)
+    kc = KeyCounter(capacity)
+    oracle = _SpliceOracle(capacity)
+    codes, counts = _draw(rng, None, 4_000, 0)
+    kc.merge_encoded(codes, counts, width=8)
+    oracle.fold(codes, counts)
+    for i in range(40):
+        n_batch = int(rng.integers(100, 201))
+        n_new = 0 if i % 2 == 0 else n_batch // 10
+        assert _searches(len(kc), n_batch)
+        codes, counts = _draw(rng, oracle.codes, n_new, n_batch - n_new)
+        kc.merge_encoded(codes, counts, width=8)
+        oracle.fold(codes, counts)
+        _assert_same(kc, oracle)
+    assert (kc.evicted_keys > 0) == (capacity < 5_000)

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 import repro.core.tail as tail_mod
 from repro.core.assess import (
+    _percentile_bins,
     histogram_ch_index,
     histogram_ch_scores,
     interval_stats,
-    marginal_percentile_bin,
 )
 from repro.core.distributed import fit_distributed
 from repro.core.estimator import KeyBin2
@@ -92,8 +92,8 @@ class TestScoring:
             for got, want in zip(interval_stats(counts[j], c),
                                  oracle.interval_stats(counts[j], c)):
                 assert np.array_equal(got, want)
-            assert marginal_percentile_bin(counts[j]) == \
-                oracle.marginal_percentile_bin(counts[j])
+        assert _percentile_bins(counts, 50.0).tolist() == [
+            oracle.marginal_percentile_bin(row) for row in counts]
         cells = _random_cells(rng, cuts, n_cells)
         got = histogram_ch_index(counts, cuts, cells)
         want = oracle.histogram_ch_index(counts, cuts, cells)

@@ -27,6 +27,47 @@ class TestWrapAngle:
     def test_multiple_turns(self):
         assert wrap_angle(360.0 + 45.0) == pytest.approx(45.0)
 
+    @staticmethod
+    def _formula(angle):
+        # The remainder taken everywhere.
+        return -((-np.asarray(angle, dtype=np.float64) + 180.0) % 360.0 - 180.0)
+
+    EDGES = [
+        180.0, -180.0, np.nextafter(180.0, 0.0), np.nextafter(180.0, 360.0),
+        np.nextafter(-180.0, 0.0), np.nextafter(-180.0, -360.0),
+        181.0, -181.0, 179.0, -179.0, 540.0, -540.0, 359.999, -359.999,
+        360.0, -360.0, 0.0, -0.0, 1e-300, -1e-300, 1e17, -1e17,
+        np.nan, np.inf, -np.inf,
+    ]
+
+    def test_bit_identical_to_formula(self):
+        rng = np.random.default_rng(0)
+        arrays = [
+            np.array(self.EDGES),
+            rng.uniform(-180.0, 180.0, (250, 200)),
+            rng.uniform(-720.0, 720.0, 1000),
+            np.zeros((0, 3)),
+        ]
+        with np.errstate(invalid="ignore"):
+            for a in arrays:
+                got, want = wrap_angle(a), self._formula(a)
+                assert isinstance(got, np.ndarray) and got.shape == a.shape
+                np.testing.assert_array_equal(got, want)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for v in self.EDGES:
+                got, want = wrap_angle(v), self._formula(v)
+                assert type(got) is type(want) is np.float64
+                np.testing.assert_array_equal(got, want)
+                assert got.view(np.uint64) == want.view(np.uint64)
+
+    def test_wraps_out_of_range_differences(self):
+        # rmsd and the trajectory simulator pass differences and noisy
+        # interpolations well outside (−180, 180].
+        a = np.array([[350.0, -350.0], [719.0, -900.5]])
+        assert np.allclose(wrap_angle(a), [[-10.0, 10.0], [-1.0, 179.5]])
+        b = a[:, ::-1]  # a non-contiguous view
+        assert np.array_equal(wrap_angle(b), self._formula(b))
+
 
 class TestClassify:
     @pytest.mark.parametrize("cls", [
