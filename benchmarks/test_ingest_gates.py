@@ -80,8 +80,7 @@ def _best_s(ingest, x) -> float:
 def _assert_same_state(a: StreamingKeyBin2, b: StreamingKeyBin2) -> None:
     assert a.n_seen_ == b.n_seen_
     for sa, sb in zip(a._states, b._states):
-        for d in sa.depths:
-            assert np.array_equal(sa.hist[d], sb.hist[d])
+        assert np.array_equal(sa.hist, sb.hist)
         ka, ca = sa.keys.to_arrays()
         kb, cb = sb.keys.to_arrays()
         assert np.array_equal(ka, kb) and np.array_equal(ca, cb)

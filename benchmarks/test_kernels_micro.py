@@ -54,7 +54,7 @@ def test_fused_ingest_kernel(benchmark, points, matrix, space):
     """Project, bin, histogram and key one batch: streaming ingest."""
     spec = FusedStateSpec(matrix, space.r_min, space.r_max, (4, 6))
     (res,) = benchmark(lambda: fused_partial_fit(points, [spec]))
-    assert res.hist[6].sum() == M * N_RP
+    assert res.deep.sum() == M * N_RP
 
 
 def test_key_assignment_kernel(benchmark, projected, space):

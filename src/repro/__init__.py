@@ -30,7 +30,6 @@ from __future__ import annotations
 from repro._version import __version__
 from repro.errors import (
     CommError,
-    ConvergenceError,
     NotFittedError,
     RankFailedError,
     ReproError,
@@ -60,5 +59,4 @@ __all__ = [
     "NotFittedError",
     "CommError",
     "RankFailedError",
-    "ConvergenceError",
 ]

@@ -15,12 +15,11 @@ paper-sized runs.
 from __future__ import annotations
 
 from repro.bench.tables import TextTable, format_mean_ci
-from repro.bench.runner import timed, repeat_with_seeds, ExperimentScale
+from repro.bench.runner import repeat_with_seeds, ExperimentScale
 
 __all__ = [
     "TextTable",
     "format_mean_ci",
-    "timed",
     "repeat_with_seeds",
     "ExperimentScale",
 ]

@@ -1,4 +1,4 @@
-"""Experiment execution helpers: timing, repetition, scaling.
+"""Experiment execution helpers: repetition and scaling.
 
 The paper reports confidence intervals over 20 independent runs per design
 point; :func:`repeat_with_seeds` runs a seeded experiment body ``repeats``
@@ -8,26 +8,18 @@ the down-scaling knobs so every experiment honours the same ``--scale``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from repro.errors import ValidationError
 from repro.metrics.stats import RunAggregate
 
-__all__ = ["timed", "repeat_with_seeds", "ExperimentScale"]
+__all__ = ["repeat_with_seeds", "ExperimentScale"]
 
 #: Confidence level of every aggregated interval.
 CONFIDENCE = 0.95
 #: The paper's points per rank (§4), before down-scaling.
 PAPER_POINTS_PER_RANK = 80_000
-
-
-def timed(fn: Callable[[], Any]) -> Tuple[Any, float]:
-    """Run ``fn`` once; return ``(result, wall_seconds)``."""
-    t0 = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - t0
 
 
 def repeat_with_seeds(

@@ -20,17 +20,7 @@ from typing import Any
 from repro.comm.base import Communicator
 from repro.errors import CommError
 
-__all__ = ["MPIComm", "world_communicator", "mpi_available"]
-
-
-def mpi_available() -> bool:
-    """True when mpi4py can be imported."""
-    try:
-        import mpi4py  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
+__all__ = ["MPIComm", "world_communicator"]
 
 
 class MPIComm(Communicator):

@@ -20,9 +20,9 @@ from repro.core.projection import (
     projection_matrix,
 )
 from repro.core.binning import SpaceRange
-from repro.core.smoothing import moving_average, paper_window, local_slopes
+from repro.core.smoothing import paper_window
 from repro.core.partitioning import find_cuts
-from repro.core.collapse import collapse_dimensions, uniformity_statistic
+from repro.core.collapse import collapse_dimensions
 from repro.core.assess import histogram_ch_index
 from repro.core.primary import PrimaryPartition, GlobalClusterTable
 from repro.core.model import KeyBin2Model
@@ -36,12 +36,9 @@ __all__ = [
     "target_dimension",
     "projection_matrix",
     "SpaceRange",
-    "moving_average",
     "paper_window",
-    "local_slopes",
     "find_cuts",
     "collapse_dimensions",
-    "uniformity_statistic",
     "histogram_ch_index",
     "PrimaryPartition",
     "GlobalClusterTable",

@@ -47,9 +47,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.kernels.labels import interval_id_table
 
-__all__ = [
-    "histogram_ch_index", "histogram_ch_scores", "interval_stats",
-]
+__all__ = ["histogram_ch_index", "histogram_ch_scores"]
 
 
 def _percentile_bins(counts: np.ndarray, percentile: float) -> np.ndarray:
@@ -94,20 +92,6 @@ def _interval_stats_rows(
         seg, weights=(bin_pos - modes[seg]) ** 2 * flat, minlength=starts.size
     )
     return modes, masses, within, offsets
-
-
-def interval_stats(
-    counts: np.ndarray, cuts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-interval (mode bin, mass, within-dispersion) for one dimension.
-
-    ``cuts`` partitions bins into ``len(cuts)+1`` intervals; interval ``i``
-    spans bins ``(cuts[i-1], cuts[i]]`` in searchsorted-right convention.
-    """
-    counts = np.asarray(counts, dtype=np.float64).ravel()
-    cuts = np.asarray(cuts, dtype=np.int64).ravel()
-    modes, masses, within, _ = _interval_stats_rows(counts[None, :], [cuts])
-    return modes, masses, within
 
 
 def histogram_ch_index(

@@ -21,13 +21,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = [
-    "uniformity_statistic",
-    "uniformity_statistics",
-    "effective_support",
-    "effective_supports",
-    "collapse_dimensions",
-]
+__all__ = ["uniformity_statistics", "effective_supports", "collapse_dimensions"]
 
 
 def _check_table(counts: np.ndarray) -> np.ndarray:
@@ -55,10 +49,7 @@ def uniformity_statistics(counts: np.ndarray) -> np.ndarray:
     exact, so the result is bit-identical to measuring each row's
     occupied slice on its own.
     """
-    return _uniformity(_check_table(counts))
-
-
-def _uniformity(counts: np.ndarray) -> np.ndarray:
+    counts = _check_table(counts)
     n_dims, n_bins = counts.shape
     occupied = counts > 0
     any_occupied = occupied.any(axis=1)
@@ -79,30 +70,15 @@ def _uniformity(counts: np.ndarray) -> np.ndarray:
     return stats
 
 
-def uniformity_statistic(counts: np.ndarray) -> float:
-    """KS statistic of one histogram; see :func:`uniformity_statistics`."""
-    counts = np.asarray(counts, dtype=np.float64).ravel()
-    return float(uniformity_statistics(counts[None, :])[0])
-
-
 def effective_supports(counts: np.ndarray) -> np.ndarray:
     """Number of bins holding 99% of each row's mass (degeneracy check);
     0 for an empty row. One pass over the (n_dims × B) table."""
-    return _support(_check_table(counts))
-
-
-def _support(counts: np.ndarray) -> np.ndarray:
+    counts = _check_table(counts)
     cum = np.cumsum(-np.sort(-counts, axis=1), axis=1)
     total = cum[:, -1]
     support = (cum < 0.99 * total[:, None]).sum(axis=1) + 1
     support[total == 0] = 0
     return support
-
-
-def effective_support(counts: np.ndarray) -> int:
-    """99%-mass support of one histogram; see :func:`effective_supports`."""
-    counts = np.asarray(counts, dtype=np.float64).ravel()
-    return int(effective_supports(counts[None, :])[0])
 
 
 def collapse_dimensions(
@@ -134,8 +110,8 @@ def collapse_dimensions(
     counts = _check_table(counts)
     if not (0.0 <= uniform_threshold <= 1.0):
         raise ValidationError("uniform_threshold must be in [0, 1]")
-    stats = _uniformity(counts)
-    support = _support(counts)
+    stats = uniformity_statistics(counts)
+    support = effective_supports(counts)
     keep = (stats >= uniform_threshold) & (support >= min_support_bins)
     if not keep.any():
         keep = np.zeros(counts.shape[0], dtype=bool)

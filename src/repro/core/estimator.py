@@ -44,7 +44,6 @@ from repro.kernels.fused import (
     MAX_POINT_DEPTH,
     FusedStateSpec,
     fused_bin_points,
-    prefix_histograms,
     projected_bounds,
 )
 from repro.util.rng import SeedLike
@@ -185,8 +184,9 @@ class KeyBin2:
            trial's range is padded by ``range_margin`` once;
         2. one fused pass bins every trial at the deepest depth, keeping
            each point's deep bins and the deepest histogram;
-           ``merge_tables`` sums the list of deepest tables, and the
-           shallower depths are reshape-sums of it;
+           ``merge_tables`` sums the list of deepest tables, the only
+           histogram each trial keeps (the tail derives the shallower
+           depths);
         3. per trial, collapse; then one call of the shared tail for every
            trial, where ``union_tables`` merges every candidate's cell
            table at once. Candidates keep no per-point codes: only the
@@ -210,15 +210,15 @@ class KeyBin2:
 
         inputs: List[TrialHistograms] = []
         for t in range(len(matrices)):
-            hist = prefix_histograms(deep_tables[t], depths)
+            hist = deep_tables[t]
             if self.collapse:
                 kept = collapse_dimensions(
-                    hist[depths[-1]],
+                    hist,
                     uniform_threshold=self.uniform_threshold,
                     min_support_bins=self.min_support_bins,
                 )
             else:
-                kept = np.ones(hist[depths[-1]].shape[0], dtype=bool)
+                kept = np.ones(hist.shape[0], dtype=bool)
             # The trial's keys are the deep bins of its kept dimensions,
             # one column per point; its other bins die here.
             inputs.append(TrialHistograms(

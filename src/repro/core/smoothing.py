@@ -4,10 +4,10 @@ The partitioner needs a smoothed view of each dimension's density before it
 can find cuts. The paper uses a moving average with window
 ``w = sqrt(log2(M)²) = |log2(M)|`` followed by local (least-squares linear)
 regression per window; the regression slope is the discrete first
-derivative, and differentiating the slopes gives the second derivative that
-flags inflection points. This is a Savitzky–Golay-style scheme and — as the
-paper argues — reaches KDE-like quality at a fraction of the cost, because
-it runs on ``B = O(log M)`` bins instead of ``M`` points.
+derivative, whose sign changes the cut finder reads. This is a
+Savitzky–Golay-style scheme and — as the paper argues — reaches KDE-like
+quality at a fraction of the cost, because it runs on ``B = O(log M)``
+bins instead of ``M`` points.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = [
-    "paper_window",
-    "moving_average",
-    "moving_average_rows",
-    "local_slopes",
-    "local_slopes_rows",
-    "second_derivative",
-]
+__all__ = ["paper_window", "moving_average_rows", "local_slopes_rows"]
 
 
 def paper_window(n_bins: int) -> int:
@@ -42,13 +35,11 @@ def paper_window(n_bins: int) -> int:
     return max(1, int(round(math.sqrt(n_bins))))
 
 
-def _check_window(y: np.ndarray, window: int) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValidationError("smoothing operates on 1-D histograms")
+def _check_rows(y: np.ndarray, window: int) -> None:
+    if y.ndim != 2:
+        raise ValidationError("smoothing operates on (R × B) histogram rows")
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
-    return y
 
 
 def _reflect_pad(y: np.ndarray, half: int) -> np.ndarray:
@@ -60,22 +51,15 @@ def _reflect_pad(y: np.ndarray, half: int) -> np.ndarray:
     )
 
 
-def moving_average(y: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with reflected boundaries.
+def moving_average_rows(y: np.ndarray, window: int) -> np.ndarray:
+    """Centered moving average of every row of an (R × B) array, with
+    reflected boundaries.
 
     The effective window is ``2·(window // 2) + 1`` (always odd, so the
-    result is not phase-shifted). ``window == 1`` returns a copy.
+    result is not phase-shifted); ``window == 1`` returns a copy. One
+    reflect-pad and one cumulative sum along the rows.
     """
-    y = _check_window(y, window)
-    return moving_average_rows(y[None, :], window)[0]
-
-
-def moving_average_rows(y: np.ndarray, window: int) -> np.ndarray:
-    """:func:`moving_average` of every row of an (R × B) array at once.
-
-    One reflect-pad and one cumulative sum along the rows; row ``r`` of
-    the result is bit-identical to ``moving_average(y[r], window)``.
-    """
+    _check_rows(y, window)
     half = window // 2
     n_bins = y.shape[1]
     if half == 0 or n_bins <= 1:
@@ -88,26 +72,19 @@ def moving_average_rows(y: np.ndarray, window: int) -> np.ndarray:
     return (csum[:, kernel_size:] - csum[:, :-kernel_size]) / kernel_size
 
 
-def local_slopes(y: np.ndarray, window: int) -> np.ndarray:
-    """First derivative via windowed least-squares linear regression.
+def local_slopes_rows(y: np.ndarray, window: int) -> np.ndarray:
+    """First derivative of every row of an (R × B) array via windowed
+    least-squares linear regression.
 
     For a centered window of half-width ``h``, the regression slope at bin
-    ``i`` has the closed form ``Σ_k k·y[i+k] / Σ_k k²`` (k = −h..h), which a
-    single correlation evaluates for every bin at once.
+    ``i`` has the closed form ``Σ_k k·y[i+k] / Σ_k k²`` (k = −h..h). The
+    reflect-padded rows are laid end to end and correlated in one call.
+    Each output is the same length-``2h+1`` dot product a per-row
+    correlation takes, over the same values, so a row's slopes do not
+    depend on the rows beside it; the ``2h`` outputs whose window
+    straddles two rows are dropped.
     """
-    y = _check_window(y, window)
-    return local_slopes_rows(y[None, :], window)[0]
-
-
-def local_slopes_rows(y: np.ndarray, window: int) -> np.ndarray:
-    """:func:`local_slopes` of every row of an (R × B) array at once.
-
-    The reflect-padded rows are laid end to end and correlated in one
-    call. Each output is the same length-``2h+1`` dot product a per-row
-    correlation takes, over the same values, so row ``r`` of the result
-    is bit-identical to ``local_slopes(y[r], window)``; the ``2h``
-    outputs whose window straddles two rows are dropped.
-    """
+    _check_rows(y, window)
     n_rows, n_bins = y.shape
     half = max(1, window // 2)
     if n_bins < 2:
@@ -122,8 +99,3 @@ def local_slopes_rows(y: np.ndarray, window: int) -> np.ndarray:
     out = np.empty(n_rows * width)
     out[: flat.size] = flat
     return out.reshape(n_rows, width)[:, :n_bins] / denom
-
-
-def second_derivative(y: np.ndarray, window: int) -> np.ndarray:
-    """Second derivative: the slope of the slopes (inflection detector)."""
-    return local_slopes(local_slopes(y, window), window)

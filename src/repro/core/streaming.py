@@ -5,7 +5,7 @@ The streaming pipeline keeps, per candidate projection, only:
 * the projection matrix,
 * the binning range (seeded by the first batch, widened by a safety
   factor; later out-of-range values clip into boundary bins),
-* per-depth marginal histograms (O(N_rp · B) integers), and
+* one marginal histogram at the deepest depth (O(N_rp · B) integers), and
 * a capped sparse counter of occupied deep-key cells, which is what the
   final clustering assignment needs to enumerate clusters.
 
@@ -29,7 +29,7 @@ from repro.core.collapse import collapse_dimensions
 from repro.core.model import KeyBin2Model
 from repro.core.projection import trial_matrices
 from repro.core.tail import TrialHistograms, candidate_models, select_best
-from repro.errors import NotFittedError, ValidationError
+from repro.errors import CheckpointError, NotFittedError, ValidationError
 from repro.kernels.fused import (
     DEFAULT_FUSED_CHUNK,
     FusedStateSpec,
@@ -379,18 +379,25 @@ def _rebin_key_counter(kc: KeyCounter, maps: np.ndarray) -> KeyCounter:
     out = KeyCounter(kc.capacity)
     out._width = kc._width
     keys = sd["keys"]
-    if keys.shape[0]:
-        new_rows = np.empty(keys.shape, dtype=np.uint8)
-        for j in range(keys.shape[1]):
-            new_rows[:, j] = maps[j][keys[:, j]]
-        out.merge_arrays(
-            new_rows, sd["counts"],
-            evicted_keys=sd["evicted_keys"], evicted_points=sd["evicted_points"],
-        )
-    else:
-        out.evicted_keys = int(sd["evicted_keys"])
-        out.evicted_points = int(sd["evicted_points"])
-    return out
+    return out.merge_arrays(
+        maps[np.arange(keys.shape[1]), keys].astype(np.uint8), sd["counts"],
+        evicted_keys=sd["evicted_keys"], evicted_points=sd["evicted_points"],
+    )
+
+
+def _deepest_table(stored, depths: Sequence[int], path) -> np.ndarray:
+    """A checkpointed histogram ledger as its deepest table. Files before
+    version 3 store a depth → table dict, whose shallower entries must be
+    prefix sums of the deepest; a file where one is not is refused."""
+    if not isinstance(stored, dict):
+        return np.asarray(stored, dtype=np.int64)
+    deep = np.asarray(stored[depths[-1]], dtype=np.int64)
+    for d in depths[:-1]:
+        grouped = deep.reshape(len(deep), 1 << d, -1).sum(axis=2)
+        if not np.array_equal(stored[d], grouped):
+            raise CheckpointError(f"{path}: the stored depth-{d} histogram is "
+                                  f"not the prefix sum of the depth-{depths[-1]} one")
+    return deep
 
 
 def _same_key_table(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
@@ -405,7 +412,8 @@ def _same_key_table(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
 
 
 class _ProjectionState:
-    """Per-projection streaming accumulators.
+    """Per-projection streaming accumulators; each histogram ledger is
+    one (n_dims × 2^deepest) int64 table.
 
     ``hist``/``keys`` always hold the rank's best current view: the merged
     global state plus anything accumulated locally since the last merge.
@@ -449,18 +457,13 @@ class _ProjectionState:
         self.depths = tuple(sorted(set(int(d) for d in depths)))
         self.key_capacity = int(key_capacity)
         n_dims = space.n_dims
-        self.hist = {d: np.zeros((n_dims, 1 << d), dtype=np.int64) for d in self.depths}
-        self.hist_delta = {
-            d: np.zeros((n_dims, 1 << d), dtype=np.int64) for d in self.depths
-        }
-        self.hist_local = {
-            d: np.zeros((n_dims, 1 << d), dtype=np.int64) for d in self.depths
-        }
+        self.hist = np.zeros((n_dims, 1 << self.depths[-1]), dtype=np.int64)
+        self.hist_delta = np.zeros_like(self.hist)
+        self.hist_local = np.zeros_like(self.hist)
         self.keys = KeyCounter(key_capacity)
         # None while the delta is the same table as `keys` (see keys_delta).
         self._keys_delta: Optional[KeyCounter] = None
         self.keys_local = KeyCounter(key_capacity)
-        self.n_points = 0
         # -- adaptive grid state (see repro.core.adaptive) ------------------
         # The grid is always `grid_bounds(base_space, levels)`; a fixed-range
         # state simply stays at level 0 forever, so `space` == `base_space`.
@@ -527,33 +530,24 @@ class _ProjectionState:
         """Widen the grid to ``new_levels`` and exactly re-index all state.
 
         Levels only ever grow (``new_levels`` is clamped below by the
-        current levels); returns False when nothing changes. The deepest
-        histograms are scatter-added through the exact old-bin → new-bin
-        maps (:func:`repro.core.adaptive.rebin_maps`); shallower depths
-        are then *recomputed* from the deepest by prefix-group sums —
-        their invariant (``hist[d]`` equals the depth-``d`` grouping of
-        ``hist[deepest]``) is what makes that exact, and a direct
-        shallow-depth rebin would not be (the shallow grids of two chain
-        levels need not align). Key tables are decoded, mapped per
-        dimension, and re-folded; drift windows ride along. Total mass is
-        conserved bin-for-bin by construction.
+        current levels); returns False when nothing changes. The
+        deepest-depth histograms are scatter-added through the exact
+        old-bin → new-bin maps (:func:`repro.core.adaptive.rebin_maps`).
+        Key tables are decoded, mapped per dimension, and re-folded;
+        drift windows ride along. Total mass is conserved bin-for-bin by
+        construction.
         """
         new_levels = np.maximum(
             np.asarray(new_levels, dtype=np.int64), self.levels
         )
         if np.array_equal(new_levels, self.levels):
             return False
-        deepest = self.depths[-1]
-        maps = rebin_maps(self.levels, new_levels, deepest)
-        n_dims = self.space.n_dims
-        for table in (self.hist, self.hist_delta, self.hist_local):
-            old = table[deepest]
-            new = np.zeros_like(old)
-            for j in range(n_dims):
-                np.add.at(new[j], maps[j], old[j])
-            table[deepest] = new
-            for d in self.depths[:-1]:
-                table[d] = new.reshape(n_dims, 1 << d, -1).sum(axis=2)
+        maps = rebin_maps(self.levels, new_levels, self.depths[-1])
+        dims = np.arange(self.space.n_dims)[:, None]
+        for name in ("hist", "hist_delta", "hist_local"):
+            new = np.zeros_like(self.hist)
+            np.add.at(new, (dims, maps), getattr(self, name))
+            setattr(self, name, new)
         self.keys = _rebin_key_counter(self.keys, maps)
         if self._keys_delta is not None:
             self._keys_delta = _rebin_key_counter(self._keys_delta, maps)
@@ -573,9 +567,8 @@ class _ProjectionState:
         """Fold the shipped deltas into the own-history ledger, then zero
         them. This ends key-table sharing, so call it before folding
         peers' deltas into ``keys``."""
-        for d in self.depths:
-            self.hist_local[d] += self.hist_delta[d]
-            self.hist_delta[d][...] = 0
+        self.hist_local += self.hist_delta
+        self.hist_delta[...] = 0
         dk = self.keys_delta.state_dict()
         self.keys_local.merge_arrays(
             dk["keys"], dk["counts"],
@@ -591,11 +584,9 @@ class _ProjectionState:
         on the shrunken communicator; the subsequent consolidation then
         reconstructs a global view containing exactly the survivors' mass.
         """
-        for d in self.depths:
-            own = self.hist_local[d] + self.hist_delta[d]
-            self.hist[d] = own
-            self.hist_delta[d] = own.copy()
-            self.hist_local[d] = np.zeros_like(own)
+        self.hist = self.hist_local + self.hist_delta
+        self.hist_delta = self.hist.copy()
+        self.hist_local = np.zeros_like(self.hist)
         own_keys = self.keys_local
         dk = self.keys_delta.state_dict()
         own_keys.merge_arrays(
@@ -847,9 +838,8 @@ class StreamingKeyBin2:
                 state.oor_low += res.oor_low
                 state.oor_high += res.oor_high
                 self._note_out_of_range(idx, res.oor_low, res.oor_high)
-            for d in state.depths:
-                state.hist[d] += res.hist[d]
-                state.hist_delta[d] += res.hist[d]
+            state.hist += res.deep
+            state.hist_delta += res.deep
             for table in state.key_tables():
                 if res.key_codes is not None:
                     table.merge_encoded(
@@ -857,8 +847,7 @@ class StreamingKeyBin2:
                     )
                 else:
                     table.merge_arrays(res.key_rows, res.key_counts)
-            state.n_points += x.shape[0]
-            self._feed_drift(idx, state, res.hist[state.depths[-1]], x.shape[0])
+            self._feed_drift(idx, state, res.deep, x.shape[0])
 
     # -- adaptive/drift telemetry ------------------------------------------
 
@@ -933,6 +922,7 @@ class StreamingKeyBin2:
         """
         if self._states is None or self.n_seen_ == 0:
             raise NotFittedError("no data accumulated; call partial_fit first")
+        self._check_mass()
         with trace.span("refresh"):
             self.model_ = self._refresh_models()
         reg = default_registry()
@@ -959,20 +949,26 @@ class StreamingKeyBin2:
                 "table by its capacity cap, per projection.",
                 ("projection",),
             )
-            deepest = self.candidate_depths[-1]
             for idx, st in enumerate(self._states):
-                h = st.hist[deepest]
-                total = int(h.sum())
-                if total:
-                    edge = int(h[:, 0].sum() + h[:, -1].sum())
-                    gauge.labels(projection=str(idx)).set(edge / total)
-                if st.n_points:
-                    evicted.labels(projection=str(idx)).set(
-                        st.keys.evicted_points / st.n_points
-                    )
+                edge = int(st.hist[:, 0].sum() + st.hist[:, -1].sum())
+                gauge.labels(projection=str(idx)).set(edge / int(st.hist.sum()))
+                evicted.labels(projection=str(idx)).set(
+                    st.keys.evicted_points / self.n_seen_
+                )
         if publish_to is not None and self.model_ is not None:
             publish_to.publish(self.model_)
         return self
+
+    def _check_mass(self, error=RuntimeError, where="streaming state") -> None:
+        """Raise ``error`` unless every row of every ``hist`` sums to
+        ``n_seen_``: each point lands in one bin per dimension (clipped, or
+        after an adaptive grid widened)."""
+        for idx, st in enumerate(self._states or ()):
+            sums = st.hist.sum(axis=1)
+            for j in np.flatnonzero(sums != self.n_seen_)[:1]:
+                raise error(f"{where} breaks the mass invariant: projection "
+                            f"{idx}, dimension {j} holds {sums[j]} points; "
+                            f"{self.n_seen_} were seen")
 
     def _refresh_models(self):
         """Score every (projection, depth) candidate; return the selected model.
@@ -987,7 +983,7 @@ class StreamingKeyBin2:
         with trace.span("collapse"):
             kept = [
                 collapse_dimensions(
-                    st.hist[depths[-1]],
+                    st.hist,
                     uniform_threshold=self.uniform_threshold,
                     min_support_bins=self.min_support_bins,
                 )
@@ -1001,7 +997,7 @@ class StreamingKeyBin2:
             trials.append(TrialHistograms(
                 hist=st.hist, kept=k, keys=deep_keys,
                 key_weights=key_counts, matrix=st.matrix, space=st.space,
-                n_points=st.n_points,
+                n_points=self.n_seen_,
                 meta={"trial": trial, "streaming": True,
                       "evicted_points": st.keys.evicted_points},
             ))
@@ -1014,11 +1010,11 @@ class StreamingKeyBin2:
     # -- checkpointing -------------------------------------------------------
 
     _CKPT_FORMAT = "keybin2-stream-state"
-    # Version 2 adds the adaptive-grid and drift fields (base bounds,
-    # chain levels, need envelope, epoch, OOR ledger, detector
-    # windows). Version-1 checkpoints still load: every new field defaults
-    # to its fixed-range value (levels 0, need == space, no detector).
-    _CKPT_VERSION = 2
+    # Version 2 added the adaptive-grid and drift fields; version-1 files
+    # load with their fixed-range values (levels 0, need == space, no
+    # detector). Version 3 stores each histogram ledger as its deepest
+    # table alone (see _deepest_table) and drops ``n_points`` (== n_seen).
+    _CKPT_VERSION = 3
     _CKPT_MAGIC = b"KB2SCKPT"
 
     _CONFIG_FIELDS = (
@@ -1067,13 +1063,12 @@ class StreamingKeyBin2:
                     "r_max": st.space.r_max,
                     "depths": st.depths,
                     "key_capacity": st.key_capacity,
-                    "hist": {d: st.hist[d] for d in st.depths},
-                    "hist_delta": {d: st.hist_delta[d] for d in st.depths},
-                    "hist_local": {d: st.hist_local[d] for d in st.depths},
+                    "hist": st.hist,
+                    "hist_delta": st.hist_delta,
+                    "hist_local": st.hist_local,
                     "keys": st.keys.state_dict(),
                     "keys_delta": st.keys_delta.state_dict(),
                     "keys_local": st.keys_local.state_dict(),
-                    "n_points": st.n_points,
                     # v2 adaptive-grid / drift fields.
                     "base_r_min": st.base_space.r_min,
                     "base_r_max": st.base_space.r_max,
@@ -1153,14 +1148,13 @@ class StreamingKeyBin2:
         ``partial_fit`` produces the same histograms, key counters and —
         after ``refresh()`` — the same labels as the uninterrupted run.
         Raises :class:`~repro.errors.CheckpointError` on a missing,
-        truncated, corrupt, or future-versioned file.
+        truncated, corrupt, or future-versioned file, or one whose
+        histograms break the mass invariant (:meth:`_check_mass`).
         """
         import hashlib
         import pickle
         import struct
         from pathlib import Path
-
-        from repro.errors import CheckpointError
 
         head_len = len(cls._CKPT_MAGIC) + 4 + 32 + 8
         try:
@@ -1219,15 +1213,12 @@ class StreamingKeyBin2:
                     sd["key_capacity"],
                     adaptive=skb.adaptive,
                 )
-                for d in st.depths:
-                    st.hist[d] = np.asarray(sd["hist"][d], dtype=np.int64)
-                    st.hist_delta[d] = np.asarray(sd["hist_delta"][d], dtype=np.int64)
-                    st.hist_local[d] = np.asarray(sd["hist_local"][d], dtype=np.int64)
+                for name in ("hist", "hist_delta", "hist_local"):
+                    setattr(st, name, _deepest_table(sd[name], st.depths, path))
                 st.keys = KeyCounter.from_state_dict(sd["keys"])
                 if not _same_key_table(sd["keys_delta"], sd["keys"]):
                     st._keys_delta = KeyCounter.from_state_dict(sd["keys_delta"])
                 st.keys_local = KeyCounter.from_state_dict(sd["keys_local"])
-                st.n_points = int(sd["n_points"])
                 # v2 adaptive/drift fields; v1 checkpoints fall back to the
                 # fixed-range interpretation (level-0 grid == the stored
                 # space, need envelope == the grid, no detector).
@@ -1263,6 +1254,7 @@ class StreamingKeyBin2:
                     st.drift = None
                 states.append(st)
             skb._states = states
+        skb._check_mass(CheckpointError, str(path))
         skb.restored_meta_ = dict(payload.get("meta", {}))
         return skb
 

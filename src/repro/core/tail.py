@@ -9,8 +9,10 @@ index (eqs. 2a–2c), and keep the best (projection, depth) candidate.
 :func:`candidate_models` runs these steps phase by phase over every
 (trial, depth) candidate at once:
 
-1. *cuts* — one stacked :func:`find_cuts` call per depth over the kept
-   rows of every trial;
+1. *cuts* — the kept rows of every trial's deepest histogram are
+   stacked once, each shallower depth's stack is an exact reshape-sum of
+   that one (:func:`~repro.kernels.fused.prefix_histograms`), and one
+   :func:`find_cuts` call per depth runs over its stack;
 2. *cell tables* — :func:`cell_table` builds each candidate's table in
    one linear pass over its trial's dimension-major keys, and keeps no
    per-key codes;
@@ -35,6 +37,7 @@ from repro.core.binning import SpaceRange
 from repro.core.model import KeyBin2Model
 from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition, cell_space_error
+from repro.kernels.fused import prefix_histograms
 from repro.obs import trace
 
 __all__ = ["TrialHistograms", "cell_table", "candidate_models", "select_best"]
@@ -47,7 +50,8 @@ class TrialHistograms:
     Attributes
     ----------
     hist:
-        Depth → (N_rp × 2^depth) histogram over every projected dimension.
+        (N_rp × 2^deepest) histogram over every projected dimension at the
+        deepest candidate depth; the tail derives the shallower depths.
     kept:
         Boolean mask of the dimensions that survived collapsing.
     keys:
@@ -63,7 +67,7 @@ class TrialHistograms:
         projection's index).
     """
 
-    hist: Dict[int, np.ndarray]
+    hist: np.ndarray
     kept: np.ndarray
     keys: np.ndarray
     key_weights: Optional[np.ndarray]
@@ -107,23 +111,25 @@ def candidate_models(
 ) -> List[KeyBin2Model]:
     """Every trial's scored candidate at every depth, in (trial, depth) order.
 
-    ``depths`` is sorted; keys are binned at its deepest entry. Each depth
-    is one stacked :func:`find_cuts` call over the kept rows of every
-    trial (the window is the depth's ``sqrt(B)``). A candidate whose
-    cell grid overflows int64 codes is skipped and recorded in
-    ``overflowed`` as ``(trial, kept, partition)``. ``union_tables``, when
-    given, replaces the list of every candidate's cell table before
-    scoring (the SPMD union of occupied cells across ranks); it is called
-    once, with the same candidates on every rank.
+    ``depths`` is sorted; every trial's histogram and keys are binned at
+    its deepest entry. Each depth is one stacked :func:`find_cuts` call
+    over the kept rows of every trial (the window is the depth's
+    ``sqrt(B)``). A candidate whose cell grid overflows int64 codes is
+    skipped and recorded in ``overflowed`` as ``(trial, kept,
+    partition)``. ``union_tables``, when given, replaces the list of every
+    candidate's cell table before scoring (the SPMD union of occupied
+    cells across ranks); it is called once, with the same candidates on
+    every rank.
     """
     deepest = depths[-1]
     bounds = np.cumsum([0] + [int(t.kept.sum()) for t in trials])
-    stacks: Dict[int, np.ndarray] = {}
+    stacks = prefix_histograms(
+        np.concatenate([t.hist[t.kept] for t in trials]), depths
+    )
     cuts: Dict[int, list] = {}
     partitions: Dict[tuple, PrimaryPartition] = {}
     for d in depths:
         with trace.span("cuts"):
-            stacks[d] = np.concatenate([t.hist[d][t.kept] for t in trials])
             # The window depends only on the bin count, so one call
             # serves every trial.
             cuts[d] = find_cuts(

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from repro.data.gaussians import gaussian_mixture
 from repro.data.correlated import correlated_clusters
-from repro.data.streams import BatchStream, DriftingStream, distributed_partitions
+from repro.data.streams import DriftingStream, distributed_partitions
 
 __all__ = [
     "gaussian_mixture",
     "correlated_clusters",
-    "BatchStream",
     "DriftingStream",
     "distributed_partitions",
 ]

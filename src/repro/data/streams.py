@@ -1,11 +1,10 @@
 """Stream and distributed-partition generators.
 
 KeyBin2 extrapolates to streams (``M = 1`` batches) and to distributed
-datasets (multiple ``D``'s). :class:`BatchStream` replays a dataset in
-batches; :class:`DriftingStream` adds slow concept drift to exercise the
-streaming range-clipping path; :func:`distributed_partitions` deals a
-dataset across ranks either i.i.d. or with skewed cluster ownership (the
-hard case for histogram merging).
+datasets (multiple ``D``'s). :class:`DriftingStream` adds slow concept
+drift to exercise the streaming range-clipping path;
+:func:`distributed_partitions` deals a dataset across ranks either i.i.d.
+or with skewed cluster ownership (the hard case for histogram merging).
 """
 
 from __future__ import annotations
@@ -18,40 +17,10 @@ from repro.errors import ValidationError
 from repro.util.chunking import chunk_slices
 from repro.util.rng import SeedLike, as_generator
 
-__all__ = [
-    "BatchStream",
-    "DriftingStream",
-    "distributed_partitions",
-]
+__all__ = ["DriftingStream", "distributed_partitions"]
 
 #: Minimum centre distance of a :class:`DriftingStream`'s clusters.
 DRIFT_SEPARATION = 8.0
-
-
-class BatchStream:
-    """Replay ``(X, y)`` in fixed-size batches.
-
-    Iterating yields ``(x_batch, y_batch)`` tuples in order; the stream can
-    be replayed (each ``__iter__`` starts over).
-    """
-
-    def __init__(self, x: np.ndarray, y: Optional[np.ndarray], batch_size: int):
-        if batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        self.x = np.asarray(x)
-        self.y = None if y is None else np.asarray(y)
-        if self.y is not None and self.y.shape[0] != self.x.shape[0]:
-            raise ValidationError("X and y lengths differ")
-        self.batch_size = int(batch_size)
-
-    def __len__(self) -> int:
-        return -(-self.x.shape[0] // self.batch_size)
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
-        for start in range(0, self.x.shape[0], self.batch_size):
-            stop = start + self.batch_size
-            yb = None if self.y is None else self.y[start:stop]
-            yield self.x[start:stop], yb
 
 
 class DriftingStream:

@@ -16,7 +16,6 @@ __all__ = [
     "RankFailedError",
     "InjectedFault",
     "CheckpointError",
-    "ConvergenceError",
     "ServeError",
     "QueueFullError",
     "ShedError",
@@ -80,10 +79,6 @@ class CheckpointError(ReproError, RuntimeError):
     and raises this instead of deserializing garbage; callers (the
     checkpoint manager) fall back to the previous intact checkpoint.
     """
-
-
-class ConvergenceError(ReproError, RuntimeError):
-    """Raised when an iterative algorithm fails to converge."""
 
 
 class ServeError(ReproError, RuntimeError):

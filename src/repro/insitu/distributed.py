@@ -79,14 +79,15 @@ def consolidate_streaming_state(
 ) -> None:
     """Delta-merge streaming state across ranks, in place.
 
-    Only *increments since the last merge* travel: each rank's
-    ``hist_delta`` rides one flat allreduce buffer (and the deltas sum to
-    the true global increment no matter how many merges came before — the
-    merged totals in ``st.hist`` are never re-reduced, which is what makes
-    repeated consolidation idempotent and mass-conserving); key-counter
-    deltas are allgathered as sparse arrays and folded into each rank's
-    merged table via :meth:`~repro.core.streaming.KeyCounter.merge_arrays`,
-    which enforces the capacity cap and accumulates peers' eviction totals.
+    Only *increments since the last merge* travel: each projection's
+    ``hist_delta``, one table at the deepest candidate depth, rides one
+    flat allreduce buffer (and the deltas sum to the true global increment
+    no matter how many merges came before — the merged totals in
+    ``st.hist`` are never re-reduced, which is what makes repeated
+    consolidation idempotent and mass-conserving); key-counter deltas are
+    allgathered as sparse arrays and folded into each rank's merged table
+    via :meth:`~repro.core.streaming.KeyCounter.merge_arrays`, which
+    enforces the capacity cap and accumulates peers' eviction totals.
 
     ``reduce_algo`` selects the histogram reduction: ``"linear"`` uses the
     communicator's default allreduce, ``"ring"`` the bandwidth-optimal
@@ -187,10 +188,8 @@ def consolidate_streaming_state(
                     target = np.maximum(st.target_levels(), pooled_levels)
                     if st.rebin_to(target):
                         skb._note_rebin(idx)
-        # --- histogram deltas: one flat buffer for all projections/depths ---
-        flat_delta = np.concatenate(
-            [st.hist_delta[d].ravel() for st in skb._states for d in st.depths]
-        )
+        # --- histogram deltas: one flat buffer, one deep table a projection ---
+        flat_delta = np.concatenate([st.hist_delta.ravel() for st in skb._states])
         with trace.span("hist_allreduce"):
             if reduce_algo == "ring":
                 total_delta = ring_allreduce(comm, flat_delta, op=ReduceOp.SUM)
@@ -198,12 +197,11 @@ def consolidate_streaming_state(
                 total_delta = comm.allreduce(flat_delta, op=ReduceOp.SUM)
         offset = 0
         for st in skb._states:
-            for d in st.depths:
-                size = st.hist[d].size
-                global_inc = total_delta[offset : offset + size].reshape(st.hist[d].shape)
-                # st.hist already contains this rank's own delta; add the peers'.
-                st.hist[d] += global_inc - st.hist_delta[d]
-                offset += size
+            size = st.hist.size
+            global_inc = total_delta[offset : offset + size].reshape(st.hist.shape)
+            # st.hist already contains this rank's own delta; add the peers'.
+            st.hist += global_inc - st.hist_delta
+            offset += size
         # --- key-counter deltas: allgather sparse increments, fold into the
         # merged table. Below capacity the merged tables are the same multiset
         # on every rank; evictions are content-deterministic (count, then key
@@ -236,8 +234,6 @@ def consolidate_streaming_state(
         )
         skb.n_seen_ += seen_inc - skb.n_seen_delta_
         skb.n_seen_delta_ = 0
-        for st in skb._states:
-            st.n_points = skb.n_seen_
     if reg.enabled:
         # Per-round wire accounting: what THIS rank contributed to the
         # collective, by payload kind. Summed over rounds this is exactly
@@ -379,8 +375,6 @@ def _recover_from_failure(
             st.rebuild_from_local()
         skb.n_seen_ = skb.n_own_
         skb.n_seen_delta_ = skb.n_own_
-        for st in skb._states:
-            st.n_points = skb.n_own_
     reg = default_registry()
     if reg.enabled:
         r = str(new_comm.physical_rank)

@@ -36,10 +36,11 @@ oracle it is held to:
   their counts — every key *is* its tuple of deepest bin indices, so a
   count-weighted bincount per dimension reproduces the histogram with
   exact integer math in O(unique keys) instead of O(points) per chunk.
-* **Shallower depths by prefix arithmetic, after the fact.** Depth-``d``
-  bins are the deepest bins shifted right, so the depth-``d`` histogram
-  is an exact integer reshape-sum of the deepest histogram — shallower
-  depths cost O(histogram), not O(points).
+* **Only the deepest histogram.** Depth-``d`` bins are the deepest bins
+  shifted right, so the depth-``d`` histogram is an exact integer
+  reshape-sum of the deepest one (:func:`prefix_histograms`). Every
+  driver returns the deepest table alone, and the shared model tail
+  derives the shallower depths once per fit or refresh.
 * **Keys as sorted unique codes.** Deep keys are byte-encoded uint64
   codes (dimension 0 most significant, matching
   :class:`~repro.core.streaming.KeyCounter`'s canonical encoding), and the
@@ -119,8 +120,9 @@ class FusedStateSpec:
 class FusedResult:
     """Per-state outputs of one fused pass.
 
-    hist:
-        depth → (n_dims × 2^depth) int64 histogram of this batch.
+    deep:
+        (n_dims × 2^deepest) int64 histogram of this batch at the deepest
+        depth; every shallower one is :func:`prefix_histograms` of it.
     key_rows:
         (K × n_dims) uint8 unique deep keys, byte-lexicographically
         sorted.
@@ -147,7 +149,7 @@ class FusedResult:
         them, and the per-chunk reductions are not free.
     """
 
-    hist: Dict[int, np.ndarray]
+    deep: np.ndarray
     key_rows: np.ndarray
     key_counts: np.ndarray
     key_codes: Optional[np.ndarray]
@@ -337,7 +339,6 @@ class _PreparedState:
             )
         self.matrix = matrix
         self.n_dims = n_dims
-        self.depths = depths
         self.deepest = depths[-1]
         self.n_bins = 1 << self.deepest
         self.r_min, self.scale = bin_scale(spec.r_min, spec.r_max, self.deepest)
@@ -530,7 +531,7 @@ def fused_partial_fit(
                 deep = p.hist_flat.reshape(p.n_dims, p.n_bins)
             results.append(
                 FusedResult(
-                    prefix_histograms(deep, p.depths), key_rows, key_counts,
+                    deep, key_rows, key_counts,
                     key_codes, m_total, be.name,
                     oor_low=p.oor_low, oor_high=p.oor_high,
                     obs_lo=p.obs_lo, obs_hi=p.obs_hi,

@@ -9,7 +9,7 @@ renders the two breakdowns the paper's cost model is stated in:
   (project → bin → histogram → keys → consolidate → refresh);
 * **communication volume** — from the ``insitu_consolidation_bytes_total``
   series, checked against the paper's histogram-only bound: each rank
-  ships one flat delta buffer of ``K · Σ_d N_rp · 2^d`` int64 bins per
+  ships one flat delta buffer of ``K · N_rp · 2^deepest`` int64 bins per
   round (the O(2·K·N_rp·B) term), plus the sparse key-cell delta.
 """
 
@@ -98,7 +98,7 @@ def comm_table(reg: MetricsRegistry, model_bytes_per_round: int) -> str:
         return "  (no consolidation rounds recorded)"
     lines = [
         f"  cost model: histogram delta = {model_bytes_per_round:,} "
-        "bytes/rank/round (K · Σ_d N_rp·2^d int64 bins)",
+        "bytes/rank/round (K · N_rp·2^deepest int64 bins)",
         f"  {'rank':>4}  {'rounds':>6}  {'hist B':>12}  {'keys B':>12}  "
         f"{'seen B':>7}  {'hist B/round':>12}  {'model ×':>8}",
     ]
@@ -485,9 +485,7 @@ def run_obs_report(
     # configured model is the O(2·K·N_rp·B) wire term.
     probe = StreamingKeyBin2(seed=seed, **keybin)
     probe.partial_fit(encode_frames(trajs[0].angles)[:chunk_size])
-    model_bytes = sum(
-        st.hist[d].nbytes for st in probe._states for d in st.depths
-    )
+    model_bytes = sum(st.hist.nbytes for st in probe._states)
 
     if as_json:
         return json.dumps(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.runner import ExperimentScale, repeat_with_seeds, timed
+from repro.bench.runner import ExperimentScale, repeat_with_seeds
 from repro.bench.tables import TextTable, format_mean_ci
 from repro.errors import ValidationError
 
@@ -43,11 +43,6 @@ class TestTextTable:
 
 
 class TestRunner:
-    def test_timed(self):
-        value, seconds = timed(lambda: 42)
-        assert value == 42
-        assert seconds >= 0
-
     def test_repeat_with_seeds_distinct(self):
         seen = []
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.assess import _percentile_bins, histogram_ch_index, interval_stats
+from repro.core.assess import _interval_stats_rows, _percentile_bins, histogram_ch_index
 from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts
 from repro.core.primary import GlobalClusterTable, PrimaryPartition
@@ -17,6 +17,15 @@ from tests.metrics.dispersion import calinski_harabasz_points
 def marginal_percentile_bin(counts):
     """Bin index of the mass median of a 1-D histogram."""
     return int(_percentile_bins(np.asarray(counts, dtype=np.float64)[None, :], 50.0)[0])
+
+
+def interval_stats(counts, cuts):
+    """(modes, masses, within) of a 1-D histogram: a one-row batch pass."""
+    modes, masses, within, _ = _interval_stats_rows(
+        np.asarray(counts, dtype=np.float64)[None, :],
+        [np.asarray(cuts, dtype=np.int64)],
+    )
+    return modes, masses, within
 
 
 class TestMarginalPercentileBin:

@@ -5,10 +5,20 @@ import pytest
 
 from repro.core.collapse import (
     collapse_dimensions,
-    effective_support,
-    uniformity_statistic,
+    effective_supports,
+    uniformity_statistics,
 )
 from repro.errors import ValidationError
+
+
+def uniformity_statistic(counts):
+    """KS statistic of one histogram: a one-row batch pass."""
+    return float(uniformity_statistics(np.asarray(counts, dtype=np.float64)[None, :])[0])
+
+
+def effective_support(counts):
+    """99%-mass support of one histogram: a one-row batch pass."""
+    return int(effective_supports(np.asarray(counts, dtype=np.float64)[None, :])[0])
 
 
 class TestUniformityStatistic:

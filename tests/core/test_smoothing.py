@@ -3,13 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core.smoothing import (
-    local_slopes,
-    moving_average,
-    paper_window,
-    second_derivative,
-)
+from repro.core.smoothing import local_slopes_rows, moving_average_rows, paper_window
 from repro.errors import ValidationError
+
+
+def moving_average(y, window):
+    """Moving average of one histogram: a one-row batch pass."""
+    return moving_average_rows(np.asarray(y, dtype=np.float64)[None, :], window)[0]
+
+
+def local_slopes(y, window):
+    """Regression slopes of one histogram: a one-row batch pass."""
+    return local_slopes_rows(np.asarray(y, dtype=np.float64)[None, :], window)[0]
+
+
+def second_derivative(y, window):
+    """The slope of the slopes (inflection detector)."""
+    return local_slopes(local_slopes(y, window), window)
 
 
 class TestPaperWindow:

@@ -6,9 +6,10 @@ import pytest
 from repro.core.streaming import KeyCounter, StreamingKeyBin2
 from tests.kernels.oracle import fold_rows
 from repro.data.gaussians import gaussian_mixture
-from repro.data.streams import BatchStream, DriftingStream
+from repro.data.streams import DriftingStream
 from repro.errors import NotFittedError, ValidationError
 from repro.metrics.external import purity
+from tests.data.streams import BatchStream
 
 
 class TestKeyCounter:
@@ -230,8 +231,17 @@ class TestStreamingKeyBin2:
         for i in range(0, rest.shape[0], 111):
             b.partial_fit(rest[i : i + 111])
         for st_a, st_b in zip(a._states, b._states):
-            for d in st_a.depths:
-                assert np.array_equal(st_a.hist[d], st_b.hist[d])
+            assert np.array_equal(st_a.hist, st_b.hist)
+
+
+def test_refresh_refuses_state_breaking_the_mass_invariant(small_gaussians):
+    """Every histogram row holds every point seen; refresh checks it."""
+    x, _ = small_gaussians
+    skb = StreamingKeyBin2(seed=5).partial_fit(x[:500])
+    assert all((st.hist.sum(axis=1) == skb.n_seen_).all() for st in skb._states)
+    skb._states[1].hist[2, 0] += 1
+    with pytest.raises(RuntimeError, match="projection 1, dimension 2"):
+        skb.refresh()
 
 
 def test_refresh_phases_split_per_depth(small_gaussians):

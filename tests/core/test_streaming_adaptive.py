@@ -27,8 +27,7 @@ def _assert_states_equal(a: StreamingKeyBin2, b: StreamingKeyBin2) -> None:
     for sa, sb in zip(a._states, b._states):
         np.testing.assert_array_equal(sa.space.r_min, sb.space.r_min)
         np.testing.assert_array_equal(sa.space.r_max, sb.space.r_max)
-        for d in sa.depths:
-            np.testing.assert_array_equal(sa.hist[d], sb.hist[d])
+        np.testing.assert_array_equal(sa.hist, sb.hist)
         ka, ca = sa.keys.to_arrays()
         kb, cb = sb.keys.to_arrays()
         np.testing.assert_array_equal(ka, kb)
@@ -36,15 +35,10 @@ def _assert_states_equal(a: StreamingKeyBin2, b: StreamingKeyBin2) -> None:
 
 
 def _assert_mass_invariants(skb: StreamingKeyBin2) -> None:
-    """Every depth holds all mass; shallow depths are exact coarsenings."""
-    deepest = skb.candidate_depths[-1]
+    """Every histogram row holds all points; so does the key table, with
+    its evictions."""
     for st in skb._states:
-        n_dims = st.space.n_dims
-        for d in st.depths:
-            assert int(st.hist[d].sum()) == skb.n_seen_ * n_dims
-        for d in st.depths[:-1]:
-            coarse = st.hist[deepest].reshape(n_dims, 1 << d, -1).sum(axis=2)
-            np.testing.assert_array_equal(st.hist[d], coarse)
+        assert (st.hist.sum(axis=1) == skb.n_seen_).all()
         _, counts = st.keys.to_arrays()
         assert int(counts.sum()) + st.keys.evicted_points == skb.n_seen_
 

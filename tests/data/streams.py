@@ -3,8 +3,9 @@
 :class:`RangeGrowthStream` (geometric scale growth — defeats any fixed
 range), :class:`MeanShiftStream` (linear covariate shift) and
 :class:`RegimeChangeStream` (abrupt regime switch) exercise adaptive
-binning and drift detection. No experiment or example streams them, so
-they live with the tests that do.
+binning and drift detection; :class:`BatchStream` replays a fixed dataset
+in batches. No experiment or example streams them, so they live with the
+tests that do.
 """
 
 from __future__ import annotations
@@ -17,7 +18,35 @@ from repro.data.gaussians import _separated_centers
 from repro.errors import ValidationError
 from repro.util.rng import SeedLike, as_generator
 
-__all__ = ["MeanShiftStream", "RangeGrowthStream", "RegimeChangeStream"]
+__all__ = [
+    "BatchStream", "MeanShiftStream", "RangeGrowthStream", "RegimeChangeStream",
+]
+
+
+class BatchStream:
+    """Replay ``(X, y)`` in fixed-size batches.
+
+    Iterating yields ``(x_batch, y_batch)`` tuples in order; the stream can
+    be replayed (each ``__iter__`` starts over).
+    """
+
+    def __init__(self, x: np.ndarray, y: Optional[np.ndarray], batch_size: int):
+        if batch_size < 1:
+            raise ValidationError("batch_size must be >= 1")
+        self.x = np.asarray(x)
+        self.y = None if y is None else np.asarray(y)
+        if self.y is not None and self.y.shape[0] != self.x.shape[0]:
+            raise ValidationError("X and y lengths differ")
+        self.batch_size = int(batch_size)
+
+    def __len__(self) -> int:
+        return -(-self.x.shape[0] // self.batch_size)
+
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        for start in range(0, self.x.shape[0], self.batch_size):
+            stop = start + self.batch_size
+            yb = None if self.y is None else self.y[start:stop]
+            yield self.x[start:stop], yb
 
 
 class RangeGrowthStream:

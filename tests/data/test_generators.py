@@ -5,14 +5,15 @@ import pytest
 
 from repro.data.correlated import correlated_clusters
 from repro.data.gaussians import gaussian_mixture
-from repro.data.streams import (
-    BatchStream,
-    DriftingStream,
-    distributed_partitions,
-)
+from repro.data.streams import DriftingStream, distributed_partitions
 from repro.errors import ValidationError
 from tests.data.shapes import box_clusters, moons, ring_clusters
-from tests.data.streams import MeanShiftStream, RangeGrowthStream, RegimeChangeStream
+from tests.data.streams import (
+    BatchStream,
+    MeanShiftStream,
+    RangeGrowthStream,
+    RegimeChangeStream,
+)
 
 
 class TestGaussianMixture:

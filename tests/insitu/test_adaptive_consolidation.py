@@ -55,7 +55,7 @@ def _state_snapshot(skb):
     for st in skb._states:
         keys, counts = st.keys.to_arrays()
         out.append((
-            {d: st.hist[d].copy() for d in st.depths},
+            st.hist.copy(),
             keys.copy(), counts.copy(),
         ))
     return skb.n_seen_, out
@@ -71,8 +71,7 @@ def _consolidating_program(comm, growths, every):
             consolidate_streaming_state(comm, skb)
             grids.append(_grid_snapshot(skb))
             masses.append([
-                (int(st.hist[d].sum()), st.space.n_dims)
-                for st in skb._states for d in st.depths
+                (int(st.hist.sum()), st.space.n_dims) for st in skb._states
             ])
     return grids, masses, _state_snapshot(skb)
 
@@ -176,8 +175,7 @@ class TestCadenceInvariance:
                 for (h_a, k_a, c_a), (h_b, k_b, c_b) in zip(
                     states, serial_states
                 ):
-                    for d in DEPTHS:
-                        np.testing.assert_array_equal(h_a[d], h_b[d])
+                    np.testing.assert_array_equal(h_a, h_b)
                     np.testing.assert_array_equal(k_a, k_b)
                     np.testing.assert_array_equal(c_a, c_b)
 
@@ -242,8 +240,7 @@ class TestCheckpointRestore:
                 np.testing.assert_array_equal(lo_a, lo_b)
                 np.testing.assert_array_equal(hi_a, hi_b)
             for (h_a, k_a, c_a), (h_b, k_b, c_b) in zip(st_a, st_b):
-                for d in DEPTHS:
-                    np.testing.assert_array_equal(h_a[d], h_b[d])
+                np.testing.assert_array_equal(h_a, h_b)
                 np.testing.assert_array_equal(k_a, k_b)
                 np.testing.assert_array_equal(c_a, c_b)
 

@@ -10,6 +10,7 @@ from repro.core.streaming import KeyCounter, StreamingKeyBin2
 from repro.errors import CheckpointError, ValidationError
 from repro.insitu.checkpoint import CheckpointManager, common_checkpoint_round
 from repro.insitu.distributed import run_distributed_insitu
+from repro.kernels.fused import prefix_histograms
 from repro.proteins.trajectory import TrajectorySimulator
 from tests.core.test_streaming_keys import _assert_same_state
 from tests.data.streams import RangeGrowthStream
@@ -66,10 +67,9 @@ class TestStateRoundTrip:
         assert back.n_seen_delta_ == skb.n_seen_delta_
         assert back.n_own_ == skb.n_own_
         for a, b in zip(skb._states, back._states):
-            for d in a.depths:
-                np.testing.assert_array_equal(a.hist[d], b.hist[d])
-                np.testing.assert_array_equal(a.hist_delta[d], b.hist_delta[d])
-                np.testing.assert_array_equal(a.hist_local[d], b.hist_local[d])
+            np.testing.assert_array_equal(a.hist, b.hist)
+            np.testing.assert_array_equal(a.hist_delta, b.hist_delta)
+            np.testing.assert_array_equal(a.hist_local, b.hist_local)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_save_load_save_is_byte_identical(self, tmp_path, adaptive):
@@ -121,7 +121,7 @@ class TestStateRoundTrip:
         resaved = tmp_path / "new.kb2"
         restored.save_state(resaved)
         version, payload = _stored(resaved)
-        assert version == _stored(old)[0] == 2
+        assert version == _stored(old)[0] == StreamingKeyBin2._CKPT_VERSION
         assert "fused" not in payload["config"]
 
     @staticmethod
@@ -191,6 +191,94 @@ class TestStateRoundTrip:
         path = tmp_path / "anticipating.kb2"
         self._save_as_written_with_anticipate(monkeypatch, skb, path, 1.5)
         with pytest.raises(ValidationError, match="anticipate=1.5"):
+            StreamingKeyBin2.load_state(path)
+
+    @staticmethod
+    def _save_as_version_2(monkeypatch, skb, path, tamper=None):
+        """Save ``skb`` as a version-2 build would: every histogram ledger
+        a depth → table dict, and ``n_points`` per state. ``tamper(st)``
+        may edit each stored state first."""
+        state_dict = StreamingKeyBin2.state_dict
+
+        def as_version_2(inst):
+            payload = state_dict(inst)
+            payload["version"] = 2
+            for st in payload["states"]:
+                for name in ("hist", "hist_delta", "hist_local"):
+                    st[name] = prefix_histograms(st[name], st["depths"])
+                st["n_points"] = inst.n_seen_
+                if tamper is not None:
+                    tamper(st)
+            return payload
+
+        with monkeypatch.context() as m:
+            m.setattr(StreamingKeyBin2, "state_dict", as_version_2)
+            m.setattr(StreamingKeyBin2, "_CKPT_VERSION", 2)
+            skb.save_state(path)
+        assert _stored(path)[0] == 2
+
+    def test_version_2_checkpoint_loads_and_continues(self, tmp_path, monkeypatch):
+        """A version-2 file keeps each ledger's deepest table and drops
+        ``n_points``; the run continues bit-identically, and a re-save
+        writes the current version with one table per ledger."""
+        data = np.random.default_rng(13).random((300, 3))
+        params = dict(seed=3, feature_range=(0.0, 1.0), candidate_depths=(4, 5, 6))
+        straight = StreamingKeyBin2(**params)
+        straight.partial_fit(data[:150])
+        straight.partial_fit(data[150:])
+        straight.refresh()
+
+        old = tmp_path / "v2.kb2"
+        self._save_as_version_2(
+            monkeypatch, StreamingKeyBin2(**params).partial_fit(data[:150]), old
+        )
+        restored = StreamingKeyBin2.load_state(old)
+        restored.partial_fit(data[150:])
+        restored.refresh()
+        assert restored.model_.fingerprint() == straight.model_.fingerprint()
+        _assert_same_state(restored.state_dict(), straight.state_dict())
+
+        resaved = tmp_path / "v3.kb2"
+        restored.save_state(resaved)
+        version, payload = _stored(resaved)
+        assert version == StreamingKeyBin2._CKPT_VERSION
+        for st in payload["states"]:
+            assert "n_points" not in st
+            assert st["hist"].shape[1] == 1 << 6
+
+    def test_version_2_shallow_table_off_by_one_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        """Every stored shallower table must be the prefix sum of the
+        deepest one; a file where it is not is refused, not trusted."""
+        skb = StreamingKeyBin2(seed=3, feature_range=(0.0, 1.0),
+                               candidate_depths=(4, 5, 6))
+        skb.partial_fit(np.random.default_rng(13).random((150, 3)))
+
+        def off_by_one(st):
+            st["hist"][5][0, 0] += 1
+
+        path = tmp_path / "bad.kb2"
+        self._save_as_version_2(monkeypatch, skb, path, tamper=off_by_one)
+        with pytest.raises(CheckpointError, match="depth-5 histogram"):
+            StreamingKeyBin2.load_state(path)
+
+    def test_checkpoint_breaking_the_mass_invariant_is_refused(
+        self, rng, tmp_path, monkeypatch
+    ):
+        """Every histogram row must hold every point seen."""
+        state_dict = StreamingKeyBin2.state_dict
+
+        def one_point_short(inst):
+            payload = state_dict(inst)
+            payload["n_seen"] -= 1
+            return payload
+
+        path = tmp_path / "short.kb2"
+        with monkeypatch.context() as m:
+            m.setattr(StreamingKeyBin2, "state_dict", one_point_short)
+            _fitted(rng).save_state(path)
+        with pytest.raises(CheckpointError, match="mass invariant"):
             StreamingKeyBin2.load_state(path)
 
     def test_key_counter_state_dict_round_trip(self, rng):

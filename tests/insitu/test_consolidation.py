@@ -61,11 +61,10 @@ def _mass_program(comm, feature_blocks, chunk, every):
         if (ci + 1) % every == 0 or ci + 1 == n_chunks:
             consolidate_streaming_state(comm, skb)
             masses = [
-                (int(st.hist[d].sum()), st.hist[d].shape[0], int(sum(
+                (int(st.hist.sum()), st.hist.shape[0], int(sum(
                     st.keys.to_arrays()[1]
                 )))
                 for st in skb._states
-                for d in st.depths
             ]
             records.append((skb.n_seen_, masses))
     return records
@@ -84,13 +83,13 @@ def _double_merge_program(comm, feature_blocks):
     consolidate_streaming_state(comm, skb)
     before = (
         skb.n_seen_,
-        [st.hist[d].copy() for st in skb._states for d in st.depths],
+        [st.hist.copy() for st in skb._states],
         [_key_dict(st.keys) for st in skb._states],
     )
     consolidate_streaming_state(comm, skb)
     after = (
         skb.n_seen_,
-        [st.hist[d].copy() for st in skb._states for d in st.depths],
+        [st.hist.copy() for st in skb._states],
         [_key_dict(st.keys) for st in skb._states],
     )
     return before, after
@@ -179,9 +178,7 @@ class TestTrafficBound:
         # Histogram wire size, measured on an identically configured model.
         probe = StreamingKeyBin2(seed=0, **KEYBIN_PARAMS)
         probe.partial_fit(encode_frames(trajs[0].angles)[:CHUNK])
-        hist_nbytes = sum(
-            st.hist[d].nbytes for st in probe._states for d in st.depths
-        )
+        hist_nbytes = sum(st.hist.nbytes for st in probe._states)
         n_rounds = -(-N_FRAMES // CHUNK)  # consolidate_every=1
         results = run_distributed_insitu(
             trajs, chunk_size=CHUNK, consolidate_every=1, seed=0

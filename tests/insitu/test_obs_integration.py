@@ -9,6 +9,7 @@ level, now visible as a first-class metric series.
 
 import pytest
 
+from repro.core.projection import resolve_components
 from repro.core.streaming import StreamingKeyBin2
 from repro.insitu.distributed import run_distributed_insitu
 from repro.obs import MetricsRegistry, ensure_core_series, set_default_registry
@@ -20,7 +21,12 @@ N_FRAMES = 160
 CHUNK = 40            # 4 chunks per rank
 EVERY = 2             # -> consolidation rounds at chunks 2 and 4
 N_ROUNDS = 2
-KEYBIN_PARAMS = {"feature_range": (0.0, 6.0), "candidate_depths": (5, 6, 7, 8)}
+N_PROJECTIONS = 4
+DEPTHS = (5, 6, 7, 8)
+KEYBIN_PARAMS = {
+    "n_projections": N_PROJECTIONS, "feature_range": (0.0, 6.0),
+    "candidate_depths": DEPTHS,
+}
 
 
 def _trajectories(n, base_seed=50):
@@ -39,7 +45,7 @@ def _hist_nbytes(seed=0):
     """Flat histogram-delta bytes of an identically configured model."""
     probe = StreamingKeyBin2(seed=seed, **KEYBIN_PARAMS)
     probe.partial_fit(encode_frames(_trajectories(1)[0].angles)[:CHUNK])
-    return sum(st.hist[d].nbytes for st in probe._states for d in st.depths)
+    return sum(st.hist.nbytes for st in probe._states)
 
 
 @pytest.fixture()
@@ -85,6 +91,18 @@ def test_hist_delta_bytes_sum_to_histogram_times_rounds(obs_run):
         assert total == hist_nbytes * N_ROUNDS
         # And within the paper's O(2·K·N_rp·B) ring bound per round.
         assert total <= 2 * hist_nbytes * N_ROUNDS
+
+
+def test_hist_bytes_per_round_are_one_deep_table_per_projection(obs_run):
+    """Each round ships one int64 table per projection at the deepest
+    depth, n_projections × N_rp × 2^deepest × 8 B, a figure taken from the
+    configuration rather than from the state: no shallower depth travels."""
+    reg, results = obs_run
+    n_rp = resolve_components(N_RESIDUES, None)
+    per_round = N_PROJECTIONS * n_rp * (1 << max(DEPTHS)) * 8
+    for s in _samples(reg, "insitu_consolidation_bytes_total"):
+        if s["labels"]["kind"] == "hist" and s["value"]:
+            assert s["value"] == per_round * N_ROUNDS
 
 
 def test_seen_and_keys_bytes_recorded(obs_run):

@@ -6,8 +6,9 @@ import pytest
 from repro import KeyBin1, KeyBin2, StreamingKeyBin2, fit_distributed
 from repro.data.correlated import correlated_clusters
 from repro.data.gaussians import gaussian_mixture
-from repro.data.streams import BatchStream, distributed_partitions
+from repro.data.streams import distributed_partitions
 from repro.metrics.pairs import pair_precision_recall_f1
+from tests.data.streams import BatchStream
 from repro.metrics.external import purity
 
 

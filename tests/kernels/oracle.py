@@ -233,6 +233,12 @@ def reference_partial_fit(skb: StreamingKeyBin2, x: np.ndarray) -> StreamingKeyB
     Adaptive mode widens the grid over the projected batch's extremes
     before binning, so at most the float boundary case (a value at
     ``r_max`` that floors to bin ``2^depth``) widens again and re-bins.
+
+    Besides the state's deep tables, each state gains ``reference_hist``:
+    depth → histogram, every depth counted on its own from right-shifted
+    bins, for suites that hold the depths the model tail derives to an
+    independent count. A rebin re-indexes only the deep tables, so
+    ``reference_hist`` is meaningful on fixed grids.
     """
     x = check_array_2d(x, "X")
     check_finite(x, "X")
@@ -270,14 +276,19 @@ def reference_partial_fit(skb: StreamingKeyBin2, x: np.ndarray) -> StreamingKeyB
             )
             if state.rebin_to(target):
                 skb._note_rebin(idx)
+        if not hasattr(state, "reference_hist"):
+            state.reference_hist = {
+                d: np.zeros((state.space.n_dims, 1 << d), dtype=np.int64)
+                for d in state.depths
+            }
         for d in state.depths:
             b = deep if d == deepest else prefix_bins(deep, deepest, d)
-            accumulate_histogram(b, 1 << d, out=state.hist[d])
-            accumulate_histogram(b, 1 << d, out=state.hist_delta[d])
+            accumulate_histogram(b, 1 << d, out=state.reference_hist[d])
+        accumulate_histogram(deep, 1 << deepest, out=state.hist)
+        accumulate_histogram(deep, 1 << deepest, out=state.hist_delta)
         deep_u8 = deep.astype(np.uint8)
         for table in state.key_tables():
             fold_rows(table, deep_u8)
-        state.n_points += x.shape[0]
         if state.drift is not None:
             batch_hist = accumulate_histogram(deep, 1 << deepest)
             skb._feed_drift(idx, state, batch_hist, x.shape[0])

@@ -44,6 +44,11 @@ def _reference(x, matrix, r_min, r_max, depths):
     return hist, rows, counts
 
 
+def depth_tables(res, depths):
+    """Depth → histogram of a fused result, derived from its deep table."""
+    return prefix_histograms(res.deep, sorted(set(depths)))
+
+
 def fused_one(x, matrix, r_min, r_max, depths, **kwargs):
     """``fused_partial_fit`` over one state."""
     (res,) = fused_partial_fit(
@@ -71,7 +76,7 @@ class TestProjectBinCount:
         )
         hist, rows, counts = _reference(x, matrix, r_min, r_max, (3, 5))
         for d in (3, 5):
-            assert np.array_equal(res.hist[d], hist[d])
+            assert np.array_equal(depth_tables(res, (3, 5))[d], hist[d])
         assert np.array_equal(res.key_rows, rows)
         assert np.array_equal(res.key_counts, counts)
         assert res.n_rows == 257
@@ -81,7 +86,7 @@ class TestProjectBinCount:
         r_min, r_max = _spec_for(x, None, (4,))
         res = fused_one(x, None, r_min, r_max, (4,), backend="numpy")
         hist, rows, counts = _reference(x, None, r_min, r_max, (4,))
-        assert np.array_equal(res.hist[4], hist[4])
+        assert np.array_equal(res.deep, hist[4])
         assert np.array_equal(res.key_rows, rows)
         assert np.array_equal(res.key_counts, counts)
 
@@ -95,7 +100,7 @@ class TestProjectBinCount:
         assert np.array_equal(res.key_rows, rows)
         assert np.array_equal(res.key_counts, counts)
         for d in (2, 3):
-            assert np.array_equal(res.hist[d], hist[d])
+            assert np.array_equal(depth_tables(res, (2, 3))[d], hist[d])
 
     def test_empty_batch(self, rng):
         x = np.empty((0, 5))
@@ -105,7 +110,7 @@ class TestProjectBinCount:
         assert res.key_rows.shape[0] == 0
         assert res.key_counts.shape == (0,)
         assert res.key_codes.shape == (0,)
-        assert res.hist[3].sum() == 0
+        assert res.deep.shape == (2, 8) and res.deep.sum() == 0
 
     def test_codes_decode_to_rows(self, rng):
         x = rng.standard_normal((90, 6))
@@ -142,7 +147,7 @@ class TestFusedPartialFit:
         results = fused_partial_fit(x, specs, backend="numpy", chunk_size=64)
         for res, (hist, rows, counts) in zip(results, expected):
             for d in hist:
-                assert np.array_equal(res.hist[d], hist[d])
+                assert np.array_equal(depth_tables(res, hist)[d], hist[d])
             assert np.array_equal(res.key_rows, rows)
             assert np.array_equal(res.key_counts, counts)
 
@@ -161,8 +166,8 @@ class TestFusedPartialFit:
         )
         h1, r1, c1 = _reference(x, matrix, rm1, rx1, (3,))
         h2, r2, c2 = _reference(x, None, rm2, rx2, (2,))
-        assert np.array_equal(results[0].hist[3], h1[3])
-        assert np.array_equal(results[1].hist[2], h2[2])
+        assert np.array_equal(results[0].deep, h1[3])
+        assert np.array_equal(results[1].deep, h2[2])
         assert np.array_equal(results[1].key_rows, r2)
 
     def test_no_specs_rejected(self, rng):
@@ -265,7 +270,7 @@ class TestFusedBinPoints:
         points = fused_bin_points(x, specs, backend="numpy", chunk_size=64)
         keyed = fused_partial_fit(x, specs, backend="numpy", chunk_size=64)
         for p, k in zip(points, keyed):
-            assert np.array_equal(p.deep, k.hist[6])
+            assert np.array_equal(p.deep, k.deep)
             rows, counts = np.unique(p.rows.T, axis=0, return_counts=True)
             assert np.array_equal(rows, k.key_rows)
             assert np.array_equal(counts, k.key_counts)

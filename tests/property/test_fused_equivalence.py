@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.streaming import StreamingKeyBin2
 from repro.kernels.backend import available_backends
+from repro.kernels.fused import prefix_histograms
 from tests.kernels.oracle import (
     accumulate_histogram,
     bin_indices,
@@ -30,7 +31,7 @@ from tests.kernels.oracle import (
     project_points,
     reference_partial_fit,
 )
-from tests.kernels.test_fused import fused_one
+from tests.kernels.test_fused import depth_tables, fused_one
 
 COMMON = settings(
     max_examples=25,
@@ -57,18 +58,19 @@ def _reference_state(x, matrix, r_min, r_max, depths):
 
 def _assert_matches_reference(res, x, matrix, r_min, r_max, depths, width):
     m = x.shape[0]
+    derived = depth_tables(res, depths)
     if m == 0:
         assert res.key_rows.shape[0] == 0
-        assert all(res.hist[d].sum() == 0 for d in depths)
+        assert all(derived[d].sum() == 0 for d in depths)
         return
     hist, rows, counts = _reference_state(x, matrix, r_min, r_max, depths)
     for d in depths:
-        assert np.array_equal(res.hist[d], hist[d])
+        assert np.array_equal(derived[d], hist[d])
     assert np.array_equal(res.key_rows, rows)
     assert np.array_equal(res.key_counts, counts)
     # Histogram mass equals points in every depth (conservation).
     for d in depths:
-        assert res.hist[d].sum() == m * width
+        assert derived[d].sum() == m * width
 
 
 @st.composite
@@ -155,9 +157,13 @@ class TestStreamingEquivalence:
             fus.partial_fit(x)
         assert ref.n_seen_ == fus.n_seen_
         for sr, sf in zip(ref._states, fus._states):
+            assert np.array_equal(sr.hist, sf.hist)
+            assert np.array_equal(sr.hist_delta, sf.hist_delta)
+            # The shallower depths the tail derives equal the oracle's own
+            # per-depth counts.
+            derived = prefix_histograms(sf.hist, sf.depths)
             for d in sr.depths:
-                assert np.array_equal(sr.hist[d], sf.hist[d])
-                assert np.array_equal(sr.hist_delta[d], sf.hist_delta[d])
+                assert np.array_equal(derived[d], sr.reference_hist[d])
             kr, cr = sr.keys.to_arrays()
             kf, cf = sf.keys.to_arrays()
             assert np.array_equal(kr, kf)
@@ -182,8 +188,10 @@ class TestStreamingEquivalence:
             reference_partial_fit(ref, x)
             fus.partial_fit(x)
         for sr, sf in zip(ref._states, fus._states):
+            assert np.array_equal(sr.hist, sf.hist)
+            derived = prefix_histograms(sf.hist, sf.depths)
             for d in sr.depths:
-                assert np.array_equal(sr.hist[d], sf.hist[d])
+                assert np.array_equal(derived[d], sr.reference_hist[d])
             kr, cr = sr.keys.to_arrays()
             kf, cf = sf.keys.to_arrays()
             assert np.array_equal(kr, kf) and np.array_equal(cr, cf)

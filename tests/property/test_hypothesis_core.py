@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.binning import SpaceRange
 from repro.core.partitioning import find_cuts
-from repro.core.smoothing import local_slopes, moving_average
+from repro.core.smoothing import local_slopes_rows, moving_average_rows
 from repro.kernels.keys import bin_indices
 from tests.kernels.oracle import pack_keys, prefix_bins, unpack_keys
 
@@ -104,7 +104,7 @@ class TestSmoothingProperties:
         st.integers(1, 15),
     )
     def test_moving_average_bounded_by_extremes(self, y, window):
-        sm = moving_average(y, window)
+        sm = moving_average_rows(y[None, :], window)[0]
         assert sm.min() >= y.min() - 1e-9
         assert sm.max() <= y.max() + 1e-9
 
@@ -116,7 +116,7 @@ class TestSmoothingProperties:
     )
     def test_slopes_exact_on_lines(self, intercept, slope, window):
         y = intercept + slope * np.arange(40, dtype=float)
-        slopes = local_slopes(y, window)
+        slopes = local_slopes_rows(y[None, :], window)[0]
         h = max(1, window // 2)
         assert np.allclose(slopes[h:-h], slope, atol=1e-8)
 

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 import repro.core.tail as tail_mod
 from repro.core.assess import (
+    _interval_stats_rows,
     _percentile_bins,
     histogram_ch_index,
     histogram_ch_scores,
-    interval_stats,
 )
 from repro.core.distributed import fit_distributed
 from repro.core.estimator import KeyBin2
@@ -88,10 +88,12 @@ class TestScoring:
     def test_ch_index_matches_oracle(self, counts, n_cells, seed):
         rng = np.random.default_rng(seed)
         cuts = find_cuts(counts)
+        stats = _interval_stats_rows(np.asarray(counts, dtype=np.float64), cuts)
+        offsets = list(stats[3]) + [stats[0].size]
         for j, c in enumerate(cuts):
-            for got, want in zip(interval_stats(counts[j], c),
-                                 oracle.interval_stats(counts[j], c)):
-                assert np.array_equal(got, want)
+            rows = slice(offsets[j], offsets[j + 1])
+            for got, want in zip(stats[:3], oracle.interval_stats(counts[j], c)):
+                assert np.array_equal(got[rows], want)
         assert _percentile_bins(counts, 50.0).tolist() == [
             oracle.marginal_percentile_bin(row) for row in counts]
         cells = _random_cells(rng, cuts, n_cells)

@@ -1,6 +1,7 @@
-"""Every ``src/repro`` module is reached from an entry point, not only from tests.
+"""Every ``src/repro`` module, and every public top-level function and
+class in one, is reached from an entry point, not only from tests.
 
-The walk is static (AST only, nothing is imported). It starts from
+The module walk is static (AST only, nothing is imported). It starts from
 ``repro.cli`` and every file under ``examples/``, ``perfbench/`` and
 ``benchmarks/``. From a reached module or entry-point file, each import
 reaches the imported module. A package ``__init__`` is different: its
@@ -9,6 +10,8 @@ reached file imports ``name`` from the package (``from pkg import
 name``), so a re-export alone cannot keep a module alive. Attribute access
 through a package (``import pkg``, then ``pkg.name``) is not followed;
 such a use shows up here as an unreached module, never as a missed one.
+The function-level check and the settable-surface audit are described
+where they start below.
 """
 
 from __future__ import annotations
@@ -156,6 +159,90 @@ def test_src_never_imports_tests():
                 offenders.append(f"{mod}:{node.lineno}")
     assert not offenders, "src modules import from tests: " + ", ".join(offenders)
 
+
+
+# ---------------------------------------------------------------- definitions
+#
+# The module walk stops at modules: a reached module may still define a
+# public function or class that only tests use. Every public top-level
+# ``def`` or ``class`` of a ``src/repro`` module must be named by a file
+# outside ``tests/``: its own module's code, another ``src`` module, or an
+# entry-point file. A name counts when it appears as an identifier, an
+# attribute or a ``from ... import`` name; strings (so ``__all__``) do
+# not, nor do a package ``__init__``'s re-exports. Matching is by bare
+# name, so a definition named like something else in use passes.
+
+# "module.name" -> why it stays although no non-test file names it.
+DEF_ALLOWLIST: Dict[str, str] = {
+    "repro.kernels.numba_backend.NumbaBackend":
+        "registers itself under the name \"numba\" when repro.kernels imports "
+        "it; get_backend finds it by that name",
+}
+
+
+def _unnamed(defining: Dict[str, ast.Module],
+             users: List[Tuple[ast.Module, bool]]) -> List[str]:
+    """``module.name`` of each public top-level definition in ``defining``
+    that no ``(tree, is_package_init)`` in ``users`` names."""
+    named: Set[str] = set()
+    for tree, is_init in users:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and not is_init:
+                named.update(alias.name for alias in node.names)
+    return sorted(
+        f"{mod}.{node.name}"
+        for mod, tree in defining.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in named
+    )
+
+
+def unnamed_definitions() -> List[str]:
+    trees = {mod: _parse(path) for mod, path in MODULES.items()}
+    users = [(tree, _is_package(mod)) for mod, tree in trees.items()]
+    users += [(_parse(path), False) for path in _entry_files()]
+    return _unnamed(trees, users)
+
+
+def test_every_public_definition_is_named_outside_tests():
+    unnamed = [d for d in unnamed_definitions() if d not in DEF_ALLOWLIST]
+    assert not unnamed, (
+        "public functions and classes that only tests name (move each into "
+        "the test oracle that uses it, or delete it): " + ", ".join(unnamed))
+
+
+def test_definition_allowlist_entries_are_still_needed():
+    unnamed = set(unnamed_definitions())
+    for name, reason in DEF_ALLOWLIST.items():
+        assert reason.strip(), f"{name}: no reason"
+        assert name in unnamed, (
+            f"{name} is named outside tests now: drop it from the allowlist")
+
+
+def test_definition_naming_rules():
+    lib = ast.parse(textwrap.dedent("""
+        __all__ = ["called", "exported", "Helper", "by_attribute"]
+
+        def called():
+            return Helper()
+
+        def exported():
+            pass
+
+        class Helper:
+            pass
+
+        def by_attribute():
+            pass
+    """))
+    init = ast.parse("from lib import exported\n")
+    app = ast.parse("import lib\nlib.by_attribute()\n")
+    assert _unnamed({"lib": lib}, [(lib, False), (init, True), (app, False)]) == [
+        "lib.called", "lib.exported"]
 
 
 # --------------------------------------------------------------- parameters
